@@ -17,34 +17,25 @@ from typing import Callable
 from . import bloch, criteria
 from .criteria import CriterionVerdict
 from .errors import ValidationError
-from .linalg import DensityMatrix, trace_norm
+# trace_norm is unused here; perfbench's tracer self-test patches this binding.
+from .linalg import DensityMatrix, trace_norm  # noqa: F401
 from .states import StateFamily
 
-CRITERIA = ("hw", "isc", "vb", "lb", "ppt", "thm2")
+CRITERIA = (*criteria.S_CRITERIA, "ppt", "thm2")
 
 
 def make_check(criterion: str, **params) -> Callable[[DensityMatrix], CriterionVerdict]:
     """Bind a criterion name and parameters into a state -> verdict callable.
 
-    Recognized names: hw (S-matrix criterion, standard or rescaled), isc
-    (rescaled, m >= 1), vb, lb, ppt, thm2.  ``thm2`` takes ``alphas``/``m``
+    Recognized names: the rows of ``criteria.S_CRITERIA`` (hw, isc, vb, lb),
+    which take the row's free parameters (hw also an optional
+    ``normalization``), plus ppt and thm2.  ``thm2`` takes ``alphas``/``m``
     (and optional ``partitions``) and reports the most violated partition.
     """
-    if criterion == "hw":
-        alpha = params["alpha"]
-        beta = params["beta"]
-        m = params["m"]
-        normalization = params.get("normalization", "standard")
-        return lambda rho: criteria.check_theorem1(rho, alpha, beta, m, normalization)
-    if criterion == "isc":
-        alpha = params["alpha"]
-        beta = params["beta"]
-        m = params["m"]
-        return lambda rho: criteria.check_isc(rho, alpha, beta, m)
-    if criterion == "vb":
-        return criteria.check_vb
-    if criterion == "lb":
-        return criteria.check_lb
+    row = criteria.S_CRITERIA.get(criterion)
+    if row is not None:
+        args = row.parameters(params)
+        return lambda rho: row.check(rho, **args)
     if criterion == "ppt":
         subsystem = params.get("subsystem", 2)
         return lambda rho: criteria.check_ppt(rho, subsystem)
@@ -201,13 +192,11 @@ def optimize_params(
     if not alpha_grid or not beta_grid or not m_range:
         raise ValidationError("optimize_params requires nonempty grids")
     dec = bloch.decompose_bipartite(rho, normalization)
-    d1, d2 = rho.dims
     best = None
     for m in m_range:
         for alpha in alpha_grid:
             for beta in beta_grid:
-                value = trace_norm(criteria.build_S(dec, alpha, beta, m).matrix)
-                bound = criteria.theorem1_bound(d1, d2, alpha, beta, m, normalization)
+                value, bound = criteria._s_criterion(dec, alpha, beta, m, normalization)
                 if best is None or value - bound > best.violation:
                     best = OptimizeResult(alpha, beta, m, value, bound, normalization)
     return best

@@ -12,12 +12,17 @@ of ||r|| = sqrt(d-1).
 
 Bipartite states expand over {I, Q(l,m)} x {I, Q(k,n)} giving local Bloch
 vectors r, s and the correlation matrix T; multipartite states give the
-N-way coefficient tensor W built from per-party operator slots (m identity
-slots weighted by alpha_i followed by the d_i^2 - 1 basis observables).
+N-way coefficient tensor W built from per-party operator slots (one
+identity slot weighted by alpha_i followed by the d_i^2 - 1 basis
+observables).  The paper's W stacks m identity slots per axis; they are
+copies of one another, so its matricizations have the same trace norms as
+those of the one-slot W with weights sqrt(m) alpha_i, which is what
+``criteria.check_theorem2`` builds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,14 @@ def _check_normalization(normalization: str) -> None:
         raise ValidationError(
             f"unknown normalization {normalization!r}, expected one of {hw_basis.NORMALIZATIONS}"
         )
+
+
+def check_weights(weights) -> tuple[float, ...]:
+    """The weights as floats; raises ValidationError unless all are finite and nonnegative."""
+    weights = tuple(float(w) for w in weights)
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ValidationError(f"weights must be finite and nonnegative, got {weights}")
+    return weights
 
 
 @dataclass(frozen=True)
@@ -68,26 +81,18 @@ class BlochDecomposition:
 
 @dataclass(frozen=True)
 class CoefficientTensor:
-    """N-way coefficient tensor with m identity slots per axis.
+    """N-way coefficient tensor with one identity slot per axis.
 
-    Axis i has extent m + d_i^2 - 1: the first m slots correspond to
-    alpha_i * identity, the rest to the basis observables in canonical
-    order.  The entry at the all-identity position equals prod(alphas).
+    Axis i has extent d_i^2: slot 0 corresponds to alpha_i * identity, the
+    rest to the basis observables in canonical order.  The entry at the
+    all-identity position equals prod(alphas).
     """
 
-    dims: tuple[int, ...]
-    alphas: tuple[float, ...]
-    m: int
-    normalization: str
     tensor: np.ndarray
 
     @property
     def n_parties(self) -> int:
-        return len(self.dims)
-
-
-def _stacked_basis(d: int) -> np.ndarray:
-    return hw_basis._basis_array(d, "standard", "symmetric")
+        return self.tensor.ndim
 
 
 def decompose_single(rho: DensityMatrix, normalization: str = "standard") -> BlochVector:
@@ -96,7 +101,7 @@ def decompose_single(rho: DensityMatrix, normalization: str = "standard") -> Blo
     if rho.n_parties != 1:
         raise ValidationError(f"decompose_single requires one subsystem, got dims {rho.dims}")
     d = rho.dims[0]
-    r = np.einsum("aij,ji->a", _stacked_basis(d), rho.matrix).real
+    r = np.einsum("aij,ji->a", hw_basis._basis_array(d, "standard", "symmetric"), rho.matrix).real
     if normalization == "rescaled":
         r = np.sqrt(d / 2) * r
     return BlochVector(dim=d, normalization=normalization, coeffs=r)
@@ -115,7 +120,8 @@ def decompose_bipartite(rho: DensityMatrix, normalization: str = "standard") -> 
     if rho.n_parties != 2:
         raise ValidationError(f"decompose_bipartite requires two subsystems, got dims {rho.dims}")
     d1, d2 = rho.dims
-    qa, qb = _stacked_basis(d1), _stacked_basis(d2)
+    qa = hw_basis._basis_array(d1, "standard", "symmetric")
+    qb = hw_basis._basis_array(d2, "standard", "symmetric")
     r4 = rho.matrix.reshape(d1, d2, d1, d2)
     r = np.einsum("ijkj,aki->a", r4, qa).real
     s = np.einsum("ijil,blj->b", r4, qb).real
@@ -149,7 +155,8 @@ def reconstruct_bipartite(dec: BlochDecomposition) -> DensityMatrix:
         r = r / np.sqrt(d1 / 2)
         s = s / np.sqrt(d2 / 2)
         t = t / (np.sqrt(d1 * d2) / 2)
-    qa, qb = _stacked_basis(d1), _stacked_basis(d2)
+    qa = hw_basis._basis_array(d1, "standard", "symmetric")
+    qb = hw_basis._basis_array(d2, "standard", "symmetric")
     i1, i2 = np.eye(d1), np.eye(d2)
     rho4 = np.einsum("ik,jl->ijkl", i1, i2).astype(complex)
     rho4 += np.einsum("a,aik,jl->ijkl", r, qa, i2)
@@ -159,41 +166,27 @@ def reconstruct_bipartite(dec: BlochDecomposition) -> DensityMatrix:
     return DensityMatrix(mat, (d1, d2))
 
 
-def _slot_operators(d: int, alpha: float, m: int) -> np.ndarray:
-    """Per-party operator slabs: m copies of alpha*I, then the basis."""
-    if m == 0:
-        return _stacked_basis(d)
-    ident = np.broadcast_to(alpha * np.eye(d, dtype=complex), (m, d, d))
-    return np.concatenate([ident, _stacked_basis(d)])
-
-
-def build_W(
-    rho: DensityMatrix,
-    alphas,
-    m: int,
-    normalization: str = "standard",
-) -> CoefficientTensor:
+def build_W(rho: DensityMatrix, alphas, normalization: str = "standard") -> CoefficientTensor:
     """Coefficient tensor of an N-party state.
 
     Entry (a_1, ..., a_N) is Tr(rho O_{a_1} x ... x O_{a_N}) where each
-    axis runs over m identity slots (operator alpha_i * I) followed by the
+    axis runs over one identity slot (operator alpha_i * I) followed by the
     standard basis observables.  With ``normalization="rescaled"`` the
     operator-slot coefficients are the rescaled-basis expansion
     coefficients, i.e. the standard ones scaled by sqrt(d_i/2) per axis.
     """
     _check_normalization(normalization)
-    alphas = tuple(float(a) for a in alphas)
+    alphas = check_weights(alphas)
     dims = rho.dims
     n = len(dims)
     if len(alphas) != n:
         raise ValidationError(f"need one alpha per party: got {len(alphas)} for {n} parties")
-    if any(a < 0 for a in alphas):
-        raise ValidationError(f"alphas must be nonnegative, got {alphas}")
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
     if n > len(_LETTERS):
         raise ValidationError(f"at most {len(_LETTERS)} parties supported, got {n}")
-    slabs = [_slot_operators(d, a, m) for d, a in zip(dims, alphas)]
+    slabs = [
+        np.concatenate([a * np.eye(d, dtype=complex)[None], hw_basis._basis_array(d, "standard", "symmetric")])
+        for d, a in zip(dims, alphas)
+    ]
     rho_t = rho.matrix.reshape(*dims, *dims)
     spec = (
         _ROW_IDX[:n]
@@ -207,6 +200,6 @@ def build_W(
     if normalization == "rescaled":
         for axis, d in enumerate(dims):
             scale = np.ones(w.shape[axis])
-            scale[m:] = np.sqrt(d / 2)
+            scale[1:] = np.sqrt(d / 2)
             w = w * scale.reshape([-1 if k == axis else 1 for k in range(n)])
-    return CoefficientTensor(dims=dims, alphas=alphas, m=int(m), normalization=normalization, tensor=w)
+    return CoefficientTensor(w)

@@ -31,12 +31,14 @@ def state_to_json(rho: DensityMatrix) -> dict:
 
 def parse_state_json(doc: dict) -> DensityMatrix:
     try:
-        dims = tuple(int(d) for d in doc["dims"])
+        dims = doc["dims"]
+        if not isinstance(dims, list) or not all(type(d) is int for d in dims):
+            raise ValidationError(f"dims must be a JSON list of integers, got {dims!r}")
         rows = doc["matrix"]
         mat = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
     except (KeyError, TypeError, IndexError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
-    return DensityMatrix(mat, dims)
+    return DensityMatrix(mat, tuple(dims))
 
 
 def load_state(path: str) -> DensityMatrix:
@@ -75,12 +77,13 @@ def _criterion_spec(args, parser) -> dict:
     """Collect criterion parameters for check/scan/compare commands."""
     crit = args.criterion
     spec: dict = {"criterion": crit}
-    if crit in ("hw", "isc"):
-        beta = _beta_value(args, parser)
-        if args.alpha is None or beta is None or args.m is None:
+    row = criteria.S_CRITERIA.get(crit)
+    if row is not None and row.free:
+        given = {"alpha": args.alpha, "beta": _beta_value(args, parser), "m": args.m}
+        if any(given[key] is None for key in row.free):
             parser.error(f"criterion {crit} requires --alpha, --beta (or --beta-sq) and --m")
-        spec.update(alpha=args.alpha, beta=beta, m=args.m)
-        if crit == "hw":
+        spec.update((key, given[key]) for key in row.free)
+        if row.normalization is None:
             spec["normalization"] = _normalization(args)
     elif crit == "thm2":
         if args.alphas is None or args.m is None:
@@ -161,13 +164,6 @@ def cmd_decompose(args, parser) -> int:
 def cmd_check(args, parser) -> int:
     rho = load_state(args.state)
     spec = _criterion_spec(args, parser)
-    if spec["criterion"] == "thm2":
-        partitions = spec.get("partitions")
-        verdicts = criteria.check_theorem2(
-            rho, spec["alphas"], spec["m"], partitions, spec["normalization"]
-        )
-        _emit([v.to_dict() for v in verdicts])
-        return 0
     check = analysis.make_check(**spec)
     _emit(check(rho).to_dict())
     return 0
@@ -288,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("check", help="evaluate one criterion on a state")
-    p.add_argument("--criterion", required=True, choices=analysis.CRITERIA)
+    # thm2 gives one verdict per bipartition: that is the tensor-check command
+    p.add_argument("--criterion", required=True, choices=[c for c in analysis.CRITERIA if c != "thm2"])
     add_common(p, params=True, state=True)
     p.set_defaults(func=cmd_check)
 

@@ -1,6 +1,6 @@
 """Trace-norm separability criteria.
 
-The central object is the block matrix
+The paper's central object is the block matrix
 
     S^m_{alpha,beta}(rho) = [ alpha*beta*E_mxm   beta*omega_m(s)^t ]
                             [ alpha*omega_m(r)   T                 ]
@@ -18,16 +18,28 @@ stated in a generalized Gell-Mann basis (trace norms are invariant under
 real orthogonal changes of the operator basis, so the value is
 basis-independent once Tr{Q Q'} = 2 delta delta is fixed).
 
-Baselines on the same machinery:
+The m identity slots are copies of one another, so
+S^m_{alpha,beta} = P S_{sqrt(m) alpha, sqrt(m) beta} Q^t with isometries P
+and Q, and both have the same trace norm.  ``build_S`` therefore builds only
+the one-slot (1 + d1^2 - 1) x (1 + d2^2 - 1) matrix, and m enters as the
+sqrt(m) rescaling of the weights plus the bound, which depends on m alpha^2
+and m beta^2 only.  m = 0 gives zero weights: a zero border row and column,
+which leave ||T||_tr unchanged.
 
-* ``check_vb``  - correlation matrix only: rescaled, m = 0.
-* ``check_lb``  - rescaled with m = 1, alpha = beta = 1.
-* ``check_isc`` - rescaled with caller parameters, m >= 1.
-* ``check_ppt`` - positivity of the partial transpose (independent of the
-  Bloch machinery; detects nothing on bound entangled states).
+The S-type criteria are the rows of ``S_CRITERIA``, all on that one kernel:
+
+* ``hw``  - caller's (alpha, beta, m) and normalization (``check_theorem1``).
+* ``isc`` - rescaled, caller's (alpha, beta, m), m >= 1.
+* ``vb``  - correlation matrix only: rescaled, alpha = beta = m = 0.
+* ``lb``  - rescaled with m = 1, alpha = beta = 1.
+
+``check_ppt`` tests positivity of the partial transpose (independent of the
+Bloch machinery; detects nothing on bound entangled states).
 
 The multipartite generalization replaces S by the A|A-bar matricization of
-the coefficient tensor W; for fully separable states every bipartition obeys
+the coefficient tensor W, built the same way with one identity slot per
+axis weighted by sqrt(m) alpha_k; for fully separable states every
+bipartition obeys
 
     ||W^(A|A-bar)||_tr <= prod_k sqrt(m alpha_k^2 + d_k - 1).
 """
@@ -85,48 +97,21 @@ def _verdict(criterion: str, value: float, bound: float, params: dict) -> Criter
 
 @dataclass(frozen=True)
 class SMatrix:
-    """S matrix together with its block layout."""
+    """One-slot S matrix, d1^2 x d2^2: the identity slot, then the basis observables."""
 
     matrix: np.ndarray
-    m: int
-    alpha: float
-    beta: float
-    dims: tuple[int, int]
-    normalization: str
-
-    @property
-    def e_block(self) -> np.ndarray:
-        return self.matrix[: self.m, : self.m]
-
-    @property
-    def s_block(self) -> np.ndarray:
-        """beta * omega_m(s)^t, the top-right m x (d2^2-1) block."""
-        return self.matrix[: self.m, self.m :]
-
-    @property
-    def r_block(self) -> np.ndarray:
-        """alpha * omega_m(r), the bottom-left (d1^2-1) x m block."""
-        return self.matrix[self.m :, : self.m]
-
-    @property
-    def t_block(self) -> np.ndarray:
-        return self.matrix[self.m :, self.m :]
 
 
-def build_S(dec: BlochDecomposition, alpha: float, beta: float, m: int) -> SMatrix:
-    """Assemble S^m_{alpha,beta} from a Bloch decomposition (m = 0 gives T)."""
-    if alpha < 0 or beta < 0:
-        raise ValidationError(f"alpha and beta must be nonnegative, got ({alpha}, {beta})")
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
+def build_S(dec: BlochDecomposition, alpha: float, beta: float) -> SMatrix:
+    """Assemble the one-slot S_{alpha,beta} from a Bloch decomposition."""
+    alpha, beta = bloch.check_weights((alpha, beta))
     r, s, t = dec.r.coeffs, dec.s.coeffs, dec.t
-    n1, n2 = len(r), len(s)
-    out = np.empty((m + n1, m + n2))
-    out[:m, :m] = alpha * beta
-    out[:m, m:] = beta * s[None, :]
-    out[m:, :m] = alpha * r[:, None]
-    out[m:, m:] = t
-    return SMatrix(out, int(m), float(alpha), float(beta), dec.dims, dec.normalization)
+    out = np.empty((1 + len(r), 1 + len(s)))
+    out[0, 0] = alpha * beta
+    out[0, 1:] = beta * s
+    out[1:, 0] = alpha * r
+    out[1:, 1:] = t
+    return SMatrix(out)
 
 
 def theorem1_bound(
@@ -140,6 +125,66 @@ def theorem1_bound(
     raise ValidationError(f"unknown normalization {normalization!r}")
 
 
+def _s_criterion(
+    dec: BlochDecomposition, alpha: float, beta: float, m: int, normalization: str
+) -> tuple[float, float]:
+    """(||S^m_{alpha,beta}||_tr, separable bound) through the one-slot kernel."""
+    alpha, beta = bloch.check_weights((alpha, beta))
+    if m < 0:
+        raise ValidationError(f"m must be >= 0, got {m}")
+    root = math.sqrt(m)
+    value = trace_norm(build_S(dec, root * alpha, root * beta).matrix)
+    return value, theorem1_bound(*dec.dims, alpha, beta, m, normalization)
+
+
+@dataclass(frozen=True)
+class SCriterion:
+    """An S-matrix criterion as a row of data.
+
+    ``normalization`` is fixed, or None when the caller picks it (standard
+    by default).  ``fixed`` pins some of alpha, beta and m, ``free`` names
+    the ones the caller gives, ``reported`` lists the keys of the verdict's
+    params, and ``min_m`` is the smallest m the criterion accepts.
+    """
+
+    name: str
+    normalization: str | None
+    fixed: dict
+    free: tuple[str, ...]
+    reported: tuple[str, ...]
+    min_m: int
+
+    def parameters(self, params: dict) -> dict:
+        """alpha, beta, m and normalization from the caller's params and this row."""
+        out = {"normalization": self.normalization or params.get("normalization", "standard")}
+        out.update(self.fixed)
+        out.update((key, params[key]) for key in self.free)
+        if out["m"] < self.min_m:
+            raise ValidationError(f"criterion {self.name} requires m >= {self.min_m}, got {out['m']}")
+        return out
+
+    def check(
+        self, rho: DensityMatrix, alpha: float, beta: float, m: int, normalization: str
+    ) -> CriterionVerdict:
+        dec = bloch.decompose_bipartite(rho, normalization)
+        value, bound = _s_criterion(dec, alpha, beta, m, normalization)
+        given = {"alpha": float(alpha), "beta": float(beta), "m": int(m), "normalization": normalization}
+        return _verdict(self.name, value, bound, {key: given[key] for key in self.reported})
+
+
+_ALL_PARAMS = ("alpha", "beta", "m", "normalization")
+
+S_CRITERIA = {
+    row.name: row
+    for row in (
+        SCriterion("hw", None, {}, ("alpha", "beta", "m"), _ALL_PARAMS, 0),
+        SCriterion("isc", "rescaled", {}, ("alpha", "beta", "m"), _ALL_PARAMS, 1),
+        SCriterion("vb", "rescaled", {"alpha": 0.0, "beta": 0.0, "m": 0}, (), ("m", "normalization"), 0),
+        SCriterion("lb", "rescaled", {"alpha": 1.0, "beta": 1.0, "m": 1}, (), _ALL_PARAMS, 1),
+    )
+}
+
+
 def check_theorem1(
     rho: DensityMatrix,
     alpha: float,
@@ -147,35 +192,8 @@ def check_theorem1(
     m: int,
     normalization: str = "standard",
 ) -> CriterionVerdict:
-    """Trace-norm criterion on the bipartite S matrix."""
-    dec = bloch.decompose_bipartite(rho, normalization)
-    value = trace_norm(build_S(dec, alpha, beta, m).matrix)
-    bound = theorem1_bound(*rho.dims, alpha, beta, m, normalization)
-    params = {"alpha": float(alpha), "beta": float(beta), "m": int(m), "normalization": normalization}
-    return _verdict("hw", value, bound, params)
-
-
-def check_vb(rho: DensityMatrix) -> CriterionVerdict:
-    """Correlation-matrix criterion: ||T'||_tr vs (1/2) sqrt(d1 d2 (d1-1)(d2-1))."""
-    dec = bloch.decompose_bipartite(rho, "rescaled")
-    d1, d2 = rho.dims
-    value = trace_norm(dec.t)
-    bound = 0.5 * math.sqrt(d1 * d2 * (d1 - 1) * (d2 - 1))
-    return _verdict("vb", value, bound, {"m": 0, "normalization": "rescaled"})
-
-
-def check_isc(rho: DensityMatrix, alpha: float, beta: float, m: int) -> CriterionVerdict:
-    """Rescaled-basis S-matrix criterion with free parameters (m >= 1)."""
-    if m < 1:
-        raise ValidationError("check_isc requires m >= 1; use check_vb for the m = 0 case")
-    v = check_theorem1(rho, alpha, beta, m, "rescaled")
-    return CriterionVerdict("isc", v.value, v.bound, v.verdict, v.params)
-
-
-def check_lb(rho: DensityMatrix) -> CriterionVerdict:
-    """Bloch-vector-augmented correlation criterion: rescaled, m = 1, alpha = beta = 1."""
-    v = check_theorem1(rho, 1.0, 1.0, 1, "rescaled")
-    return CriterionVerdict("lb", v.value, v.bound, v.verdict, v.params)
+    """Trace-norm criterion on the bipartite S matrix (the ``hw`` row)."""
+    return S_CRITERIA["hw"].check(rho, alpha, beta, m, normalization)
 
 
 def check_ppt(rho: DensityMatrix, subsystem: int = 2) -> CriterionVerdict:
@@ -240,8 +258,10 @@ def check_theorem2(
         raise ValidationError("check_theorem2 requires at least two parties")
     if m < 1:
         raise ValidationError(f"check_theorem2 requires m >= 1, got {m}")
-    w = bloch.build_W(rho, alphas, m, normalization)
-    bound = theorem2_bound(rho.dims, w.alphas, m, normalization)
+    alphas = tuple(float(a) for a in alphas)
+    root = math.sqrt(m)
+    w = bloch.build_W(rho, [root * a for a in alphas], normalization)
+    bound = theorem2_bound(rho.dims, alphas, m, normalization)
     if partitions is None:
         partitions = all_bipartitions(rho.n_parties)
     verdicts = []
@@ -249,7 +269,7 @@ def check_theorem2(
         part = tuple(sorted(int(p) for p in part))
         value = trace_norm(matricize(w, part))
         params = {
-            "alphas": list(w.alphas),
+            "alphas": list(alphas),
             "m": int(m),
             "partition": list(part),
             "normalization": normalization,

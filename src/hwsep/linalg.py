@@ -77,11 +77,6 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (rA*rB) x (cA*cB)."""
-    return np.kron(a, b)
-
-
 def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values of ``m``."""
     try:

@@ -23,12 +23,9 @@ import pytest
 import hwsep
 from hwsep import (
     DensityMatrix,
-    check_isc,
-    check_lb,
     check_ppt,
     check_theorem1,
     check_theorem2,
-    check_vb,
     decompose_bipartite,
     decompose_single,
     make_check,
@@ -155,6 +152,7 @@ def test_10_soundness_fuzz():
     rng = np.random.default_rng(2024)
     false_positives = 0
     checked = 0
+    vb, lb = make_check("vb"), make_check("lb")
 
     for dims in [(2, 2), (2, 4), (3, 3)]:
         for i in range(3200):
@@ -166,11 +164,11 @@ def test_10_soundness_fuzz():
                     false_positives += 1
             alpha, beta = rng.uniform(0, 2, 2)
             m = int(rng.integers(1, 4))
-            if check_vb(rho).entangled:
+            if vb(rho).entangled:
                 false_positives += 1
-            if check_lb(rho).entangled:
+            if lb(rho).entangled:
                 false_positives += 1
-            if check_isc(rho, alpha, beta, m).entangled:
+            if make_check("isc", alpha=alpha, beta=beta, m=m)(rho).entangled:
                 false_positives += 1
             checked += 1
 

@@ -96,6 +96,13 @@ class TestOptimizeParams:
         res = optimize_params(rho, [0.0, 0.5], [0.0, 0.5], [1])
         assert (res.m, res.alpha, res.beta) == (1, 0.0, 0.0)
 
+    def test_tie_break_at_equal_scaled_weights(self):
+        # sqrt(8) * (1.4, 0.6) == sqrt(32) * (0.7, 0.3): the same S and the same
+        # bound, so the exact tie goes to the smaller m
+        rho = horodecki_mix_family(0.8615526620128123).state(0.42994869204783537)
+        res = optimize_params(rho, [0.7, 1.4], [0.3, 0.6], [8, 32], "rescaled")
+        assert (res.alpha, res.beta, res.m) == (1.4, 0.6, 8)
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValidationError):
             optimize_params(ghz(2), [], [1.0], [1])

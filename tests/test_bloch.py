@@ -170,39 +170,39 @@ class TestReconstruct:
 class TestCoefficientTensor:
     def test_matches_s_matrix_bipartite(self):
         rho = as_bipartite(random_density(8, 42), (2, 4))
-        alpha, beta, m = 0.8, 1.1, 2
-        w = build_W(rho, (beta, alpha), m)
-        s = build_S(decompose_bipartite(rho), alpha, beta, m)
+        alpha, beta = 0.8, 1.1
+        w = build_W(rho, (beta, alpha))
+        s = build_S(decompose_bipartite(rho), alpha, beta)
         np.testing.assert_allclose(matricize(w, [1]), s.matrix, atol=1e-13)
 
     def test_matches_s_matrix_rescaled_m0(self):
         rho = as_bipartite(random_density(9, 43), (3, 3))
-        w = build_W(rho, (0.0, 0.0), 0, "rescaled")
-        s = build_S(decompose_bipartite(rho, "rescaled"), 0.0, 0.0, 0)
+        w = build_W(rho, (0.0, 0.0), "rescaled")
+        s = build_S(decompose_bipartite(rho, "rescaled"), 0.0, 0.0)
         np.testing.assert_allclose(matricize(w, [1]), s.matrix, atol=1e-13)
 
     def test_identity_slot_value(self):
         rho = product([random_density(2, 1), random_density(2, 2), random_density(2, 3)])
         alphas = (0.3, 0.7, 1.5)
-        w = build_W(rho, alphas, 2)
-        np.testing.assert_allclose(w.tensor[:2, :2, :2], np.prod(alphas), atol=1e-12)
+        w = build_W(rho, alphas)
+        assert w.tensor[0, 0, 0] == pytest.approx(np.prod(alphas), abs=1e-12)
 
     def test_product_of_maximally_mixed(self):
         rho = maximally_mixed((2, 2, 2))
-        w = build_W(rho, (0.5, 0.5, 0.5), 1)
+        w = build_W(rho, (0.5, 0.5, 0.5))
         expected = np.zeros((4, 4, 4))
         expected[0, 0, 0] = 0.125
         np.testing.assert_allclose(w.tensor, expected, atol=1e-14)
 
     def test_ghz_pure_correlations(self):
-        w = build_W(ghz(3), (1.0, 1.0, 1.0), 0)
-        # slot 0 is Q(0,1) = sigma_x, slot 1 is Q(1,0) = sigma_z
-        assert w.tensor[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert w.tensor[1, 1, 1] == pytest.approx(0.0, abs=1e-12)
+        w = build_W(ghz(3), (1.0, 1.0, 1.0))
+        # slot 0 is the identity, slot 1 is Q(0,1) = sigma_x, slot 2 is Q(1,0) = sigma_z
+        assert w.tensor[1, 1, 1] == pytest.approx(1.0, abs=1e-12)
+        assert w.tensor[2, 2, 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_separable_tensor_matches_direct_trace(self):
         _, rho = random_separable((2, 2, 2), 4, 7)
-        w = build_W(rho, (1.0, 1.0, 1.0), 1)
+        w = build_W(rho, (1.0, 1.0, 1.0))
         b = basis(2).elements
         slots = np.concatenate([np.eye(2, dtype=complex)[None], b])
         direct = np.zeros((4, 4, 4))
@@ -216,8 +216,9 @@ class TestCoefficientTensor:
     def test_argument_validation(self):
         rho = maximally_mixed((2, 2))
         with pytest.raises(ValidationError):
-            build_W(rho, (1.0,), 1)  # wrong number of alphas
+            build_W(rho, (1.0,))  # wrong number of alphas
         with pytest.raises(ValidationError):
-            build_W(rho, (1.0, -0.5), 1)  # negative alpha
-        with pytest.raises(ValidationError):
-            build_W(rho, (1.0, 1.0), -1)
+            build_W(rho, (1.0, -0.5))  # negative alpha
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError):
+                build_W(rho, (1.0, bad))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hwsep import basis, check_ppt, check_theorem1, decompose_bipartite
+from hwsep import ValidationError, basis, check_ppt, check_theorem1, decompose_bipartite, make_check
 from hwsep.cli import parse_state_json, run, state_to_json
 from hwsep.states import ghz, horodecki_2x4
 
@@ -131,9 +131,7 @@ def test_full_precision_output(tmp_path, capsys):
     got = run_json(capsys, ["check", "--state", str(path), "--criterion", "vb"])
     direct = check_ppt(rho)  # unrelated warm-up to keep imports honest
     assert direct is not None
-    from hwsep import check_vb
-
-    expected = check_vb(rho)
+    expected = make_check("vb")(rho)
     assert abs(got["value"] - expected.value) <= 1e-12
 
 
@@ -141,6 +139,9 @@ class TestExitCodes:
     def test_usage_error_unknown_criterion(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             run(["check", "--state", "x.json", "--criterion", "bogus"])
+        assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:  # thm2 is the tensor-check command
+            run(["check", "--state", "x.json", "--criterion", "thm2", "--alphas", "1,1", "--m", "1"])
         assert err.value.code == 2
 
     def test_usage_error_missing_params(self, tmp_path, capsys):
@@ -162,3 +163,22 @@ class TestExitCodes:
 
     def test_validation_error_bad_b(self, capsys):
         assert run(["state", "--name", "horodecki", "--b", "1.5"]) == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_validation_error_non_finite_weights(self, tmp_path, capsys, value):
+        path = write_state(tmp_path, horodecki_2x4(0.9))
+        check = ["check", "--state", path, "--criterion", "hw", f"--alpha={value}", "--beta", "1", "--m", "1"]
+        assert run(check) == 3
+        assert run(["optimize", "--state", path, f"--alpha-grid={value},1"]) == 3
+        assert run(["tensor-check", "--state", path, f"--alphas=1,{value}", "--m", "1"]) == 3
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", ["24", [2.0, 4.0], [2, "4"], [True, 4], {"a": 2}])
+    def test_validation_error_dims_not_a_list_of_integers(self, tmp_path, capsys, dims):
+        doc = state_to_json(horodecki_2x4(0.9))
+        doc["dims"] = dims
+        with pytest.raises(ValidationError):
+            parse_state_json(doc)
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(doc))
+        assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3

@@ -5,14 +5,13 @@ from hwsep import (
     CoefficientTensor,
     DensityMatrix,
     ValidationError,
+    basis,
     build_S,
-    check_isc,
-    check_lb,
     check_ppt,
     check_theorem1,
     check_theorem2,
-    check_vb,
     decompose_bipartite,
+    make_check,
     matricize,
     theorem1_bound,
     trace_norm,
@@ -35,41 +34,58 @@ REFERENCE_PARAMS = dict(alpha=0.5, beta=np.sqrt(2 / 11), m=1)
 class TestBuildS:
     def test_trivial_block_structure(self):
         dec = decompose_bipartite(as_dm(np.eye(4) / 4, (2, 2)))
-        s = build_S(dec, 1.0, 1.0, 1)
+        s = build_S(dec, 1.0, 1.0)
         assert s.matrix.shape == (4, 4)
         assert s.matrix[0, 0] == 1.0
         assert np.abs(s.matrix).sum() == 1.0
         assert trace_norm(s.matrix) == pytest.approx(1.0, abs=1e-12)
 
     def test_m_zero_degenerates_to_t(self):
-        dec = decompose_bipartite(horodecki_2x4(0.5))
-        s = build_S(dec, 0.3, 0.7, 0)
-        np.testing.assert_array_equal(s.matrix, dec.t)
+        rho = horodecki_2x4(0.5)
+        dec = decompose_bipartite(rho)
+        s = build_S(dec, 0.0, 0.0)
+        np.testing.assert_array_equal(s.matrix[1:, 1:], dec.t)
+        assert not s.matrix[0].any() and not s.matrix[:, 0].any()
+        v = check_theorem1(rho, 0.3, 0.7, 0)
+        assert v.value == pytest.approx(trace_norm(dec.t), rel=1e-12)
 
     def test_blocks(self):
         rho = as_dm(random_density(8, 0).matrix, (2, 4))
         dec = decompose_bipartite(rho)
-        s = build_S(dec, 0.4, 1.2, 3)
-        np.testing.assert_allclose(s.e_block, 0.4 * 1.2 * np.ones((3, 3)))
-        for col in range(3):
-            np.testing.assert_allclose(s.r_block[:, col], 0.4 * dec.r.coeffs)
-        for row in range(3):
-            np.testing.assert_allclose(s.s_block[row], 1.2 * dec.s.coeffs)
-        np.testing.assert_array_equal(s.t_block, dec.t)
+        s = build_S(dec, 0.4, 1.2)
+        assert s.matrix.shape == (4, 16)
+        assert s.matrix[0, 0] == pytest.approx(0.4 * 1.2)
+        np.testing.assert_allclose(s.matrix[1:, 0], 0.4 * dec.r.coeffs)
+        np.testing.assert_allclose(s.matrix[0, 1:], 1.2 * dec.s.coeffs)
+        np.testing.assert_array_equal(s.matrix[1:, 1:], dec.t)
 
     def test_pure_product_is_rank_one(self):
         rho = product([random_pure(2, 5), random_pure(4, 6)])
         dec = decompose_bipartite(rho)
-        s = build_S(dec, 0.9, 1.4, 2)
+        s = build_S(dec, 0.9, 1.4)
         singular = np.linalg.svd(s.matrix, compute_uv=False)
         assert singular[1] <= 1e-9
 
     def test_rejects_negative_weights(self):
-        dec = decompose_bipartite(horodecki_2x4(0.5))
+        rho = horodecki_2x4(0.5)
+        dec = decompose_bipartite(rho)
         with pytest.raises(ValidationError):
-            build_S(dec, -0.1, 1.0, 1)
+            build_S(dec, -0.1, 1.0)
         with pytest.raises(ValidationError):
-            build_S(dec, 1.0, 1.0, -1)
+            check_theorem1(rho, 1.0, 1.0, -1)
+        with pytest.raises(ValidationError):
+            check_theorem1(rho, -0.1, 1.0, 0)  # m = 0 zeroes the weights; the sign is still checked
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        rho = horodecki_2x4(0.5)
+        dec = decompose_bipartite(rho)
+        with pytest.raises(ValidationError):
+            build_S(dec, bad, 1.0)
+        with pytest.raises(ValidationError):
+            build_S(dec, 1.0, bad)
+        with pytest.raises(ValidationError):
+            check_theorem1(rho, bad, 1.0, 0)
 
 
 class TestTheorem1Bound:
@@ -104,7 +120,7 @@ class TestCheckTheorem1:
             m = int(rng.integers(0, 4))
             assert not check_theorem1(rho, alpha, beta, m).entangled
             if m >= 1:
-                assert not check_isc(rho, alpha, beta, m).entangled
+                assert not make_check("isc", alpha=alpha, beta=beta, m=m)(rho).entangled
 
     def test_verdict_record(self):
         v = check_theorem1(rho_x(0.5), **REFERENCE_PARAMS)
@@ -115,33 +131,33 @@ class TestCheckTheorem1:
 
 class TestBaselines:
     def test_vb_bell(self):
-        v = check_vb(ghz(2))
+        v = make_check("vb")(ghz(2))
         assert v.value == pytest.approx(3.0, abs=1e-10)
         assert v.bound == pytest.approx(1.0, abs=1e-12)
         assert v.entangled
 
     def test_vb_maximally_mixed(self):
-        v = check_vb(as_dm(np.eye(9) / 9, (3, 3)))
+        v = make_check("vb")(as_dm(np.eye(9) / 9, (3, 3)))
         assert v.value == pytest.approx(0.0, abs=1e-12)
         assert not v.entangled
 
     def test_isc_requires_m(self):
         with pytest.raises(ValidationError):
-            check_isc(ghz(2), 1.0, 1.0, 0)
+            make_check("isc", alpha=1.0, beta=1.0, m=0)(ghz(2))
 
     def test_isc_pure_product_equality(self):
         rho = product([random_pure(2, 1), random_pure(4, 2)])
-        v = check_isc(rho, 0.8, 1.3, 2)
+        v = make_check("isc", alpha=0.8, beta=1.3, m=2)(rho)
         assert abs(v.value - v.bound) < 1e-9
         assert not v.entangled
 
     def test_lb_bound_2x4(self):
-        v = check_lb(horodecki_2x4(0.9))
+        v = make_check("lb")(horodecki_2x4(0.9))
         assert v.bound == pytest.approx(np.sqrt(14), rel=1e-12)
         assert v.params["m"] == 1 and v.params["alpha"] == 1.0
 
     def test_lb_bell(self):
-        assert check_lb(ghz(2)).entangled
+        assert make_check("lb")(ghz(2)).entangled
 
     def test_normalization_consistency(self):
         rho = as_dm(random_density(8, 3).matrix, (2, 4))
@@ -234,24 +250,17 @@ class TestPPT:
 
 
 class TestMatricize:
-    def _tensor(self, arr, dims, alphas=None, m=0):
-        arr = np.asarray(arr, dtype=float)
-        return CoefficientTensor(
-            dims=dims,
-            alphas=alphas or tuple(1.0 for _ in dims),
-            m=m,
-            normalization="standard",
-            tensor=arr,
-        )
+    def _tensor(self, arr):
+        return CoefficientTensor(np.asarray(arr, dtype=float))
 
     def test_two_axes_is_plain_reshape(self):
-        w = self._tensor(np.arange(12.0).reshape(3, 4), (2, 2))
+        w = self._tensor(np.arange(12.0).reshape(3, 4))
         np.testing.assert_array_equal(matricize(w, [1]), w.tensor)
 
     def test_single_entry_bookkeeping(self):
         arr = np.zeros((2, 2, 2))
         arr[1, 0, 1] = 4.0
-        w = self._tensor(arr, (1, 1, 1))  # dims unused by matricize
+        w = self._tensor(arr)
         m = matricize(w, [1])
         assert m.shape == (2, 4)
         assert m[1, 0 * 2 + 1] == 4.0
@@ -260,12 +269,12 @@ class TestMatricize:
         rng = np.random.default_rng(4)
         u, v, w_ = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(5)
         tensor = np.einsum("i,j,k->ijk", u, v, w_)
-        m = matricize(self._tensor(tensor, (1, 1, 1)), [1, 3])
+        m = matricize(self._tensor(tensor), [1, 3])
         expected = np.linalg.norm(u) * np.linalg.norm(w_) * np.linalg.norm(v)
         assert trace_norm(m) == pytest.approx(expected, rel=1e-9)
 
     def test_rejects_empty_or_full(self):
-        w = self._tensor(np.zeros((2, 2)), (1, 1))
+        w = self._tensor(np.zeros((2, 2)))
         with pytest.raises(ValidationError):
             matricize(w, [])
         with pytest.raises(ValidationError):
@@ -325,3 +334,62 @@ class TestTheorem2:
             check_theorem2(ghz(3), (1.0, 1.0, 1.0), 0)
         with pytest.raises(ValidationError):
             check_theorem2(random_density(4, 0), (1.0,), 1)
+
+
+def reference_slots(d, weight, m, normalization):
+    """The paper's per-party operator list: m copies of weight*I, then the basis."""
+    ops = list(basis(d).elements)
+    if normalization == "rescaled":
+        ops = [np.sqrt(d / 2) * q for q in ops]  # rescaled-basis expansion coefficients
+    return [weight * np.eye(d)] * m + ops
+
+
+def reference_s(rho, alpha, beta, m, normalization):
+    """S^m_{alpha,beta} laid out as in the paper, with m identity slots per party.
+
+    beta weights party 1's identity slots (the block beta*omega_m(s)^t) and
+    alpha weights party 2's.
+    """
+    d1, d2 = rho.dims
+    rows = reference_slots(d1, beta, m, normalization)
+    cols = reference_slots(d2, alpha, m, normalization)
+    return np.array([[np.trace(rho.matrix @ np.kron(a, b)).real for b in cols] for a in rows])
+
+
+def reference_w(rho, alphas, m, normalization):
+    """Paper-layout coefficient tensor W^m, m identity slots per axis."""
+    slots = [reference_slots(d, a, m, normalization) for d, a in zip(rho.dims, alphas)]
+    w = np.zeros([len(s) for s in slots])
+    for index in np.ndindex(*w.shape):
+        op = np.eye(1)
+        for axis, k in enumerate(index):
+            op = np.kron(op, slots[axis][k])
+        w[index] = np.trace(rho.matrix @ op).real
+    return w
+
+
+class TestOneSlotKernel:
+    """The one-slot kernel at sqrt(m)-scaled weights has the trace norms of the m-slot layout."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (3, 3), (3, 5), (4, 4)])
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    def test_s_matches_m_slot_layout(self, dims, normalization):
+        rho = as_dm(random_density(dims[0] * dims[1], 31 * dims[0] + dims[1]).matrix, dims)
+        for m in (0, 1, 2, 3, 5):
+            v = check_theorem1(rho, 0.6, 1.3, m, normalization)
+            expected = trace_norm(reference_s(rho, 0.6, 1.3, m, normalization))
+            assert v.value == pytest.approx(expected, rel=1e-12)
+            assert v.bound == theorem1_bound(*dims, 0.6, 1.3, m, normalization)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    def test_w_matches_m_slot_layout(self, n, normalization):
+        rho = as_dm(random_density(2**n, 60 + n).matrix, (2,) * n)
+        alphas = (0.4, 1.1, 0.8, 1.7)[:n]
+        for m in (1, 2, 3):
+            w = CoefficientTensor(reference_w(rho, alphas, m, normalization))
+            verdicts = check_theorem2(rho, alphas, m, normalization=normalization)
+            assert len(verdicts) == len(all_bipartitions(n))
+            for v in verdicts:
+                expected = trace_norm(matricize(w, v.params["partition"]))
+                assert v.value == pytest.approx(expected, rel=1e-12)

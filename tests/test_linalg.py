@@ -4,31 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hwsep import DensityMatrix, ValidationError, eig_hermitian, kron, partial_trace, partial_transpose, trace_norm
+from hwsep import DensityMatrix, ValidationError, eig_hermitian, partial_trace, partial_transpose, trace_norm
 from hwsep.states import ghz, product, random_density
 
 BELL = ghz(2)
-
-
-def test_kron_identity():
-    np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_diagonal():
-    np.testing.assert_array_equal(kron(np.diag([1.0, -1.0]), np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0]))
-
-
-def test_kron_matches_index_formula():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    got = kron(a, b)
-    # (A x B)[i*rB + k, j*cB + l] = A[i, j] B[k, l]
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    assert got[i * 2 + k, j * 2 + l] == pytest.approx(a[i, j] * b[k, l], abs=1e-14)
 
 
 def test_trace_norm_identity():
