@@ -91,46 +91,43 @@ def scan_threshold(
 ) -> ThresholdResult:
     """Locate the smallest x in [0, 1] at which ``check`` starts violating.
 
-    The coarse grid records every crossing of f(x) = value - bound through
-    the violation margin (the count is reported, so a non-monotone family
-    is flagged rather than silently truncated); the first upward crossing
-    is then bisected until the bracket is narrower than ``tol``.  The
-    returned threshold is the bracket midpoint and ``width`` its
-    half-width.  "Violated" uses the same margin as the verdict rule,
-    value > bound + VIOLATION_EPS, so equality cases (pure product states)
-    never register as detections through floating-point noise.
+    The coarse grid records every change of the verdict (the count is
+    reported, so a non-monotone family is flagged rather than silently
+    truncated); the first change to ENTANGLED is then bisected until the
+    bracket is narrower than ``tol``.  The returned threshold is the
+    bracket midpoint and ``width`` its half-width.  "Violated" is the
+    verdict itself, with its margin, so equality cases (pure product
+    states) never register as detections through floating-point noise.
     """
     if grid_points < 16:
         raise ValidationError(f"grid_points must be >= 16, got {grid_points}")
     if tol < 1e-8:
         raise ValidationError(f"tol must be >= 1e-8, got {tol}")
 
-    eps = criteria.VIOLATION_EPS
     evaluations = 0
 
-    def f(x: float) -> tuple[float, CriterionVerdict]:
+    def verdict(x: float) -> CriterionVerdict:
         nonlocal evaluations
         evaluations += 1
-        v = check(family.state(x))
-        return v.value - v.bound, v
+        return check(family.state(x))
 
     xs = [i / (grid_points - 1) for i in range(grid_points)]
-    f0, first = f(xs[0])
+    first = verdict(xs[0])
     label, params = first.criterion, first.params
 
     sign_changes = 0
     bracket = None
-    prev_x, prev_f = xs[0], f0
+    prev_x, prev = xs[0], first.entangled
     for x in xs[1:]:
-        fx, _ = f(x)
-        if (prev_f <= eps) != (fx <= eps):
+        now = verdict(x).entangled
+        if prev != now:
             sign_changes += 1
-            if bracket is None and prev_f <= eps < fx:
+            if bracket is None and now:
                 bracket = (prev_x, x)
-        prev_x, prev_f = x, fx
+        prev_x, prev = x, now
 
     family_desc = family.describe()
-    if f0 > eps:
+    if first.entangled:
         # violated from the start of the family
         return ThresholdResult(label, params, family_desc, 0.0, 0.0, evaluations, sign_changes)
     if bracket is None:
@@ -139,8 +136,7 @@ def scan_threshold(
     lo, hi = bracket
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        fm, _ = f(mid)
-        if fm > eps:
+        if verdict(mid).entangled:
             hi = mid
         else:
             lo = mid
@@ -196,7 +192,7 @@ def optimize_params(
     for m in m_range:
         for alpha in alpha_grid:
             for beta in beta_grid:
-                value, bound = criteria._s_criterion(dec, alpha, beta, m, normalization)
+                value, bound = criteria._s_criterion(dec, alpha, beta, m)
                 if best is None or value - bound > best.violation:
                     best = OptimizeResult(alpha, beta, m, value, bound, normalization)
     return best

@@ -10,20 +10,26 @@ the rescaled basis Q' = sqrt(2/d) Q, i.e. r'_lm = (d/2) Tr(rho Q'(l,m))
 = sqrt(d/2) r_lm; pure states then satisfy ||r'|| = sqrt(d(d-1)/2) instead
 of ||r|| = sqrt(d-1).
 
-Bipartite states expand over {I, Q(l,m)} x {I, Q(k,n)} giving local Bloch
-vectors r, s and the correlation matrix T; multipartite states give the
-N-way coefficient tensor W built from per-party operator slots (one
-identity slot weighted by alpha_i followed by the d_i^2 - 1 basis
-observables).  The paper's W stacks m identity slots per axis; they are
-copies of one another, so its matricizations have the same trace norms as
-those of the one-slot W with weights sqrt(m) alpha_i, which is what
-``criteria.check_theorem2`` builds.
+Every decomposition here is one object: the N-way coefficient tensor with
+entries Tr(rho O_{a_1} x ... x O_{a_N}), where axis k runs over the d_k^2
+operator slots [I, Q(l,m)...] of party k, and the rescaled normalization
+multiplies the Q slots of axis k by sqrt(d_k/2).  ``_coefficients`` builds
+it by contracting rho one party at a time, for any number of parties.  A
+single system's Bloch vector is its slots 1.., and a bipartite state's
+d1^2 x d2^2 tensor holds the local vectors r (column 0), s (row 0) and the
+correlation matrix T.  ``weighted`` scales the identity slot of each axis
+by a weight: two parties with weights (beta, alpha) give the paper's S
+matrix, N parties with alpha_k give its coefficient tensor W.  The paper
+stacks m identity slots per axis; they are copies of one another, so its
+matricizations have the same trace norms as those of the one-slot tensor
+with weights sqrt(m) alpha_k, which is what ``criteria`` builds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,12 +37,9 @@ from . import hw_basis
 from .errors import ValidationError
 from .linalg import DensityMatrix
 
-_LETTERS = "abcdefgh"
-_ROW_IDX = "ijklmnop"
-_COL_IDX = "qrstuvwx"
 
-
-def _check_normalization(normalization: str) -> None:
+def check_normalization(normalization: str) -> None:
+    """Raises ValidationError unless ``normalization`` is one of hw_basis.NORMALIZATIONS."""
     if normalization not in hw_basis.NORMALIZATIONS:
         raise ValidationError(
             f"unknown normalization {normalization!r}, expected one of {hw_basis.NORMALIZATIONS}"
@@ -49,6 +52,53 @@ def check_weights(weights) -> tuple[float, ...]:
     if not all(math.isfinite(w) and w >= 0 for w in weights):
         raise ValidationError(f"weights must be finite and nonnegative, got {weights}")
     return weights
+
+
+@lru_cache(maxsize=None)
+def _slots(d: int) -> np.ndarray:
+    """The d^2 operator slots [I, Q(l,m)...] of one party as the columns of a read-only matrix.
+
+    Entry ((i, j), a) is O_a[j, i], so Tr(rho O_a) = sum_ij rho[i, j] O_a[j, i]
+    is the row (i, j) of rho times column a.
+    """
+    ops = np.concatenate([np.eye(d, dtype=complex)[None], hw_basis._basis_array(d, "standard", "symmetric")])
+    arr = np.ascontiguousarray(ops.transpose(2, 1, 0).reshape(d * d, d * d))
+    arr.setflags(write=False)
+    return arr
+
+
+def _slot_scales(dims, normalization: str) -> list[float]:
+    """Per-axis factors sqrt(d/2) on the Q slots in the rescaled normalization; none in the standard one."""
+    return [math.sqrt(d / 2) for d in dims] if normalization == "rescaled" else []
+
+
+def _scale_slots(tensor: np.ndarray, factors, slot) -> np.ndarray:
+    """Multiply ``slot`` (an index or slice) of axis k of ``tensor`` by factors[k], in place."""
+    for axis, factor in enumerate(factors):
+        tensor[(slice(None),) * axis + (slot,)] *= factor
+    return tensor
+
+
+def _coefficients(rho: DensityMatrix, normalization: str) -> np.ndarray:
+    """Read-only coefficient tensor of ``rho``, one d_k^2 axis per party (see the module docstring)."""
+    check_normalization(normalization)
+    dims = rho.dims
+    n = len(dims)
+    # rho[i, j] with axes ordered (i_1, j_1, ..., i_N, j_N); each step contracts the
+    # leading pair (i_k, j_k) with party k's slots and appends the slot axis a_k.
+    t = rho.matrix.reshape(dims * 2).transpose([ax for k in range(n) for ax in (k, n + k)])
+    for d in dims:
+        t = t.reshape(d * d, -1).T @ _slots(d)
+    w = np.ascontiguousarray(t.real).reshape([d * d for d in dims])
+    w[(0,) * n] = 1.0  # Tr(rho)
+    _scale_slots(w, _slot_scales(dims, normalization), slice(1, None))
+    w.setflags(write=False)
+    return w
+
+
+def weighted(tensor: np.ndarray, weights) -> np.ndarray:
+    """Copy of a coefficient tensor with the identity slot of axis k scaled by weights[k]."""
+    return _scale_slots(np.array(tensor), weights, 0)
 
 
 @dataclass(frozen=True)
@@ -66,22 +116,35 @@ class BlochVector:
 
 @dataclass(frozen=True)
 class BlochDecomposition:
-    """Local Bloch vectors and correlation matrix of a bipartite state.
+    """Two-party coefficient tensor of a bipartite state, d1^2 x d2^2.
 
-    ``t`` has shape (d1^2 - 1) x (d2^2 - 1); row index runs over the first
-    party's (l, m) pairs, column index over the second party's (k, n).
+    Entry (0, 0) is 1; the rest of column 0 is the first party's Bloch
+    vector r, the rest of row 0 the second party's s, and the remaining
+    block the correlation matrix T, whose row index runs over the first
+    party's (l, m) pairs and column index over the second party's (k, n).
+    ``r``, ``s`` and ``t`` are views of ``tensor``.
     """
 
     dims: tuple[int, int]
     normalization: str
-    r: BlochVector
-    s: BlochVector
-    t: np.ndarray
+    tensor: np.ndarray
+
+    @property
+    def r(self) -> BlochVector:
+        return BlochVector(self.dims[0], self.normalization, self.tensor[1:, 0])
+
+    @property
+    def s(self) -> BlochVector:
+        return BlochVector(self.dims[1], self.normalization, self.tensor[0, 1:])
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.tensor[1:, 1:]
 
 
 @dataclass(frozen=True)
 class CoefficientTensor:
-    """N-way coefficient tensor with one identity slot per axis.
+    """N-way coefficient tensor with one weighted identity slot per axis.
 
     Axis i has extent d_i^2: slot 0 corresponds to alpha_i * identity, the
     rest to the basis observables in canonical order.  The entry at the
@@ -97,14 +160,9 @@ class CoefficientTensor:
 
 def decompose_single(rho: DensityMatrix, normalization: str = "standard") -> BlochVector:
     """Bloch vector of a single-system state."""
-    _check_normalization(normalization)
     if rho.n_parties != 1:
         raise ValidationError(f"decompose_single requires one subsystem, got dims {rho.dims}")
-    d = rho.dims[0]
-    r = np.einsum("aij,ji->a", hw_basis._basis_array(d, "standard", "symmetric"), rho.matrix).real
-    if normalization == "rescaled":
-        r = np.sqrt(d / 2) * r
-    return BlochVector(dim=d, normalization=normalization, coeffs=r)
+    return BlochVector(rho.dims[0], normalization, _coefficients(rho, normalization)[1:])
 
 
 def purity_from_bloch(r: BlochVector) -> float:
@@ -116,54 +174,25 @@ def purity_from_bloch(r: BlochVector) -> float:
 
 def decompose_bipartite(rho: DensityMatrix, normalization: str = "standard") -> BlochDecomposition:
     """Bloch data (r, s, T) of a bipartite state."""
-    _check_normalization(normalization)
     if rho.n_parties != 2:
         raise ValidationError(f"decompose_bipartite requires two subsystems, got dims {rho.dims}")
-    d1, d2 = rho.dims
-    qa = hw_basis._basis_array(d1, "standard", "symmetric")
-    qb = hw_basis._basis_array(d2, "standard", "symmetric")
-    r4 = rho.matrix.reshape(d1, d2, d1, d2)
-    r = np.einsum("ijkj,aki->a", r4, qa).real
-    s = np.einsum("ijil,blj->b", r4, qb).real
-    t = np.einsum("ijkl,aki,blj->ab", r4, qa, qb).real
-    if normalization == "rescaled":
-        r = np.sqrt(d1 / 2) * r
-        s = np.sqrt(d2 / 2) * s
-        t = (np.sqrt(d1 * d2) / 2) * t
-    return BlochDecomposition(
-        dims=(d1, d2),
-        normalization=normalization,
-        r=BlochVector(d1, normalization, r),
-        s=BlochVector(d2, normalization, s),
-        t=t,
-    )
+    return BlochDecomposition(rho.dims, normalization, _coefficients(rho, normalization))
 
 
 def reconstruct_bipartite(dec: BlochDecomposition) -> DensityMatrix:
-    """Rebuild the state from its Bloch data (inverse of decompose_bipartite)."""
+    """Rebuild the state from its Bloch data (inverse of decompose_bipartite).
+
+    rho = (1/(d1 d2)) sum_ab c_ab O_a x O_b over the same slots, since
+    Tr(O_a O_a') = d delta_aa' for I and every Q.
+    """
     d1, d2 = dec.dims
-    n1, n2 = d1 * d1 - 1, d2 * d2 - 1
-    if dec.r.coeffs.shape != (n1,) or dec.s.coeffs.shape != (n2,) or dec.t.shape != (n1, n2):
-        raise ValidationError(
-            f"inconsistent decomposition shapes for dims {dec.dims}: "
-            f"r {dec.r.coeffs.shape}, s {dec.s.coeffs.shape}, t {dec.t.shape}"
-        )
-    r, s, t = dec.r.coeffs, dec.s.coeffs, dec.t
-    if dec.normalization == "rescaled":
-        # back to standard coefficients; the expansion below uses Q, and
-        # r' Q' = r Q entrywise, so the rebuilt state is identical.
-        r = r / np.sqrt(d1 / 2)
-        s = s / np.sqrt(d2 / 2)
-        t = t / (np.sqrt(d1 * d2) / 2)
-    qa = hw_basis._basis_array(d1, "standard", "symmetric")
-    qb = hw_basis._basis_array(d2, "standard", "symmetric")
-    i1, i2 = np.eye(d1), np.eye(d2)
-    rho4 = np.einsum("ik,jl->ijkl", i1, i2).astype(complex)
-    rho4 += np.einsum("a,aik,jl->ijkl", r, qa, i2)
-    rho4 += np.einsum("b,ik,bjl->ijkl", s, i1, qb)
-    rho4 += np.einsum("ab,aik,bjl->ijkl", t, qa, qb)
-    mat = rho4.reshape(d1 * d2, d1 * d2) / (d1 * d2)
-    return DensityMatrix(mat, (d1, d2))
+    if dec.tensor.shape != (d1 * d1, d2 * d2):
+        raise ValidationError(f"tensor shape {dec.tensor.shape} does not match dims {dec.dims}")
+    inverse = [1 / f for f in _slot_scales(dec.dims, dec.normalization)]
+    coeffs = _scale_slots(np.array(dec.tensor), inverse, slice(1, None))
+    # entry ((k, i), (l, j)) is sum_ab c_ab O_a[i, k] O_b[j, l] = rho4[i, j, k, l]
+    rho4 = (_slots(d1) @ coeffs @ _slots(d2).T).reshape(d1, d1, d2, d2).transpose(1, 3, 0, 2)
+    return DensityMatrix(rho4.reshape(d1 * d2, d1 * d2) / (d1 * d2), (d1, d2))
 
 
 def build_W(rho: DensityMatrix, alphas, normalization: str = "standard") -> CoefficientTensor:
@@ -175,31 +204,7 @@ def build_W(rho: DensityMatrix, alphas, normalization: str = "standard") -> Coef
     operator-slot coefficients are the rescaled-basis expansion
     coefficients, i.e. the standard ones scaled by sqrt(d_i/2) per axis.
     """
-    _check_normalization(normalization)
     alphas = check_weights(alphas)
-    dims = rho.dims
-    n = len(dims)
-    if len(alphas) != n:
-        raise ValidationError(f"need one alpha per party: got {len(alphas)} for {n} parties")
-    if n > len(_LETTERS):
-        raise ValidationError(f"at most {len(_LETTERS)} parties supported, got {n}")
-    slabs = [
-        np.concatenate([a * np.eye(d, dtype=complex)[None], hw_basis._basis_array(d, "standard", "symmetric")])
-        for d, a in zip(dims, alphas)
-    ]
-    rho_t = rho.matrix.reshape(*dims, *dims)
-    spec = (
-        _ROW_IDX[:n]
-        + _COL_IDX[:n]
-        + ","
-        + ",".join(_LETTERS[k] + _COL_IDX[k] + _ROW_IDX[k] for k in range(n))
-        + "->"
-        + _LETTERS[:n]
-    )
-    w = np.einsum(spec, rho_t, *slabs).real
-    if normalization == "rescaled":
-        for axis, d in enumerate(dims):
-            scale = np.ones(w.shape[axis])
-            scale[1:] = np.sqrt(d / 2)
-            w = w * scale.reshape([-1 if k == axis else 1 for k in range(n)])
-    return CoefficientTensor(w)
+    if len(alphas) != rho.n_parties:
+        raise ValidationError(f"need one alpha per party: got {len(alphas)} for {rho.n_parties} parties")
+    return CoefficientTensor(weighted(_coefficients(rho, normalization), alphas))

@@ -52,17 +52,20 @@ def load_state(path: str) -> DensityMatrix:
     return parse_state_json(doc)
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok != ""]
-
-
-def _csv_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok != ""]
+def _csv(text: str, kind, parser) -> list:
+    """Comma-separated values of type ``kind``; a malformed one is a usage error."""
+    try:
+        return [kind(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        parser.error(f"expected comma-separated {kind.__name__} values, got {text!r}")
 
 
 def _beta_value(args, parser) -> float | None:
     if getattr(args, "beta_sq", None) is not None:
-        frac = Fraction(args.beta_sq)
+        try:
+            frac = Fraction(args.beta_sq)
+        except (ValueError, ZeroDivisionError):
+            parser.error(f"--beta-sq must be a rational number such as 2/11, got {args.beta_sq!r}")
         if frac < 0:
             parser.error("--beta-sq must be nonnegative")
         return math.sqrt(float(frac))
@@ -88,9 +91,9 @@ def _criterion_spec(args, parser) -> dict:
     elif crit == "thm2":
         if args.alphas is None or args.m is None:
             parser.error("criterion thm2 requires --alphas and --m")
-        spec.update(alphas=_csv_floats(args.alphas), m=args.m, normalization=_normalization(args))
+        spec.update(alphas=_csv(args.alphas, float, parser), m=args.m, normalization=_normalization(args))
         if getattr(args, "partition", None):
-            spec["partitions"] = [_csv_ints(args.partition)]
+            spec["partitions"] = [_csv(args.partition, int, parser)]
     return spec
 
 
@@ -133,7 +136,7 @@ def cmd_state(args, parser) -> int:
     elif name == "random-separable":
         if args.dims is None:
             parser.error("--dims is required for random-separable")
-        _, rho = states.random_separable(_csv_ints(args.dims), args.terms, args.seed)
+        _, rho = states.random_separable(_csv(args.dims, int, parser), args.terms, args.seed)
     else:  # unreachable: argparse choices
         parser.error(f"unknown state name {name!r}")
     _emit(state_to_json(rho))
@@ -173,9 +176,9 @@ def cmd_tensor_check(args, parser) -> int:
     rho = load_state(args.state)
     if args.alphas is None or args.m is None:
         parser.error("tensor-check requires --alphas and --m")
-    partitions = [_csv_ints(args.partition)] if args.partition else None
+    partitions = [_csv(args.partition, int, parser)] if args.partition else None
     verdicts = criteria.check_theorem2(
-        rho, _csv_floats(args.alphas), args.m, partitions, _normalization(args)
+        rho, _csv(args.alphas, float, parser), args.m, partitions, _normalization(args)
     )
     _emit([v.to_dict() for v in verdicts])
     return 0
@@ -194,9 +197,9 @@ def cmd_optimize(args, parser) -> int:
     rho = load_state(args.state)
     res = analysis.optimize_params(
         rho,
-        _csv_floats(args.alpha_grid),
-        _csv_floats(args.beta_grid),
-        _csv_ints(args.m_range),
+        _csv(args.alpha_grid, float, parser),
+        _csv(args.beta_grid, float, parser),
+        _csv(args.m_range, int, parser),
         _normalization(args),
     )
     _emit(res.to_dict())

@@ -18,15 +18,22 @@ stated in a generalized Gell-Mann basis (trace norms are invariant under
 real orthogonal changes of the operator basis, so the value is
 basis-independent once Tr{Q Q'} = 2 delta delta is fixed).
 
-The m identity slots are copies of one another, so
-S^m_{alpha,beta} = P S_{sqrt(m) alpha, sqrt(m) beta} Q^t with isometries P
-and Q, and both have the same trace norm.  ``build_S`` therefore builds only
-the one-slot (1 + d1^2 - 1) x (1 + d2^2 - 1) matrix, and m enters as the
-sqrt(m) rescaling of the weights plus the bound, which depends on m alpha^2
-and m beta^2 only.  m = 0 gives zero weights: a zero border row and column,
-which leave ||T||_tr unchanged.
+The multipartite generalization replaces S by the A|A-bar matricization of
+the coefficient tensor W (m identity slots per axis weighted by alpha_k,
+then the basis slots); for fully separable states every bipartition obeys
 
-The S-type criteria are the rows of ``S_CRITERIA``, all on that one kernel:
+    ||W^(A|A-bar)||_tr <= prod_k sqrt(m alpha_k^2 + c_k^2 (d_k - 1)),
+
+with c_k^2 = 1 (standard) or d_k/2 (rescaled).  Theorem 1 is its two-party
+case: S^m_{alpha,beta} is W with weights (beta, alpha), and the bound above
+is ``theorem2_bound(dims, (beta, alpha), m, normalization)``.  So both run
+on one kernel, ``bloch``'s coefficient tensor.  The m identity slots are
+copies of one another, so the one-slot tensor with weights sqrt(m) alpha_k
+has the same trace norms, and m enters only through that rescaling and the
+bound.  A state is decomposed once; each weighting is a copy with its
+identity slots scaled.
+
+The S-type criteria are the rows of ``S_CRITERIA``, all on that kernel:
 
 * ``hw``  - caller's (alpha, beta, m) and normalization (``check_theorem1``).
 * ``isc`` - rescaled, caller's (alpha, beta, m), m >= 1.
@@ -36,12 +43,15 @@ The S-type criteria are the rows of ``S_CRITERIA``, all on that one kernel:
 ``check_ppt`` tests positivity of the partial transpose (independent of the
 Bloch machinery; detects nothing on bound entangled states).
 
-The multipartite generalization replaces S by the A|A-bar matricization of
-the coefficient tensor W, built the same way with one identity slot per
-axis weighted by sqrt(m) alpha_k; for fully separable states every
-bipartition obeys
-
-    ||W^(A|A-bar)||_tr <= prod_k sqrt(m alpha_k^2 + d_k - 1).
+A verdict is ENTANGLED only when value > bound + margin, where the margin
+is max(VIOLATION_EPS, n eps_mach max(bound, value)) and n is the sum of the
+two dimensions of the matrix whose trace norm was taken (1 for ppt).  Pure
+product states sit exactly on the bound, so rounding alone decides them:
+the relative term covers the error of the SVD and of the bound, which
+grows with the scale and the size of the matrix (pure products of 2x2 to
+5x7 and of 3-4 qudits at weights up to 3e4 came out up to 10 eps_mach
+above the bound, and up to half of n eps_mach); the absolute floor keeps
+the margin at ordinary scales where it was.
 """
 
 from __future__ import annotations
@@ -57,10 +67,9 @@ from .bloch import BlochDecomposition, CoefficientTensor
 from .errors import ValidationError
 from .linalg import DensityMatrix, eig_hermitian, partial_transpose, trace_norm
 
-# Violation margin added to every bound before declaring ENTANGLED, so that
-# floating-point noise on equality cases (pure product states) never
-# produces a false certificate.
+# Absolute floor of the violation margin (see the module docstring).
 VIOLATION_EPS = 1e-9
+_EPS_MACH = float(np.finfo(float).eps)
 
 ENTANGLED = "ENTANGLED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -90,51 +99,21 @@ class CriterionVerdict:
         }
 
 
-def _verdict(criterion: str, value: float, bound: float, params: dict) -> CriterionVerdict:
-    flag = ENTANGLED if value > bound + VIOLATION_EPS else INCONCLUSIVE
+def _verdict(criterion: str, value: float, bound: float, params: dict, n: int = 1) -> CriterionVerdict:
+    """Verdict with the margin for a trace norm of a matrix whose two dimensions sum to ``n``."""
+    margin = max(VIOLATION_EPS, n * _EPS_MACH * max(bound, value))
+    flag = ENTANGLED if value > bound + margin else INCONCLUSIVE
     return CriterionVerdict(criterion, float(value), float(bound), flag, params)
 
 
-@dataclass(frozen=True)
-class SMatrix:
-    """One-slot S matrix, d1^2 x d2^2: the identity slot, then the basis observables."""
-
-    matrix: np.ndarray
-
-
-def build_S(dec: BlochDecomposition, alpha: float, beta: float) -> SMatrix:
-    """Assemble the one-slot S_{alpha,beta} from a Bloch decomposition."""
-    alpha, beta = bloch.check_weights((alpha, beta))
-    r, s, t = dec.r.coeffs, dec.s.coeffs, dec.t
-    out = np.empty((1 + len(r), 1 + len(s)))
-    out[0, 0] = alpha * beta
-    out[0, 1:] = beta * s
-    out[1:, 0] = alpha * r
-    out[1:, 1:] = t
-    return SMatrix(out)
-
-
-def theorem1_bound(
-    d1: int, d2: int, alpha: float, beta: float, m: int, normalization: str = "standard"
-) -> float:
-    """Separable upper bound on ||S||_tr for the given normalization."""
-    if normalization == "standard":
-        return math.sqrt((m * beta**2 + d1 - 1) * (m * alpha**2 + d2 - 1))
-    if normalization == "rescaled":
-        return 0.5 * math.sqrt((2 * m * beta**2 + d1 * d1 - d1) * (2 * m * alpha**2 + d2 * d2 - d2))
-    raise ValidationError(f"unknown normalization {normalization!r}")
-
-
-def _s_criterion(
-    dec: BlochDecomposition, alpha: float, beta: float, m: int, normalization: str
-) -> tuple[float, float]:
-    """(||S^m_{alpha,beta}||_tr, separable bound) through the one-slot kernel."""
+def _s_criterion(dec: BlochDecomposition, alpha: float, beta: float, m: int) -> tuple[float, float]:
+    """(||S^m_{alpha,beta}||_tr, separable bound): the two-party tensor weighted by sqrt(m) (beta, alpha)."""
     alpha, beta = bloch.check_weights((alpha, beta))
     if m < 0:
         raise ValidationError(f"m must be >= 0, got {m}")
     root = math.sqrt(m)
-    value = trace_norm(build_S(dec, root * alpha, root * beta).matrix)
-    return value, theorem1_bound(*dec.dims, alpha, beta, m, normalization)
+    value = trace_norm(bloch.weighted(dec.tensor, (root * beta, root * alpha)))
+    return value, theorem2_bound(dec.dims, (beta, alpha), m, dec.normalization)
 
 
 @dataclass(frozen=True)
@@ -167,9 +146,10 @@ class SCriterion:
         self, rho: DensityMatrix, alpha: float, beta: float, m: int, normalization: str
     ) -> CriterionVerdict:
         dec = bloch.decompose_bipartite(rho, normalization)
-        value, bound = _s_criterion(dec, alpha, beta, m, normalization)
+        value, bound = _s_criterion(dec, alpha, beta, m)
         given = {"alpha": float(alpha), "beta": float(beta), "m": int(m), "normalization": normalization}
-        return _verdict(self.name, value, bound, {key: given[key] for key in self.reported})
+        params = {key: given[key] for key in self.reported}
+        return _verdict(self.name, value, bound, params, sum(dec.tensor.shape))
 
 
 _ALL_PARAMS = ("alpha", "beta", "m", "normalization")
@@ -223,12 +203,16 @@ def matricize(w: CoefficientTensor, parties) -> np.ndarray:
 
 
 def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> float:
-    """Fully-separable upper bound, a product over parties."""
-    if normalization == "standard":
-        return math.prod(math.sqrt(m * a * a + d - 1) for d, a in zip(dims, alphas))
-    if normalization == "rescaled":
-        return math.prod(math.sqrt(m * a * a + d * (d - 1) / 2) for d, a in zip(dims, alphas))
-    raise ValidationError(f"unknown normalization {normalization!r}")
+    """Fully-separable upper bound, prod_k sqrt(m alpha_k^2 + c_k^2 (d_k - 1)).
+
+    c_k^2 is 1 in the standard normalization and d_k/2 in the rescaled one.
+    Two parties with alphas (beta, alpha) give the bound on ||S^m_{alpha,beta}||_tr.
+    """
+    bloch.check_normalization(normalization)
+    rescaled = normalization == "rescaled"
+    return math.prod(
+        math.sqrt(m * a * a + (d / 2 if rescaled else 1) * (d - 1)) for d, a in zip(dims, alphas)
+    )
 
 
 def all_bipartitions(n: int) -> list[tuple[int, ...]]:
@@ -267,12 +251,13 @@ def check_theorem2(
     verdicts = []
     for part in partitions:
         part = tuple(sorted(int(p) for p in part))
-        value = trace_norm(matricize(w, part))
+        mat = matricize(w, part)
+        value = trace_norm(mat)
         params = {
             "alphas": list(alphas),
             "m": int(m),
             "partition": list(part),
             "normalization": normalization,
         }
-        verdicts.append(_verdict("thm2", value, bound, params))
+        verdicts.append(_verdict("thm2", value, bound, params, sum(mat.shape)))
     return verdicts

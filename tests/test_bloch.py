@@ -5,7 +5,6 @@ from hwsep import (
     DensityMatrix,
     ValidationError,
     basis,
-    build_S,
     build_W,
     decompose_bipartite,
     decompose_single,
@@ -16,6 +15,8 @@ from hwsep import (
 )
 from hwsep.bloch import BlochDecomposition, BlochVector
 from hwsep.states import ghz, horodecki_2x4, product, random_density, random_pure, random_separable
+
+from paper_layout import reference_s, reference_w
 
 
 def maximally_mixed(dims):
@@ -132,13 +133,9 @@ class TestDecomposeBipartite:
 
 class TestReconstruct:
     def test_zero_coefficients_give_maximally_mixed(self):
-        dec = BlochDecomposition(
-            dims=(2, 3),
-            normalization="standard",
-            r=BlochVector(2, "standard", np.zeros(3)),
-            s=BlochVector(3, "standard", np.zeros(8)),
-            t=np.zeros((3, 8)),
-        )
+        tensor = np.zeros((4, 9))
+        tensor[0, 0] = 1.0
+        dec = BlochDecomposition(dims=(2, 3), normalization="standard", tensor=tensor)
         np.testing.assert_allclose(reconstruct_bipartite(dec).matrix, np.eye(6) / 6, atol=1e-14)
 
     def test_round_trip_horodecki(self):
@@ -156,13 +153,7 @@ class TestReconstruct:
             assert np.linalg.norm(rebuilt.matrix - rho.matrix) < 1e-10
 
     def test_rejects_inconsistent_shapes(self):
-        dec = BlochDecomposition(
-            dims=(2, 3),
-            normalization="standard",
-            r=BlochVector(2, "standard", np.zeros(3)),
-            s=BlochVector(3, "standard", np.zeros(8)),
-            t=np.zeros((3, 7)),
-        )
+        dec = BlochDecomposition(dims=(2, 3), normalization="standard", tensor=np.zeros((4, 8)))
         with pytest.raises(ValidationError):
             reconstruct_bipartite(dec)
 
@@ -172,14 +163,22 @@ class TestCoefficientTensor:
         rho = as_bipartite(random_density(8, 42), (2, 4))
         alpha, beta = 0.8, 1.1
         w = build_W(rho, (beta, alpha))
-        s = build_S(decompose_bipartite(rho), alpha, beta)
-        np.testing.assert_allclose(matricize(w, [1]), s.matrix, atol=1e-13)
+        np.testing.assert_allclose(matricize(w, [1]), reference_s(rho, alpha, beta, 1, "standard"), atol=1e-13)
 
     def test_matches_s_matrix_rescaled_m0(self):
         rho = as_bipartite(random_density(9, 43), (3, 3))
         w = build_W(rho, (0.0, 0.0), "rescaled")
-        s = build_S(decompose_bipartite(rho, "rescaled"), 0.0, 0.0)
-        np.testing.assert_allclose(matricize(w, [1]), s.matrix, atol=1e-13)
+        expected = reference_s(rho, 0.0, 0.0, 1, "rescaled")
+        np.testing.assert_allclose(matricize(w, [1]), expected, atol=1e-13)
+        np.testing.assert_array_equal(w.tensor[1:, 1:], decompose_bipartite(rho, "rescaled").t)
+
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    def test_matches_paper_layout(self, dims, normalization):
+        rho = DensityMatrix(random_density(int(np.prod(dims)), len(dims)).matrix, dims)
+        alphas = (0.4, 1.1, 0.8, 1.7, 0.6)[: len(dims)]
+        w = build_W(rho, alphas, normalization)
+        np.testing.assert_allclose(w.tensor, reference_w(rho, alphas, 1, normalization), rtol=0, atol=1e-12)
 
     def test_identity_slot_value(self):
         rho = product([random_density(2, 1), random_density(2, 2), random_density(2, 3)])

@@ -150,6 +150,21 @@ class TestExitCodes:
             run(["check", "--state", path, "--criterion", "hw"])  # no alpha/beta/m
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--alpha-grid", "abc"],
+            ["tensor-check", "--alphas", "1,1", "--m", "1", "--partition", "x"],
+            ["check", "--criterion", "hw", "--alpha", "1", "--beta-sq", "nan", "--m", "1"],
+        ],
+    )
+    def test_usage_error_malformed_number(self, tmp_path, capsys, argv):
+        path = write_state(tmp_path, ghz(2))
+        with pytest.raises(SystemExit) as err:
+            run([*argv, "--state", path])
+        assert err.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_validation_error_bad_file(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")

@@ -1,23 +1,28 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hwsep import (
     CoefficientTensor,
     DensityMatrix,
     ValidationError,
-    basis,
-    build_S,
+    build_W,
     check_ppt,
     check_theorem1,
     check_theorem2,
     decompose_bipartite,
     make_check,
     matricize,
-    theorem1_bound,
+    theorem2_bound,
     trace_norm,
 )
 from hwsep.criteria import all_bipartitions
 from hwsep.states import ghz, horodecki_2x4, mix, product, random_density, random_pure, random_separable, xi_state
+
+from paper_layout import closed_form_s_bound, reference_s, reference_w
 
 
 def as_dm(mat, dims):
@@ -32,45 +37,45 @@ REFERENCE_PARAMS = dict(alpha=0.5, beta=np.sqrt(2 / 11), m=1)
 
 
 class TestBuildS:
+    """The S matrix is the two-party coefficient tensor with weights (beta, alpha)."""
+
     def test_trivial_block_structure(self):
-        dec = decompose_bipartite(as_dm(np.eye(4) / 4, (2, 2)))
-        s = build_S(dec, 1.0, 1.0)
-        assert s.matrix.shape == (4, 4)
-        assert s.matrix[0, 0] == 1.0
-        assert np.abs(s.matrix).sum() == 1.0
-        assert trace_norm(s.matrix) == pytest.approx(1.0, abs=1e-12)
+        s = build_W(as_dm(np.eye(4) / 4, (2, 2)), (1.0, 1.0)).tensor
+        assert s.shape == (4, 4)
+        assert s[0, 0] == 1.0
+        assert np.abs(s).sum() == 1.0
+        assert trace_norm(s) == pytest.approx(1.0, abs=1e-12)
 
     def test_m_zero_degenerates_to_t(self):
         rho = horodecki_2x4(0.5)
         dec = decompose_bipartite(rho)
-        s = build_S(dec, 0.0, 0.0)
-        np.testing.assert_array_equal(s.matrix[1:, 1:], dec.t)
-        assert not s.matrix[0].any() and not s.matrix[:, 0].any()
+        s = build_W(rho, (0.0, 0.0)).tensor
+        np.testing.assert_array_equal(s[1:, 1:], dec.t)
+        assert not s[0].any() and not s[:, 0].any()
         v = check_theorem1(rho, 0.3, 0.7, 0)
         assert v.value == pytest.approx(trace_norm(dec.t), rel=1e-12)
 
     def test_blocks(self):
         rho = as_dm(random_density(8, 0).matrix, (2, 4))
         dec = decompose_bipartite(rho)
-        s = build_S(dec, 0.4, 1.2)
-        assert s.matrix.shape == (4, 16)
-        assert s.matrix[0, 0] == pytest.approx(0.4 * 1.2)
-        np.testing.assert_allclose(s.matrix[1:, 0], 0.4 * dec.r.coeffs)
-        np.testing.assert_allclose(s.matrix[0, 1:], 1.2 * dec.s.coeffs)
-        np.testing.assert_array_equal(s.matrix[1:, 1:], dec.t)
+        s = build_W(rho, (1.2, 0.4)).tensor
+        assert s.shape == (4, 16)
+        assert s[0, 0] == pytest.approx(0.4 * 1.2)
+        np.testing.assert_allclose(s[1:, 0], 0.4 * dec.r.coeffs)
+        np.testing.assert_allclose(s[0, 1:], 1.2 * dec.s.coeffs)
+        np.testing.assert_array_equal(s[1:, 1:], dec.t)
+        np.testing.assert_allclose(s, reference_s(rho, 0.4, 1.2, 1, "standard"), rtol=0, atol=1e-13)
 
     def test_pure_product_is_rank_one(self):
         rho = product([random_pure(2, 5), random_pure(4, 6)])
-        dec = decompose_bipartite(rho)
-        s = build_S(dec, 0.9, 1.4)
-        singular = np.linalg.svd(s.matrix, compute_uv=False)
+        s = build_W(rho, (1.4, 0.9)).tensor
+        singular = np.linalg.svd(s, compute_uv=False)
         assert singular[1] <= 1e-9
 
     def test_rejects_negative_weights(self):
         rho = horodecki_2x4(0.5)
-        dec = decompose_bipartite(rho)
         with pytest.raises(ValidationError):
-            build_S(dec, -0.1, 1.0)
+            build_W(rho, (1.0, -0.1))
         with pytest.raises(ValidationError):
             check_theorem1(rho, 1.0, 1.0, -1)
         with pytest.raises(ValidationError):
@@ -79,27 +84,42 @@ class TestBuildS:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_weights(self, bad):
         rho = horodecki_2x4(0.5)
-        dec = decompose_bipartite(rho)
         with pytest.raises(ValidationError):
-            build_S(dec, bad, 1.0)
+            build_W(rho, (1.0, bad))
         with pytest.raises(ValidationError):
-            build_S(dec, 1.0, bad)
+            build_W(rho, (bad, 1.0))
         with pytest.raises(ValidationError):
             check_theorem1(rho, bad, 1.0, 0)
 
 
 class TestTheorem1Bound:
+    """The bipartite bound is theorem2_bound with two parties and weights (beta, alpha)."""
+
     def test_example_value(self):
-        got = theorem1_bound(2, 4, 0.5, np.sqrt(2 / 11), 1)
+        got = theorem2_bound((2, 4), (np.sqrt(2 / 11), 0.5), 1)
         assert got == pytest.approx(13 / (2 * np.sqrt(11)), rel=1e-12)
 
     def test_zero_weights(self):
-        assert theorem1_bound(2, 2, 0.0, 0.0, 1) == pytest.approx(1.0)
+        assert theorem2_bound((2, 2), (0.0, 0.0), 1) == pytest.approx(1.0)
 
     def test_rescaled_m0_equals_correlation_bound(self):
-        got = theorem1_bound(2, 4, 0.5, 0.5, 0, "rescaled")
+        got = theorem2_bound((2, 4), (0.5, 0.5), 0, "rescaled")
         assert got == pytest.approx(0.5 * np.sqrt(24), rel=1e-12)
         assert got == pytest.approx(0.5 * np.sqrt(2 * 4 * 1 * 3), rel=1e-12)
+
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    def test_matches_closed_form(self, normalization):
+        rng = np.random.default_rng(5)
+        for d1, d2 in [(2, 2), (2, 4), (3, 3), (3, 5), (5, 7)]:
+            for m in (0, 1, 2, 3, 32):
+                alpha, beta = np.exp(rng.uniform(-3, 10, 2))
+                got = theorem2_bound((d1, d2), (beta, alpha), m, normalization)
+                expected = closed_form_s_bound(d1, d2, alpha, beta, m, normalization)
+                assert got == pytest.approx(expected, rel=1e-15, abs=0)
+
+    def test_rejects_unknown_normalization(self):
+        with pytest.raises(ValidationError):
+            theorem2_bound((2, 2), (1.0, 1.0), 1, "gell-mann")
 
 
 class TestCheckTheorem1:
@@ -329,43 +349,17 @@ class TestTheorem2:
         assert len(verdicts) == 1
         assert verdicts[0].params["partition"] == [1, 3]
 
+    def test_nine_qubit_ghz(self):
+        (v,) = check_theorem2(ghz(9), (1,) * 9, 1, partitions=[(1,)])
+        assert v.value == pytest.approx(2**5.5, rel=1e-12)
+        assert v.bound == pytest.approx(2**4.5, rel=1e-15)
+        assert v.entangled
+
     def test_requires_m_and_parties(self):
         with pytest.raises(ValidationError):
             check_theorem2(ghz(3), (1.0, 1.0, 1.0), 0)
         with pytest.raises(ValidationError):
             check_theorem2(random_density(4, 0), (1.0,), 1)
-
-
-def reference_slots(d, weight, m, normalization):
-    """The paper's per-party operator list: m copies of weight*I, then the basis."""
-    ops = list(basis(d).elements)
-    if normalization == "rescaled":
-        ops = [np.sqrt(d / 2) * q for q in ops]  # rescaled-basis expansion coefficients
-    return [weight * np.eye(d)] * m + ops
-
-
-def reference_s(rho, alpha, beta, m, normalization):
-    """S^m_{alpha,beta} laid out as in the paper, with m identity slots per party.
-
-    beta weights party 1's identity slots (the block beta*omega_m(s)^t) and
-    alpha weights party 2's.
-    """
-    d1, d2 = rho.dims
-    rows = reference_slots(d1, beta, m, normalization)
-    cols = reference_slots(d2, alpha, m, normalization)
-    return np.array([[np.trace(rho.matrix @ np.kron(a, b)).real for b in cols] for a in rows])
-
-
-def reference_w(rho, alphas, m, normalization):
-    """Paper-layout coefficient tensor W^m, m identity slots per axis."""
-    slots = [reference_slots(d, a, m, normalization) for d, a in zip(rho.dims, alphas)]
-    w = np.zeros([len(s) for s in slots])
-    for index in np.ndindex(*w.shape):
-        op = np.eye(1)
-        for axis, k in enumerate(index):
-            op = np.kron(op, slots[axis][k])
-        w[index] = np.trace(rho.matrix @ op).real
-    return w
 
 
 class TestOneSlotKernel:
@@ -379,7 +373,8 @@ class TestOneSlotKernel:
             v = check_theorem1(rho, 0.6, 1.3, m, normalization)
             expected = trace_norm(reference_s(rho, 0.6, 1.3, m, normalization))
             assert v.value == pytest.approx(expected, rel=1e-12)
-            assert v.bound == theorem1_bound(*dims, 0.6, 1.3, m, normalization)
+            expected_bound = closed_form_s_bound(*dims, 0.6, 1.3, m, normalization)
+            assert v.bound == pytest.approx(expected_bound, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
@@ -393,3 +388,47 @@ class TestOneSlotKernel:
             for v in verdicts:
                 expected = trace_norm(matricize(w, v.params["partition"]))
                 assert v.value == pytest.approx(expected, rel=1e-12)
+
+
+LOG_WEIGHT = st.floats(0.0, math.log(3e4))
+
+
+class TestScaleAwareMargin:
+    """Pure product states sit on the bound: at no weight, dimension or party count are they flagged."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        d1=st.integers(2, 5),
+        d2=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 2),
+        log_alpha=LOG_WEIGHT,
+        log_beta=LOG_WEIGHT,
+        m=st.integers(0, 3),
+    )
+    def test_bipartite_pure_products(self, d1, d2, seed, log_alpha, log_beta, m):
+        rho = product([random_pure(d1, seed), random_pure(d2, seed + 1)])
+        weights = dict(alpha=math.exp(log_alpha), beta=math.exp(log_beta))
+        checks = [
+            make_check("hw", m=m, normalization="standard", **weights),
+            make_check("hw", m=m, normalization="rescaled", **weights),
+            make_check("lb"),
+        ]
+        if m >= 1:
+            checks.append(make_check("isc", m=m, **weights))
+        for check in checks:
+            v = check(rho)
+            assert not v.entangled, v
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        dims=st.lists(st.integers(2, 3), min_size=3, max_size=4),
+        seed=st.integers(0, 2**32 - 5),
+        log_alphas=st.lists(LOG_WEIGHT, min_size=4, max_size=4),
+        m=st.integers(1, 3),
+        normalization=st.sampled_from(["standard", "rescaled"]),
+    )
+    def test_multipartite_pure_products(self, dims, seed, log_alphas, m, normalization):
+        rho = product([random_pure(d, seed + k) for k, d in enumerate(dims)])
+        alphas = [math.exp(a) for a in log_alphas[: len(dims)]]
+        for v in check_theorem2(rho, alphas, m, normalization=normalization):
+            assert not v.entangled, v
