@@ -12,7 +12,6 @@ from .analysis import (
 from .bloch import (
     BlochDecomposition,
     BlochVector,
-    CoefficientTensor,
     build_W,
     decompose_bipartite,
     decompose_single,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlochDecomposition",
     "BlochVector",
-    "CoefficientTensor",
     "ComparisonReport",
     "CriterionVerdict",
     "DensityMatrix",

@@ -10,18 +10,20 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 from . import bloch, criteria
 from .criteria import CriterionVerdict
 from .errors import ValidationError
-# trace_norm is unused here; perfbench's tracer self-test patches this binding.
-from .linalg import DensityMatrix, trace_norm  # noqa: F401
+from .linalg import DensityMatrix, trace_norm
 from .states import StateFamily
 
 CRITERIA = (*criteria.S_CRITERIA, "ppt", "thm2")
+
+# (required, optional) parameter names of the criteria outside criteria.S_CRITERIA
+_OTHER_PARAMS = {"ppt": ((), ("subsystem",)), "thm2": (("alphas", "m"), ("partitions", "normalization"))}
 
 
 def make_check(criterion: str, **params) -> Callable[[DensityMatrix], CriterionVerdict]:
@@ -29,28 +31,33 @@ def make_check(criterion: str, **params) -> Callable[[DensityMatrix], CriterionV
 
     Recognized names: the rows of ``criteria.S_CRITERIA`` (hw, isc, vb, lb),
     which take the row's free parameters (hw also an optional
-    ``normalization``), plus ppt and thm2.  ``thm2`` takes ``alphas``/``m``
-    (and optional ``partitions``) and reports the most violated partition.
+    ``normalization``), plus ppt (optional ``subsystem``) and thm2.  ``thm2``
+    takes ``alphas``/``m`` (and optional ``partitions`` and
+    ``normalization``) and reports the most violated partition.  A missing
+    or unknown parameter is a ValidationError.
     """
     row = criteria.S_CRITERIA.get(criterion)
+    if row is not None:
+        required, optional = row.free, ("normalization",) if row.normalization is None else ()
+    elif criterion in _OTHER_PARAMS:
+        required, optional = _OTHER_PARAMS[criterion]
+    else:
+        raise ValidationError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
+    missing = [key for key in required if key not in params]
+    unknown = sorted(set(params) - set(required) - set(optional))
+    if missing or unknown:
+        raise ValidationError(f"criterion {criterion}: missing parameters {missing}, unknown {unknown}")
     if row is not None:
         args = row.parameters(params)
         return lambda rho: row.check(rho, **args)
     if criterion == "ppt":
-        subsystem = params.get("subsystem", 2)
-        return lambda rho: criteria.check_ppt(rho, subsystem)
-    if criterion == "thm2":
-        alphas = params["alphas"]
-        m = params["m"]
-        partitions = params.get("partitions")
-        normalization = params.get("normalization", "standard")
+        return lambda rho: criteria.check_ppt(rho, **params)
 
-        def worst_partition(rho: DensityMatrix) -> CriterionVerdict:
-            verdicts = criteria.check_theorem2(rho, alphas, m, partitions, normalization)
-            return max(verdicts, key=lambda v: v.value - v.bound)
+    def worst_partition(rho: DensityMatrix) -> CriterionVerdict:
+        verdicts = criteria.check_theorem2(rho, **params)
+        return max(verdicts, key=lambda v: v.value - v.bound)
 
-        return worst_partition
-    raise ValidationError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
+    return worst_partition
 
 
 @dataclass(frozen=True)
@@ -71,16 +78,7 @@ class ThresholdResult:
         return self.sign_changes > 1
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "params": self.params,
-            "family": self.family,
-            "threshold": self.threshold,
-            "width": self.width,
-            "evaluations": self.evaluations,
-            "sign_changes": self.sign_changes,
-            "non_monotone": self.non_monotone,
-        }
+        return {**asdict(self), "non_monotone": self.non_monotone}
 
 
 def scan_threshold(
@@ -101,8 +99,8 @@ def scan_threshold(
     """
     if grid_points < 16:
         raise ValidationError(f"grid_points must be >= 16, got {grid_points}")
-    if tol < 1e-8:
-        raise ValidationError(f"tol must be >= 1e-8, got {tol}")
+    if not (math.isfinite(tol) and tol >= 1e-8):
+        raise ValidationError(f"tol must be finite and >= 1e-8, got {tol}")
 
     evaluations = 0
 
@@ -192,7 +190,8 @@ def optimize_params(
     for m in m_range:
         for alpha in alpha_grid:
             for beta in beta_grid:
-                value, bound = criteria._s_criterion(dec, alpha, beta, m)
+                s, bound = criteria._weighted(dec.tensor, dec.dims, (beta, alpha), m, normalization)
+                value = trace_norm(s)
                 if best is None or value - bound > best.violation:
                     best = OptimizeResult(alpha, beta, m, value, bound, normalization)
     return best
@@ -214,23 +213,7 @@ class ComparisonReport:
     rows: tuple[ComparisonRow, ...] = field(default_factory=tuple)
 
     def to_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "rows": [
-                {
-                    "criterion": row.criterion,
-                    "params": row.params,
-                    "threshold": row.threshold,
-                    "value": row.value,
-                    "bound": row.bound,
-                    "verdict": row.verdict,
-                }
-                for row in self.rows
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return asdict(self)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -14,12 +14,13 @@ Every decomposition here is one object: the N-way coefficient tensor with
 entries Tr(rho O_{a_1} x ... x O_{a_N}), where axis k runs over the d_k^2
 operator slots [I, Q(l,m)...] of party k, and the rescaled normalization
 multiplies the Q slots of axis k by sqrt(d_k/2).  ``_coefficients`` builds
-it by contracting rho one party at a time, for any number of parties.  A
-single system's Bloch vector is its slots 1.., and a bipartite state's
-d1^2 x d2^2 tensor holds the local vectors r (column 0), s (row 0) and the
-correlation matrix T.  ``weighted`` scales the identity slot of each axis
-by a weight: two parties with weights (beta, alpha) give the paper's S
-matrix, N parties with alpha_k give its coefficient tensor W.  The paper
+it by contracting rho one party at a time, for any number of parties of
+dimension 2 or more.  A single system's Bloch vector is its slots 1.., and
+a bipartite state's d1^2 x d2^2 tensor holds the local vectors r (column
+0), s (row 0) and the correlation matrix T.  ``weighted`` scales the
+identity slot of each axis by a weight: two parties with weights (beta,
+alpha) give the paper's S matrix, N parties with alpha_k give its
+coefficient tensor W, which ``build_W`` returns as a plain array.  The paper
 stacks m identity slots per axis; they are copies of one another, so its
 matricizations have the same trace norms as those of the one-slot tensor
 with weights sqrt(m) alpha_k, which is what ``criteria`` builds.
@@ -46,9 +47,11 @@ def check_normalization(normalization: str) -> None:
         )
 
 
-def check_weights(weights) -> tuple[float, ...]:
-    """The weights as floats; raises ValidationError unless all are finite and nonnegative."""
+def check_weights(weights, n_parties: int) -> tuple[float, ...]:
+    """The weights as floats; raises ValidationError unless there is one per party, finite and nonnegative."""
     weights = tuple(float(w) for w in weights)
+    if len(weights) != n_parties:
+        raise ValidationError(f"need one weight per party: got {len(weights)} for {n_parties} parties")
     if not all(math.isfinite(w) and w >= 0 for w in weights):
         raise ValidationError(f"weights must be finite and nonnegative, got {weights}")
     return weights
@@ -83,6 +86,8 @@ def _coefficients(rho: DensityMatrix, normalization: str) -> np.ndarray:
     """Read-only coefficient tensor of ``rho``, one d_k^2 axis per party (see the module docstring)."""
     check_normalization(normalization)
     dims = rho.dims
+    if min(dims) < 2:
+        raise ValidationError(f"every party needs dimension >= 2 for a Bloch decomposition, got dims {dims}")
     n = len(dims)
     # rho[i, j] with axes ordered (i_1, j_1, ..., i_N, j_N); each step contracts the
     # leading pair (i_k, j_k) with party k's slots and appends the slot axis a_k.
@@ -142,22 +147,6 @@ class BlochDecomposition:
         return self.tensor[1:, 1:]
 
 
-@dataclass(frozen=True)
-class CoefficientTensor:
-    """N-way coefficient tensor with one weighted identity slot per axis.
-
-    Axis i has extent d_i^2: slot 0 corresponds to alpha_i * identity, the
-    rest to the basis observables in canonical order.  The entry at the
-    all-identity position equals prod(alphas).
-    """
-
-    tensor: np.ndarray
-
-    @property
-    def n_parties(self) -> int:
-        return self.tensor.ndim
-
-
 def decompose_single(rho: DensityMatrix, normalization: str = "standard") -> BlochVector:
     """Bloch vector of a single-system state."""
     if rho.n_parties != 1:
@@ -195,16 +184,10 @@ def reconstruct_bipartite(dec: BlochDecomposition) -> DensityMatrix:
     return DensityMatrix(rho4.reshape(d1 * d2, d1 * d2) / (d1 * d2), (d1, d2))
 
 
-def build_W(rho: DensityMatrix, alphas, normalization: str = "standard") -> CoefficientTensor:
-    """Coefficient tensor of an N-party state.
+def build_W(rho: DensityMatrix, alphas, normalization: str = "standard") -> np.ndarray:
+    """Coefficient tensor of an N-party state with the identity slot of axis k weighted by alphas[k].
 
-    Entry (a_1, ..., a_N) is Tr(rho O_{a_1} x ... x O_{a_N}) where each
-    axis runs over one identity slot (operator alpha_i * I) followed by the
-    standard basis observables.  With ``normalization="rescaled"`` the
-    operator-slot coefficients are the rescaled-basis expansion
-    coefficients, i.e. the standard ones scaled by sqrt(d_i/2) per axis.
+    Entry (a_1, ..., a_N) is Tr(rho O_{a_1} x ... x O_{a_N}), times alphas[k]
+    for each axis k whose slot a_k is the identity (see the module docstring).
     """
-    alphas = check_weights(alphas)
-    if len(alphas) != rho.n_parties:
-        raise ValidationError(f"need one alpha per party: got {len(alphas)} for {rho.n_parties} parties")
-    return CoefficientTensor(weighted(_coefficients(rho, normalization), alphas))
+    return weighted(_coefficients(rho, normalization), check_weights(alphas, rho.n_parties))

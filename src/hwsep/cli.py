@@ -174,13 +174,9 @@ def cmd_check(args, parser) -> int:
 
 def cmd_tensor_check(args, parser) -> int:
     rho = load_state(args.state)
-    if args.alphas is None or args.m is None:
-        parser.error("tensor-check requires --alphas and --m")
-    partitions = [_csv(args.partition, int, parser)] if args.partition else None
-    verdicts = criteria.check_theorem2(
-        rho, _csv(args.alphas, float, parser), args.m, partitions, _normalization(args)
-    )
-    _emit([v.to_dict() for v in verdicts])
+    spec = _criterion_spec(args, parser)  # args.criterion is "thm2"
+    del spec["criterion"]
+    _emit([v.to_dict() for v in criteria.check_theorem2(rho, **spec)])
     return 0
 
 
@@ -294,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tensor-check", help="multipartite tensor criterion, per bipartition")
     add_common(p, params=True, state=True)
-    p.set_defaults(func=cmd_tensor_check)
+    p.set_defaults(func=cmd_tensor_check, criterion="thm2")
 
     p = sub.add_parser("scan", help="threshold scan over a one-parameter family")
     p.add_argument("--family", required=True, choices=["horodecki-mix"])

@@ -30,8 +30,11 @@ is ``theorem2_bound(dims, (beta, alpha), m, normalization)``.  So both run
 on one kernel, ``bloch``'s coefficient tensor.  The m identity slots are
 copies of one another, so the one-slot tensor with weights sqrt(m) alpha_k
 has the same trace norms, and m enters only through that rescaling and the
-bound.  A state is decomposed once; each weighting is a copy with its
-identity slots scaled.
+bound.  A state is decomposed once; ``_weighted`` checks the weights and m,
+scales a copy's identity slots by sqrt(m) times the weights and returns it
+with ``theorem2_bound``.  The S rows and ``optimize_params`` take the trace
+norm of the two-party copy, ``check_theorem2`` that of each matricization
+of the N-party one.
 
 The S-type criteria are the rows of ``S_CRITERIA``, all on that kernel:
 
@@ -57,13 +60,12 @@ the margin at ordinary scales where it was.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import bloch
-from .bloch import BlochDecomposition, CoefficientTensor
 from .errors import ValidationError
 from .linalg import DensityMatrix, eig_hermitian, partial_transpose, trace_norm
 
@@ -90,13 +92,7 @@ class CriterionVerdict:
         return self.verdict == ENTANGLED
 
     def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "value": self.value,
-            "bound": self.bound,
-            "verdict": self.verdict,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def _verdict(criterion: str, value: float, bound: float, params: dict, n: int = 1) -> CriterionVerdict:
@@ -106,14 +102,17 @@ def _verdict(criterion: str, value: float, bound: float, params: dict, n: int = 
     return CriterionVerdict(criterion, float(value), float(bound), flag, params)
 
 
-def _s_criterion(dec: BlochDecomposition, alpha: float, beta: float, m: int) -> tuple[float, float]:
-    """(||S^m_{alpha,beta}||_tr, separable bound): the two-party tensor weighted by sqrt(m) (beta, alpha)."""
-    alpha, beta = bloch.check_weights((alpha, beta))
+def _weighted(tensor: np.ndarray, dims, weights, m: int, normalization: str) -> tuple[np.ndarray, float]:
+    """The coefficient tensor with identity slot k scaled by sqrt(m) weights[k], and its separable bound.
+
+    Two parties with weights (beta, alpha) give S^m_{alpha,beta} and theorem 1's bound.
+    """
+    weights = bloch.check_weights(weights, len(dims))
     if m < 0:
         raise ValidationError(f"m must be >= 0, got {m}")
     root = math.sqrt(m)
-    value = trace_norm(bloch.weighted(dec.tensor, (root * beta, root * alpha)))
-    return value, theorem2_bound(dec.dims, (beta, alpha), m, dec.normalization)
+    scaled = bloch.weighted(tensor, [root * w for w in weights])
+    return scaled, theorem2_bound(dims, weights, m, normalization)
 
 
 @dataclass(frozen=True)
@@ -146,10 +145,10 @@ class SCriterion:
         self, rho: DensityMatrix, alpha: float, beta: float, m: int, normalization: str
     ) -> CriterionVerdict:
         dec = bloch.decompose_bipartite(rho, normalization)
-        value, bound = _s_criterion(dec, alpha, beta, m)
+        s, bound = _weighted(dec.tensor, dec.dims, (beta, alpha), m, normalization)
         given = {"alpha": float(alpha), "beta": float(beta), "m": int(m), "normalization": normalization}
         params = {key: given[key] for key in self.reported}
-        return _verdict(self.name, value, bound, params, sum(dec.tensor.shape))
+        return _verdict(self.name, trace_norm(s), bound, params, sum(s.shape))
 
 
 _ALL_PARAMS = ("alpha", "beta", "m", "normalization")
@@ -182,14 +181,14 @@ def check_ppt(rho: DensityMatrix, subsystem: int = 2) -> CriterionVerdict:
     return _verdict("ppt", -min_eig, 0.0, {"subsystem": subsystem})
 
 
-def matricize(w: CoefficientTensor, parties) -> np.ndarray:
-    """A|A-bar matricization of the coefficient tensor.
+def matricize(tensor: np.ndarray, parties) -> np.ndarray:
+    """A|A-bar matricization of an N-way coefficient tensor.
 
     ``parties`` is a 1-based subset of 1..N selecting the row axes; both row
     and column multi-indices are composed in row-major order over ascending
     party index.
     """
-    n = w.n_parties
+    n = tensor.ndim
     a = sorted(set(int(p) for p in parties))
     if not a or len(a) == n:
         raise ValidationError("parties must be a nonempty proper subset of 1..N")
@@ -197,8 +196,8 @@ def matricize(w: CoefficientTensor, parties) -> np.ndarray:
         raise ValidationError(f"party indices must lie in 1..{n}, got {a}")
     axes_a = [p - 1 for p in a]
     axes_b = [k for k in range(n) if k not in axes_a]
-    perm = w.tensor.transpose(axes_a + axes_b)
-    rows = int(np.prod([w.tensor.shape[k] for k in axes_a]))
+    perm = tensor.transpose(axes_a + axes_b)
+    rows = int(np.prod([tensor.shape[k] for k in axes_a]))
     return perm.reshape(rows, -1)
 
 
@@ -243,21 +242,13 @@ def check_theorem2(
     if m < 1:
         raise ValidationError(f"check_theorem2 requires m >= 1, got {m}")
     alphas = tuple(float(a) for a in alphas)
-    root = math.sqrt(m)
-    w = bloch.build_W(rho, [root * a for a in alphas], normalization)
-    bound = theorem2_bound(rho.dims, alphas, m, normalization)
+    w, bound = _weighted(bloch._coefficients(rho, normalization), rho.dims, alphas, m, normalization)
     if partitions is None:
         partitions = all_bipartitions(rho.n_parties)
     verdicts = []
     for part in partitions:
-        part = tuple(sorted(int(p) for p in part))
+        part = sorted(set(int(p) for p in part))
         mat = matricize(w, part)
-        value = trace_norm(mat)
-        params = {
-            "alphas": list(alphas),
-            "m": int(m),
-            "partition": list(part),
-            "normalization": normalization,
-        }
-        verdicts.append(_verdict("thm2", value, bound, params, sum(mat.shape)))
+        params = {"alphas": list(alphas), "m": int(m), "partition": part, "normalization": normalization}
+        verdicts.append(_verdict("thm2", trace_norm(mat), bound, params, sum(mat.shape)))
     return verdicts

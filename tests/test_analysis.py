@@ -68,8 +68,9 @@ class TestScanThreshold:
     def test_argument_validation(self):
         with pytest.raises(ValidationError):
             scan_threshold(FAMILY, HW_CHECK, grid_points=8)
-        with pytest.raises(ValidationError):
-            scan_threshold(FAMILY, HW_CHECK, tol=1e-9)
+        for tol in (1e-9, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                scan_threshold(FAMILY, HW_CHECK, tol=tol)
 
 
 class TestOptimizeParams:
@@ -147,6 +148,35 @@ class TestCompare:
 def test_make_check_unknown_name():
     with pytest.raises(ValidationError):
         make_check("nope")
+
+
+@pytest.mark.parametrize(
+    "criterion,params,named",
+    [
+        ("hw", dict(alpha=0.5, beta=0.4), "'m'"),
+        ("isc", dict(alpha=0.5, m=1), "'beta'"),
+        ("thm2", dict(alphas=(1, 1)), "'m'"),
+        ("thm2", dict(m=1), "'alphas'"),
+        ("hw", dict(alpha=0.5, beta=0.4, m=1, normalisation="rescaled"), "'normalisation'"),
+        ("vb", dict(alpha=5), "'alpha'"),
+        ("lb", dict(normalization="standard"), "'normalization'"),
+        ("isc", dict(alpha=0.5, beta=0.4, m=1, normalization="rescaled"), "'normalization'"),
+        ("ppt", dict(alpha=1), "'alpha'"),
+        ("thm2", dict(alphas=(1, 1), m=1, partition=[1]), "'partition'"),
+    ],
+)
+def test_make_check_names_missing_or_unknown_parameters(criterion, params, named):
+    with pytest.raises(ValidationError, match=named):
+        make_check(criterion, **params)
+
+
+def test_make_check_accepts_every_optional_parameter():
+    hw = make_check("hw", alpha=0.5, beta=0.4, m=1, normalization="rescaled")(FAMILY.state(0.4))
+    assert hw.params["normalization"] == "rescaled"
+    assert make_check("ppt", subsystem=1)(ghz(2)).params == {"subsystem": 1}
+    v = make_check("thm2", alphas=(1, 1, 1), m=1, partitions=[(1, 3)], normalization="rescaled")(ghz(3))
+    assert v.params["partition"] == [1, 3]
+    assert v.params["normalization"] == "rescaled"
 
 
 def test_hw_rescaled_equals_isc():

@@ -170,7 +170,7 @@ class TestCoefficientTensor:
         w = build_W(rho, (0.0, 0.0), "rescaled")
         expected = reference_s(rho, 0.0, 0.0, 1, "rescaled")
         np.testing.assert_allclose(matricize(w, [1]), expected, atol=1e-13)
-        np.testing.assert_array_equal(w.tensor[1:, 1:], decompose_bipartite(rho, "rescaled").t)
+        np.testing.assert_array_equal(w[1:, 1:], decompose_bipartite(rho, "rescaled").t)
 
     @pytest.mark.parametrize("dims", [(2, 3, 2), (2, 2, 2, 2, 2)])
     @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
@@ -178,26 +178,26 @@ class TestCoefficientTensor:
         rho = DensityMatrix(random_density(int(np.prod(dims)), len(dims)).matrix, dims)
         alphas = (0.4, 1.1, 0.8, 1.7, 0.6)[: len(dims)]
         w = build_W(rho, alphas, normalization)
-        np.testing.assert_allclose(w.tensor, reference_w(rho, alphas, 1, normalization), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(w, reference_w(rho, alphas, 1, normalization), rtol=0, atol=1e-12)
 
     def test_identity_slot_value(self):
         rho = product([random_density(2, 1), random_density(2, 2), random_density(2, 3)])
         alphas = (0.3, 0.7, 1.5)
         w = build_W(rho, alphas)
-        assert w.tensor[0, 0, 0] == pytest.approx(np.prod(alphas), abs=1e-12)
+        assert w[0, 0, 0] == pytest.approx(np.prod(alphas), abs=1e-12)
 
     def test_product_of_maximally_mixed(self):
         rho = maximally_mixed((2, 2, 2))
         w = build_W(rho, (0.5, 0.5, 0.5))
         expected = np.zeros((4, 4, 4))
         expected[0, 0, 0] = 0.125
-        np.testing.assert_allclose(w.tensor, expected, atol=1e-14)
+        np.testing.assert_allclose(w, expected, atol=1e-14)
 
     def test_ghz_pure_correlations(self):
         w = build_W(ghz(3), (1.0, 1.0, 1.0))
         # slot 0 is the identity, slot 1 is Q(0,1) = sigma_x, slot 2 is Q(1,0) = sigma_z
-        assert w.tensor[1, 1, 1] == pytest.approx(1.0, abs=1e-12)
-        assert w.tensor[2, 2, 2] == pytest.approx(0.0, abs=1e-12)
+        assert w[1, 1, 1] == pytest.approx(1.0, abs=1e-12)
+        assert w[2, 2, 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_separable_tensor_matches_direct_trace(self):
         _, rho = random_separable((2, 2, 2), 4, 7)
@@ -210,7 +210,7 @@ class TestCoefficientTensor:
                 for k in range(4):
                     op = np.kron(np.kron(slots[i], slots[j]), slots[k])
                     direct[i, j, k] = np.trace(rho.matrix @ op).real
-        np.testing.assert_allclose(w.tensor, direct, atol=1e-12)
+        np.testing.assert_allclose(w, direct, atol=1e-12)
 
     def test_argument_validation(self):
         rho = maximally_mixed((2, 2))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hwsep import ValidationError, basis, check_ppt, check_theorem1, decompose_bipartite, make_check
-from hwsep.cli import parse_state_json, run, state_to_json
+from hwsep.cli import matrix_to_pairs, parse_state_json, run, state_to_json
 from hwsep.states import ghz, horodecki_2x4
 
 from reference_data import PRINTED_D3
@@ -187,6 +187,29 @@ class TestExitCodes:
         assert run(["optimize", "--state", path, f"--alpha-grid={value},1"]) == 3
         assert run(["tensor-check", "--state", path, f"--alphas=1,{value}", "--m", "1"]) == 3
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_validation_error_non_finite_tol(self, capsys, tol):
+        assert run(["scan", "--family", "horodecki-mix", "--b", "0.9", "--criterion", "lb", "--tol", tol]) == 3
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [[1, 4], [4, 1]])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--criterion", "vb"],
+            ["check", "--criterion", "hw", "--alpha", "1", "--beta", "1", "--m", "1"],
+            ["tensor-check", "--alphas", "1,1", "--m", "1"],
+            ["decompose"],
+            ["optimize"],
+        ],
+    )
+    def test_validation_error_party_of_dimension_one(self, tmp_path, capsys, dims, argv):
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps({"dims": dims, "matrix": matrix_to_pairs(np.eye(4) / 4)}))
+        assert run([*argv, "--state", str(path)]) == 3
+        assert "dimension >= 2" in capsys.readouterr().err
+        assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 0  # ppt needs no Bloch data
 
     @pytest.mark.parametrize("dims", ["24", [2.0, 4.0], [2, "4"], [True, 4], {"a": 2}])
     def test_validation_error_dims_not_a_list_of_integers(self, tmp_path, capsys, dims):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwsep import (
-    CoefficientTensor,
     DensityMatrix,
     ValidationError,
     build_W,
@@ -40,7 +39,7 @@ class TestBuildS:
     """The S matrix is the two-party coefficient tensor with weights (beta, alpha)."""
 
     def test_trivial_block_structure(self):
-        s = build_W(as_dm(np.eye(4) / 4, (2, 2)), (1.0, 1.0)).tensor
+        s = build_W(as_dm(np.eye(4) / 4, (2, 2)), (1.0, 1.0))
         assert s.shape == (4, 4)
         assert s[0, 0] == 1.0
         assert np.abs(s).sum() == 1.0
@@ -49,7 +48,7 @@ class TestBuildS:
     def test_m_zero_degenerates_to_t(self):
         rho = horodecki_2x4(0.5)
         dec = decompose_bipartite(rho)
-        s = build_W(rho, (0.0, 0.0)).tensor
+        s = build_W(rho, (0.0, 0.0))
         np.testing.assert_array_equal(s[1:, 1:], dec.t)
         assert not s[0].any() and not s[:, 0].any()
         v = check_theorem1(rho, 0.3, 0.7, 0)
@@ -58,7 +57,7 @@ class TestBuildS:
     def test_blocks(self):
         rho = as_dm(random_density(8, 0).matrix, (2, 4))
         dec = decompose_bipartite(rho)
-        s = build_W(rho, (1.2, 0.4)).tensor
+        s = build_W(rho, (1.2, 0.4))
         assert s.shape == (4, 16)
         assert s[0, 0] == pytest.approx(0.4 * 1.2)
         np.testing.assert_allclose(s[1:, 0], 0.4 * dec.r.coeffs)
@@ -68,7 +67,7 @@ class TestBuildS:
 
     def test_pure_product_is_rank_one(self):
         rho = product([random_pure(2, 5), random_pure(4, 6)])
-        s = build_W(rho, (1.4, 0.9)).tensor
+        s = build_W(rho, (1.4, 0.9))
         singular = np.linalg.svd(s, compute_uv=False)
         assert singular[1] <= 1e-9
 
@@ -270,18 +269,14 @@ class TestPPT:
 
 
 class TestMatricize:
-    def _tensor(self, arr):
-        return CoefficientTensor(np.asarray(arr, dtype=float))
-
     def test_two_axes_is_plain_reshape(self):
-        w = self._tensor(np.arange(12.0).reshape(3, 4))
-        np.testing.assert_array_equal(matricize(w, [1]), w.tensor)
+        w = np.arange(12.0).reshape(3, 4)
+        np.testing.assert_array_equal(matricize(w, [1]), w)
 
     def test_single_entry_bookkeeping(self):
         arr = np.zeros((2, 2, 2))
         arr[1, 0, 1] = 4.0
-        w = self._tensor(arr)
-        m = matricize(w, [1])
+        m = matricize(arr, [1])
         assert m.shape == (2, 4)
         assert m[1, 0 * 2 + 1] == 4.0
 
@@ -289,12 +284,12 @@ class TestMatricize:
         rng = np.random.default_rng(4)
         u, v, w_ = rng.standard_normal(3), rng.standard_normal(4), rng.standard_normal(5)
         tensor = np.einsum("i,j,k->ijk", u, v, w_)
-        m = matricize(self._tensor(tensor), [1, 3])
+        m = matricize(tensor, [1, 3])
         expected = np.linalg.norm(u) * np.linalg.norm(w_) * np.linalg.norm(v)
         assert trace_norm(m) == pytest.approx(expected, rel=1e-9)
 
     def test_rejects_empty_or_full(self):
-        w = self._tensor(np.zeros((2, 2)))
+        w = np.zeros((2, 2))
         with pytest.raises(ValidationError):
             matricize(w, [])
         with pytest.raises(ValidationError):
@@ -345,9 +340,11 @@ class TestTheorem2:
             assert not any(v.entangled for v in check_theorem2(rho, (1.0, 1.0, 1.0), 1))
 
     def test_explicit_partition(self):
-        verdicts = check_theorem2(ghz(3), (1.0, 1.0, 1.0), 1, partitions=[(1, 3)])
-        assert len(verdicts) == 1
+        verdicts = check_theorem2(ghz(3), (1.0, 1.0, 1.0), 1, partitions=[(1, 3), (3, 1, 1)])
+        assert len(verdicts) == 2
         assert verdicts[0].params["partition"] == [1, 3]
+        assert verdicts[1].params["partition"] == [1, 3]  # as matricized: sorted, without repeats
+        assert verdicts[1].value == verdicts[0].value
 
     def test_nine_qubit_ghz(self):
         (v,) = check_theorem2(ghz(9), (1,) * 9, 1, partitions=[(1,)])
@@ -382,7 +379,7 @@ class TestOneSlotKernel:
         rho = as_dm(random_density(2**n, 60 + n).matrix, (2,) * n)
         alphas = (0.4, 1.1, 0.8, 1.7)[:n]
         for m in (1, 2, 3):
-            w = CoefficientTensor(reference_w(rho, alphas, m, normalization))
+            w = reference_w(rho, alphas, m, normalization)
             verdicts = check_theorem2(rho, alphas, m, normalization=normalization)
             assert len(verdicts) == len(all_bipartitions(n))
             for v in verdicts:
