@@ -4,6 +4,15 @@ A scan walks a one-parameter family rho_x, evaluates f(x) = value - bound
 for a fixed criterion on a uniform grid, brackets the first sign change and
 bisects it down to the requested tolerance.  The reported threshold is the
 onset of violation: the criterion certifies entanglement for x above it.
+
+An affine family (``StateFamily`` with endpoints rho0, rho1) is scanned on
+the check's linear images L0, L1 of its two endpoints: the state at x has
+the image (1-x) L0 + x L1, so the coarse grid is one stacked judgement and
+each bisection step one more, with no state built or validated per point.
+A generator-only family is scanned point by point.  The two paths compute
+the same values up to rounding, so they make the same verdicts,
+evaluations and sign changes unless a point lies within rounding of the
+margin.
 """
 
 from __future__ import annotations
@@ -11,8 +20,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from . import bloch, criteria
 from .criteria import CriterionVerdict
@@ -22,11 +34,17 @@ from .states import StateFamily
 
 CRITERIA = (*criteria.S_CRITERIA, "ppt", "thm2")
 
-# (required, optional) parameter names of the criteria outside criteria.S_CRITERIA
-_OTHER_PARAMS = {"ppt": ((), ("subsystem",)), "thm2": (("alphas", "m"), ("partitions", "normalization"))}
+# (required, optional) parameter names and Check class of the criteria outside criteria.S_CRITERIA
+_OTHER = {
+    "ppt": ((), ("subsystem",), criteria.PPTCheck),
+    "thm2": (("alphas", "m"), ("partitions", "normalization"), criteria.Theorem2Check),
+}
+
+# Largest number of array elements a scan stacks into one batch of images.
+_STACK_ELEMS = 2**20
 
 
-def make_check(criterion: str, **params) -> Callable[[DensityMatrix], CriterionVerdict]:
+def make_check(criterion: str, **params) -> criteria.Check:
     """Bind a criterion name and parameters into a state -> verdict callable.
 
     Recognized names: the rows of ``criteria.S_CRITERIA`` (hw, isc, vb, lb),
@@ -34,13 +52,15 @@ def make_check(criterion: str, **params) -> Callable[[DensityMatrix], CriterionV
     ``normalization``), plus ppt (optional ``subsystem``) and thm2.  ``thm2``
     takes ``alphas``/``m`` (and optional ``partitions`` and
     ``normalization``) and reports the most violated partition.  A missing
-    or unknown parameter is a ValidationError.
+    or unknown parameter is a ValidationError.  The result is a
+    ``criteria.Check``, which also judges a stack of the criterion's linear
+    images of states; ``scan_threshold`` uses that on affine families.
     """
     row = criteria.S_CRITERIA.get(criterion)
     if row is not None:
         required, optional = row.free, ("normalization",) if row.normalization is None else ()
-    elif criterion in _OTHER_PARAMS:
-        required, optional = _OTHER_PARAMS[criterion]
+    elif criterion in _OTHER:
+        required, optional, build = _OTHER[criterion]
     else:
         raise ValidationError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
     missing = [key for key in required if key not in params]
@@ -48,16 +68,8 @@ def make_check(criterion: str, **params) -> Callable[[DensityMatrix], CriterionV
     if missing or unknown:
         raise ValidationError(f"criterion {criterion}: missing parameters {missing}, unknown {unknown}")
     if row is not None:
-        args = row.parameters(params)
-        return lambda rho: row.check(rho, **args)
-    if criterion == "ppt":
-        return lambda rho: criteria.check_ppt(rho, **params)
-
-    def worst_partition(rho: DensityMatrix) -> CriterionVerdict:
-        verdicts = criteria.check_theorem2(rho, **params)
-        return max(verdicts, key=lambda v: v.value - v.bound)
-
-    return worst_partition
+        return criteria.RowCheck(row, **row.parameters(params))
+    return build(**params)
 
 
 @dataclass(frozen=True)
@@ -81,6 +93,38 @@ class ThresholdResult:
         return {**asdict(self), "non_monotone": self.non_monotone}
 
 
+def _pointwise(family: StateFamily, check: Callable[[DensityMatrix], CriterionVerdict]):
+    """xs -> (ENTANGLED flags, verdict at xs[0]), one state and one check per point."""
+
+    def evaluate(xs):
+        verdicts = [check(family.state(x)) for x in xs]
+        return [v.entangled for v in verdicts], verdicts[0]
+
+    return evaluate
+
+
+def _affine(family: StateFamily, check: criteria.Check):
+    """xs -> (ENTANGLED flags, verdict at xs[0]) on the images of the family's two endpoints.
+
+    The image L is linear in rho, so the state (1-x) rho0 + x rho1 has the image
+    (1-x) L0 + x L1; the points are judged as stacks of at most _STACK_ELEMS elements.
+    """
+    (image0, bound), (image1, _) = (check.linear(rho) for rho in family.endpoints)
+    chunk = max(1, _STACK_ELEMS // image0.size)
+
+    def evaluate(xs):
+        flags, first = [], None
+        for start in range(0, len(xs), chunk):
+            x = np.array(xs[start : start + chunk]).reshape(-1, *(1,) * image0.ndim)
+            judged = check.judge(x * image1 + (1 - x) * image0, bound)
+            if first is None:
+                first = judged.verdict(0)
+            flags += judged.entangled.tolist()
+        return flags, first
+
+    return evaluate
+
+
 def scan_threshold(
     family: StateFamily,
     check: Callable[[DensityMatrix], CriterionVerdict],
@@ -96,50 +140,49 @@ def scan_threshold(
     bracket midpoint and ``width`` its half-width.  "Violated" is the
     verdict itself, with its margin, so equality cases (pure product
     states) never register as detections through floating-point noise.
+
+    An affine family (one with endpoints) is scanned on the check's linear
+    images of its two endpoints: the whole coarse grid is one stacked
+    judgement, and no state is built per point.  A generator-only family,
+    or a check that is not a ``criteria.Check``, is scanned point by point.
     """
-    if grid_points < 16:
-        raise ValidationError(f"grid_points must be >= 16, got {grid_points}")
+    if not isinstance(grid_points, numbers.Integral) or grid_points < 16:
+        raise ValidationError(f"grid_points must be an integer >= 16, got {grid_points!r}")
     if not (math.isfinite(tol) and tol >= 1e-8):
         raise ValidationError(f"tol must be finite and >= 1e-8, got {tol}")
 
-    evaluations = 0
-
-    def verdict(x: float) -> CriterionVerdict:
-        nonlocal evaluations
-        evaluations += 1
-        return check(family.state(x))
+    if family.endpoints is not None and isinstance(check, criteria.Check):
+        evaluate = _affine(family, check)
+    else:
+        evaluate = _pointwise(family, check)
 
     xs = [i / (grid_points - 1) for i in range(grid_points)]
-    first = verdict(xs[0])
-    label, params = first.criterion, first.params
+    flags, first = evaluate(xs)
+    evaluations = len(xs)
+    changes = [i for i in range(1, len(xs)) if flags[i] != flags[i - 1]]
 
-    sign_changes = 0
-    bracket = None
-    prev_x, prev = xs[0], first.entangled
-    for x in xs[1:]:
-        now = verdict(x).entangled
-        if prev != now:
-            sign_changes += 1
-            if bracket is None and now:
-                bracket = (prev_x, x)
-        prev_x, prev = x, now
+    def result(threshold: float | None, width: float) -> ThresholdResult:
+        return ThresholdResult(
+            first.criterion, first.params, family.describe(), threshold, width, evaluations, len(changes)
+        )
 
-    family_desc = family.describe()
-    if first.entangled:
+    if flags[0]:
         # violated from the start of the family
-        return ThresholdResult(label, params, family_desc, 0.0, 0.0, evaluations, sign_changes)
-    if bracket is None:
-        return ThresholdResult(label, params, family_desc, None, 0.0, evaluations, sign_changes)
+        return result(0.0, 0.0)
+    onset = next((i for i in changes if flags[i]), None)
+    if onset is None:
+        return result(None, 0.0)
 
-    lo, hi = bracket
+    lo, hi = xs[onset - 1], xs[onset]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if verdict(mid).entangled:
+        evaluations += 1
+        (entangled,), _ = evaluate([mid])
+        if entangled:
             hi = mid
         else:
             lo = mid
-    threshold = 0.5 * (lo + hi)
-    return ThresholdResult(label, params, family_desc, threshold, 0.5 * (hi - lo), evaluations, sign_changes)
+    return result(0.5 * (lo + hi), 0.5 * (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -182,7 +225,7 @@ def optimize_params(
     """
     alpha_grid = sorted(float(a) for a in alpha_grid)
     beta_grid = sorted(float(b) for b in beta_grid)
-    m_range = sorted(int(m) for m in m_range)
+    m_range = sorted(criteria.check_m(m) for m in m_range)
     if not alpha_grid or not beta_grid or not m_range:
         raise ValidationError("optimize_params requires nonempty grids")
     dec = bloch.decompose_bipartite(rho, normalization)

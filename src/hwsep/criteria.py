@@ -30,11 +30,11 @@ is ``theorem2_bound(dims, (beta, alpha), m, normalization)``.  So both run
 on one kernel, ``bloch``'s coefficient tensor.  The m identity slots are
 copies of one another, so the one-slot tensor with weights sqrt(m) alpha_k
 has the same trace norms, and m enters only through that rescaling and the
-bound.  A state is decomposed once; ``_weighted`` checks the weights and m,
-scales a copy's identity slots by sqrt(m) times the weights and returns it
-with ``theorem2_bound``.  The S rows and ``optimize_params`` take the trace
-norm of the two-party copy, ``check_theorem2`` that of each matricization
-of the N-party one.
+bound.  A state is decomposed once; ``_weighted`` checks the weights (m
+comes checked by ``check_m``), scales a copy's identity slots by sqrt(m)
+times the weights and returns it with ``theorem2_bound``.  The S rows and
+``optimize_params`` take the trace norm of the two-party copy,
+``check_theorem2`` that of each matricization of the N-party one.
 
 The S-type criteria are the rows of ``S_CRITERIA``, all on that kernel:
 
@@ -45,6 +45,16 @@ The S-type criteria are the rows of ``S_CRITERIA``, all on that kernel:
 
 ``check_ppt`` tests positivity of the partial transpose (independent of the
 Bloch machinery; detects nothing on bound entangled states).
+
+Every criterion with its parameters bound is a ``Check`` (``RowCheck`` for
+an S row, ``PPTCheck``, ``Theorem2Check``): a map ``linear`` from the state
+to an image that is linear in rho (the weighted coefficient tensor for the
+S rows and thm2, the partial transpose for ppt) and a ``judge`` that
+decides a stack of images in one batch (one stacked SVD per matricization,
+or one stacked eigvalsh) under the margin rule below.  A single verdict
+judges a stack of one, so scans of affine families, which judge mixtures
+of two endpoint images, and single checks share one verdict path.  ``m``
+must be a finite whole number (``check_m``).
 
 A verdict is ENTANGLED only when value > bound + margin, where the margin
 is max(VIOLATION_EPS, n eps_mach max(bound, value)) and n is the sum of the
@@ -95,24 +105,96 @@ class CriterionVerdict:
         return asdict(self)
 
 
+def _violates(value, bound, n, maximum=max):
+    """value > bound + max(VIOLATION_EPS, n eps_mach max(bound, value)); elementwise with np.maximum."""
+    return value > bound + maximum(VIOLATION_EPS, n * _EPS_MACH * maximum(bound, value))
+
+
 def _verdict(criterion: str, value: float, bound: float, params: dict, n: int = 1) -> CriterionVerdict:
     """Verdict with the margin for a trace norm of a matrix whose two dimensions sum to ``n``."""
-    margin = max(VIOLATION_EPS, n * _EPS_MACH * max(bound, value))
-    flag = ENTANGLED if value > bound + margin else INCONCLUSIVE
+    flag = ENTANGLED if _violates(value, bound, n) else INCONCLUSIVE
     return CriterionVerdict(criterion, float(value), float(bound), flag, params)
+
+
+def check_m(m, minimum: int = 0) -> int:
+    """``m`` as an int; raises ValidationError unless it is a finite whole number >= ``minimum``."""
+    try:
+        whole = int(m)
+    except (TypeError, ValueError, OverflowError):  # None, text, NaN, infinities
+        whole = None
+    if whole is None or whole != m or whole < minimum:
+        raise ValidationError(f"m must be a whole number >= {minimum}, got {m!r}")
+    return whole
 
 
 def _weighted(tensor: np.ndarray, dims, weights, m: int, normalization: str) -> tuple[np.ndarray, float]:
     """The coefficient tensor with identity slot k scaled by sqrt(m) weights[k], and its separable bound.
 
-    Two parties with weights (beta, alpha) give S^m_{alpha,beta} and theorem 1's bound.
+    Two parties with weights (beta, alpha) give S^m_{alpha,beta} and theorem 1's bound.  The
+    weights are checked here; m comes from ``check_m``.
     """
     weights = bloch.check_weights(weights, len(dims))
-    if m < 0:
-        raise ValidationError(f"m must be >= 0, got {m}")
     root = math.sqrt(m)
     scaled = bloch.weighted(tensor, [root * w for w in weights])
     return scaled, theorem2_bound(dims, weights, m, normalization)
+
+
+@dataclass(slots=True)
+class Judgement:
+    """Trace norms (or ppt values) of a stack of images against their bound.
+
+    Row i of ``values`` belongs to image i of the stack and column j to the
+    matricization ``columns[j]`` (a bipartition for thm2, None otherwise),
+    whose two dimensions sum to ``sizes[j]`` (1 for ppt).  An image's
+    verdict is that of its worst column, the first largest value - bound.
+    """
+
+    check: Check
+    values: np.ndarray
+    bound: float
+    sizes: tuple[int, ...]
+    columns: tuple = (None,)
+
+    @property
+    def entangled(self) -> np.ndarray:
+        """The verdict rule on each image's worst column, as a boolean array."""
+        worst = np.argmax(self.values - self.bound, axis=1)
+        values = self.values[np.arange(len(worst)), worst]
+        return _violates(values, self.bound, np.asarray(self.sizes)[worst], np.maximum)
+
+    def _column_verdict(self, value: float, j: int) -> CriterionVerdict:
+        return _verdict(self.check.name, value, self.bound, self.check.params(self.columns[j]), self.sizes[j])
+
+    def verdicts(self, i: int) -> list[CriterionVerdict]:
+        """One verdict per column for image ``i``."""
+        return [self._column_verdict(value, j) for j, value in enumerate(self.values[i].tolist())]
+
+    def verdict(self, i: int) -> CriterionVerdict:
+        """The verdict of image ``i``'s worst column."""
+        values = self.values[i].tolist()
+        slack = [value - self.bound for value in values]
+        j = slack.index(max(slack))
+        return self._column_verdict(values[j], j)
+
+
+class Check:
+    """A criterion with its parameters bound, as a linear image of the state and a judge.
+
+    Each subclass has a ``name`` and three methods.  ``linear(rho)``
+    validates rho and returns the criterion's image of it, which is linear
+    in rho (the weighted coefficient tensor, or the partial transpose), with
+    the separable bound; ``judge(images, bound)`` decides a stack of such
+    images (axis 0) in one batch, as a Judgement; ``params(column)`` gives
+    what a verdict on one of its columns reports.  Calling the check on a
+    state judges its one image, so a single verdict and a stacked scan take
+    the same path.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, rho: DensityMatrix) -> CriterionVerdict:
+        image, bound = self.linear(rho)
+        return self.judge(image[None], bound).verdict(0)
 
 
 @dataclass(frozen=True)
@@ -137,18 +219,34 @@ class SCriterion:
         out = {"normalization": self.normalization or params.get("normalization", "standard")}
         out.update(self.fixed)
         out.update((key, params[key]) for key in self.free)
-        if out["m"] < self.min_m:
-            raise ValidationError(f"criterion {self.name} requires m >= {self.min_m}, got {out['m']}")
+        out["m"] = check_m(out["m"], self.min_m)
         return out
 
-    def check(
-        self, rho: DensityMatrix, alpha: float, beta: float, m: int, normalization: str
-    ) -> CriterionVerdict:
-        dec = bloch.decompose_bipartite(rho, normalization)
-        s, bound = _weighted(dec.tensor, dec.dims, (beta, alpha), m, normalization)
-        given = {"alpha": float(alpha), "beta": float(beta), "m": int(m), "normalization": normalization}
-        params = {key: given[key] for key in self.reported}
-        return _verdict(self.name, trace_norm(s), bound, params, sum(s.shape))
+@dataclass(slots=True)
+class RowCheck(Check):
+    """An S row at given parameters (m from ``check_m``): the weighted two-party tensor and its trace norm."""
+
+    row: SCriterion
+    alpha: float
+    beta: float
+    m: int
+    normalization: str
+
+    @property
+    def name(self) -> str:
+        return self.row.name
+
+    def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
+        dec = bloch.decompose_bipartite(rho, self.normalization)
+        return _weighted(dec.tensor, dec.dims, (self.beta, self.alpha), self.m, self.normalization)
+
+    def judge(self, images: np.ndarray, bound: float) -> Judgement:
+        return Judgement(self, trace_norm(images)[:, None], bound, (sum(images.shape[1:]),))
+
+    def params(self, column) -> dict:
+        given = {"alpha": float(self.alpha), "beta": float(self.beta), "m": self.m}
+        given["normalization"] = self.normalization
+        return {key: given[key] for key in self.row.reported}
 
 
 _ALL_PARAMS = ("alpha", "beta", "m", "normalization")
@@ -172,13 +270,47 @@ def check_theorem1(
     normalization: str = "standard",
 ) -> CriterionVerdict:
     """Trace-norm criterion on the bipartite S matrix (the ``hw`` row)."""
-    return S_CRITERIA["hw"].check(rho, alpha, beta, m, normalization)
+    return RowCheck(S_CRITERIA["hw"], alpha, beta, check_m(m), normalization)(rho)
+
+
+@dataclass(slots=True)
+class PPTCheck(Check):
+    """Positive-partial-transpose test as a Check: the partial transpose, judged by -(min eigenvalue)."""
+
+    subsystem: int = 2
+    name = "ppt"
+
+    def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
+        return partial_transpose(rho, self.subsystem), 0.0
+
+    def judge(self, images: np.ndarray, bound: float) -> Judgement:
+        return Judgement(self, -eig_hermitian(images)[:, :1], bound, (1,))
+
+    def params(self, column) -> dict:
+        return {"subsystem": self.subsystem}
 
 
 def check_ppt(rho: DensityMatrix, subsystem: int = 2) -> CriterionVerdict:
     """Positive-partial-transpose test; value is -(min eigenvalue of rho^PT)."""
-    min_eig = float(eig_hermitian(partial_transpose(rho, subsystem))[0])
-    return _verdict("ppt", -min_eig, 0.0, {"subsystem": subsystem})
+    return PPTCheck(subsystem)(rho)
+
+
+def _split(parties, n: int) -> tuple[list[int], list[int]]:
+    """0-based row and column axes of the A|A-bar matricization of an N-way tensor."""
+    a = sorted(set(int(p) for p in parties))
+    if not a or len(a) == n:
+        raise ValidationError("parties must be a nonempty proper subset of 1..N")
+    if a[0] < 1 or a[-1] > n:
+        raise ValidationError(f"party indices must lie in 1..{n}, got {a}")
+    rows = [p - 1 for p in a]
+    return rows, [k for k in range(n) if k not in rows]
+
+
+def _unfold(stack: np.ndarray, rows, cols) -> np.ndarray:
+    """Each N-way tensor of a stack (axis 0) as a matrix over the row and column axes."""
+    shape = stack.shape[1:]
+    perm = stack.transpose([0, *(k + 1 for k in rows), *(k + 1 for k in cols)])
+    return perm.reshape(len(stack), math.prod(shape[k] for k in rows), -1)
 
 
 def matricize(tensor: np.ndarray, parties) -> np.ndarray:
@@ -188,17 +320,7 @@ def matricize(tensor: np.ndarray, parties) -> np.ndarray:
     and column multi-indices are composed in row-major order over ascending
     party index.
     """
-    n = tensor.ndim
-    a = sorted(set(int(p) for p in parties))
-    if not a or len(a) == n:
-        raise ValidationError("parties must be a nonempty proper subset of 1..N")
-    if a[0] < 1 or a[-1] > n:
-        raise ValidationError(f"party indices must lie in 1..{n}, got {a}")
-    axes_a = [p - 1 for p in a]
-    axes_b = [k for k in range(n) if k not in axes_a]
-    perm = tensor.transpose(axes_a + axes_b)
-    rows = int(np.prod([tensor.shape[k] for k in axes_a]))
-    return perm.reshape(rows, -1)
+    return _unfold(tensor[None], *_split(parties, tensor.ndim))[0]
 
 
 def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> float:
@@ -224,6 +346,51 @@ def all_bipartitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+@dataclass
+class Theorem2Check(Check):
+    """The multipartite criterion as a Check: the weighted N-party tensor, judged per bipartition.
+
+    ``partitions`` is an iterable of 1-based party subsets; None enumerates
+    all distinct bipartitions.  Each is reported as matricized: sorted,
+    without repeats.
+    """
+
+    alphas: tuple
+    m: int
+    partitions: tuple | None = None
+    normalization: str = "standard"
+    name = "thm2"
+
+    def __post_init__(self):
+        self.alphas = tuple(float(a) for a in self.alphas)
+        self.m = check_m(self.m, 1)
+        if self.partitions is not None:
+            self.partitions = tuple(sorted(set(int(p) for p in part)) for part in self.partitions)
+            if not self.partitions:
+                raise ValidationError("partitions must name at least one bipartition")
+
+    def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
+        if rho.n_parties < 2:
+            raise ValidationError("check_theorem2 requires at least two parties")
+        w = bloch._coefficients(rho, self.normalization)
+        return _weighted(w, rho.dims, self.alphas, self.m, self.normalization)
+
+    def judge(self, images: np.ndarray, bound: float) -> Judgement:
+        n = images.ndim - 1
+        parts = self.partitions or tuple(list(part) for part in all_bipartitions(n))
+        values, sizes = [], []
+        for part in parts:
+            mats = _unfold(images, *_split(part, n))
+            values.append(trace_norm(mats))
+            sizes.append(sum(mats.shape[1:]))
+        return Judgement(self, np.stack(values, axis=1), bound, tuple(sizes), parts)
+
+    def params(self, part) -> dict:
+        params = {"alphas": list(self.alphas), "m": self.m, "partition": list(part)}
+        params["normalization"] = self.normalization
+        return params
+
+
 def check_theorem2(
     rho: DensityMatrix,
     alphas,
@@ -237,18 +404,6 @@ def check_theorem2(
     all distinct bipartitions.  The state is certified not fully separable
     as soon as any single partition is violated.
     """
-    if rho.n_parties < 2:
-        raise ValidationError("check_theorem2 requires at least two parties")
-    if m < 1:
-        raise ValidationError(f"check_theorem2 requires m >= 1, got {m}")
-    alphas = tuple(float(a) for a in alphas)
-    w, bound = _weighted(bloch._coefficients(rho, normalization), rho.dims, alphas, m, normalization)
-    if partitions is None:
-        partitions = all_bipartitions(rho.n_parties)
-    verdicts = []
-    for part in partitions:
-        part = sorted(set(int(p) for p in part))
-        mat = matricize(w, part)
-        params = {"alphas": list(alphas), "m": int(m), "partition": part, "normalization": normalization}
-        verdicts.append(_verdict("thm2", trace_norm(mat), bound, params, sum(mat.shape)))
-    return verdicts
+    check = Theorem2Check(alphas, m, partitions, normalization)
+    image, bound = check.linear(rho)
+    return check.judge(image[None], bound).verdicts(0)

@@ -77,16 +77,17 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values of ``m``."""
+def trace_norm(m: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values of ``m``; for a stack of matrices (..., a, b), an array of the sums."""
     try:
-        return float(np.linalg.svd(np.asarray(m), compute_uv=False).sum())
+        sums = np.linalg.svd(np.asarray(m), compute_uv=False).sum(axis=-1)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular value computation failed: {exc}") from exc
+    return float(sums) if sums.ndim == 0 else sums
 
 
 def eig_hermitian(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
+    """Real eigenvalues of a Hermitian matrix, ascending; for a stack (..., d, d), per matrix.
 
     Raises
     ------
@@ -94,7 +95,7 @@ def eig_hermitian(m: np.ndarray) -> np.ndarray:
         If ``m`` is not Hermitian within ``HERMITICITY_TOL``.
     """
     m = np.asarray(m, dtype=complex)
-    dev = np.abs(m - m.conj().T).max()
+    dev = np.abs(m - m.swapaxes(-1, -2).conj()).max()
     if dev > HERMITICITY_TOL:
         raise ValidationError(f"eig_hermitian requires a Hermitian matrix, deviation {dev:.3e}")
     try:

@@ -3,6 +3,11 @@
 Randomness comes from ``numpy.random.default_rng`` (PCG64) seeded per call,
 so every constructor is a pure function of its arguments: a fixed seed gives
 bit-identical output across runs.
+
+A ``StateFamily`` is either affine, given by two endpoint states that are
+validated once (``horodecki_mix_family`` is one), or generator-only.  Scans
+of an affine family work on the endpoints alone; a generator-only family
+is scanned point by point.
 """
 
 from __future__ import annotations
@@ -42,14 +47,39 @@ class SeparableEnsemble:
 
 @dataclass(frozen=True)
 class StateFamily:
-    """One-parameter family x in [0, 1] -> DensityMatrix."""
+    """One-parameter family x in [0, 1] -> DensityMatrix.
+
+    A family has exactly one of a ``generator`` (any callable x -> state)
+    or two ``endpoints`` (rho0, rho1) of equal dims, which make it the
+    affine family x -> x rho1 + (1-x) rho0 (``mix(x, rho1, rho0)``).  The
+    endpoints are validated once, at construction, and ``scan_threshold``
+    scans an affine family on its endpoints alone.
+    """
 
     name: str
     params: dict = field(default_factory=dict)
-    generator: Callable[[float], DensityMatrix] = None
+    generator: Callable[[float], DensityMatrix] | None = None
+    endpoints: tuple[DensityMatrix, DensityMatrix] | None = None
+
+    def __post_init__(self):
+        if (self.generator is None) == (self.endpoints is None):
+            raise ValidationError(f"family {self.name!r} needs exactly one of a generator or endpoints")
+        if self.generator is not None and not callable(self.generator):
+            raise ValidationError(f"family {self.name!r}: generator must be callable")
+        if self.endpoints is not None:
+            ends = tuple(self.endpoints) if isinstance(self.endpoints, (tuple, list)) else ()
+            if len(ends) != 2 or not all(isinstance(e, DensityMatrix) for e in ends):
+                raise ValidationError(f"family {self.name!r}: endpoints must be two DensityMatrix")
+            if ends[0].dims != ends[1].dims:
+                dims = f"{ends[0].dims} and {ends[1].dims}"
+                raise ValidationError(f"family {self.name!r}: endpoint dims {dims} differ")
+            object.__setattr__(self, "endpoints", ends)
 
     def state(self, x: float) -> DensityMatrix:
-        return self.generator(x)
+        if self.generator is not None:
+            return self.generator(x)
+        rho0, rho1 = self.endpoints
+        return mix(x, rho1, rho0)
 
     def describe(self) -> dict:
         return {"family": self.name, **self.params}
@@ -91,14 +121,8 @@ def mix(x: float, sigma: DensityMatrix, rho: DensityMatrix) -> DensityMatrix:
 
 
 def horodecki_mix_family(b: float) -> StateFamily:
-    """x -> x |xi><xi| + (1-x) * horodecki_2x4(b)."""
-    base = horodecki_2x4(b)
-    xi = xi_state()
-    return StateFamily(
-        name="horodecki-mix",
-        params={"b": float(b)},
-        generator=lambda x: mix(x, xi, base),
-    )
+    """x -> x |xi><xi| + (1-x) * horodecki_2x4(b), as the affine family between those endpoints."""
+    return StateFamily(name="horodecki-mix", params={"b": float(b)}, endpoints=(horodecki_2x4(b), xi_state()))
 
 
 def ghz(n: int) -> DensityMatrix:

@@ -1,8 +1,22 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hwsep import ValidationError, compare, make_check, optimize_params, scan_threshold
-from hwsep.states import StateFamily, ghz, horodecki_mix_family, mix, product, random_pure, random_separable
+from hwsep import DensityMatrix, ValidationError, analysis, compare, make_check, optimize_params, scan_threshold
+from hwsep import states
+from hwsep.states import (
+    StateFamily,
+    ghz,
+    horodecki_mix_family,
+    mix,
+    product,
+    random_density,
+    random_pure,
+    random_separable,
+)
 
 from reference_data import THRESHOLD_HW, THRESHOLD_ISC, THRESHOLD_LB, THRESHOLD_VB
 
@@ -68,9 +82,147 @@ class TestScanThreshold:
     def test_argument_validation(self):
         with pytest.raises(ValidationError):
             scan_threshold(FAMILY, HW_CHECK, grid_points=8)
+        for grid_points in (16.5, 64.0, "64", None):
+            with pytest.raises(ValidationError):
+                scan_threshold(FAMILY, HW_CHECK, grid_points=grid_points)
         for tol in (1e-9, np.nan, np.inf):
             with pytest.raises(ValidationError):
                 scan_threshold(FAMILY, HW_CHECK, tol=tol)
+
+
+def as_pair(matrix, d):
+    return DensityMatrix(matrix, (d, d))
+
+
+def endpoint_family(d, seed, pure_end):
+    """Affine family between a random mixed state and a random (pure or mixed) state on d x d."""
+    rho0 = as_pair(random_density(d * d, seed).matrix, d)
+    end = random_pure(d * d, seed + 1) if pure_end else random_density(d * d, seed + 1)
+    return StateFamily(f"random-{d}x{d}", {"seed": seed}, endpoints=(rho0, as_pair(end.matrix, d)))
+
+
+def generator_copy(fam):
+    return StateFamily(fam.name, fam.params, generator=fam.state)
+
+
+SCAN_SPECS = [
+    ("hw", dict(alpha=0.5, beta=np.sqrt(2 / 11), m=1)),
+    ("hw", dict(alpha=0.7, beta=0.3, m=2, normalization="rescaled")),
+    ("isc", dict(alpha=0.5, beta=np.sqrt(2 / 11), m=1)),
+    ("vb", {}),
+    ("lb", {}),
+    ("ppt", {}),
+    ("ppt", dict(subsystem=1)),
+    ("thm2", dict(alphas=(0.6, 0.9), m=1)),
+    ("thm2", dict(alphas=(1.0, 0.4), m=2, normalization="rescaled")),
+]
+
+_B_RNG = np.random.default_rng(2024)
+SCAN_FAMILIES = (
+    [(FAMILY, 256)]
+    + [(horodecki_mix_family(float(b)), 64) for b in _B_RNG.uniform(0.1, 0.95, 3)]
+    + [(endpoint_family(d, seed, pure), 64) for d in (2, 3) for seed, pure in ((11, True), (13, False))]
+)
+
+
+class TestAffineScan:
+    """Affine families are scanned on their endpoints' images, generator-only ones point by point."""
+
+    def test_every_criterion_is_covered(self):
+        assert {name for name, _ in SCAN_SPECS} == set(analysis.CRITERIA)
+
+    @pytest.mark.parametrize("criterion,params", SCAN_SPECS)
+    def test_same_result_as_a_generator_only_copy(self, criterion, params):
+        check = make_check(criterion, **params)
+        found = 0
+        for fam, grid in SCAN_FAMILIES:
+            batched = scan_threshold(fam, check, grid_points=grid)
+            pointwise = scan_threshold(generator_copy(fam), check, grid_points=grid)
+            assert batched == pointwise, fam.describe()
+            found += batched.threshold not in (None, 0.0)
+        assert found >= 2  # some scans bisect
+
+    def test_multipartite_family(self, monkeypatch):
+        white = DensityMatrix(np.eye(8) / 8, (2, 2, 2))
+        fam = StateFamily("ghz3-white", endpoints=(white, ghz(3)))
+        check = make_check("thm2", alphas=(1.0, 0.5, 0.8), m=1)
+        res = scan_threshold(fam, check, grid_points=64)
+        assert 0 < res.threshold < 1
+        assert res == scan_threshold(generator_copy(fam), check, grid_points=64)
+        monkeypatch.setattr(analysis, "_STACK_ELEMS", 200)  # three 4x4x4 images per batch
+        assert scan_threshold(fam, check, grid_points=64) == res
+
+    def test_chunked_grid_gives_the_same_result(self, monkeypatch):
+        whole = scan_threshold(FAMILY, HW_CHECK)
+        thm2 = make_check("thm2", alphas=(0.6, 0.9), m=1)
+        whole_thm2 = scan_threshold(FAMILY, thm2)
+        monkeypatch.setattr(analysis, "_STACK_ELEMS", 300)  # five 2x4 images per batch
+        assert scan_threshold(FAMILY, HW_CHECK) == whole
+        assert scan_threshold(FAMILY, thm2) == whole_thm2
+
+    def test_builds_no_state_per_point(self, monkeypatch):
+        def no_mix(*args):
+            raise AssertionError("mix called during an affine scan")
+
+        monkeypatch.setattr(states, "mix", no_mix)
+        for criterion, params in SCAN_SPECS:
+            res = scan_threshold(FAMILY, make_check(criterion, **params))
+            assert res.evaluations >= 256
+
+    def test_plain_callable_is_scanned_point_by_point(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(states, "mix", lambda *args: calls.append(args) or mix(*args))
+        res = scan_threshold(FAMILY, lambda rho: HW_CHECK(rho))
+        assert len(calls) == res.evaluations
+        assert res == scan_threshold(FAMILY, HW_CHECK)
+
+    def test_malformed_family_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            scan_threshold(StateFamily("x"), HW_CHECK)
+
+
+@st.composite
+def affine_pairs(draw):
+    d = draw(st.sampled_from([2, 3]))
+    seed = draw(st.integers(0, 2**31))
+    kinds = draw(st.tuples(st.booleans(), st.booleans()))
+    ends = [
+        (random_pure if pure else random_density)(d * d, seed + k).matrix for k, pure in enumerate(kinds)
+    ]
+    return StateFamily("pair", endpoints=tuple(as_pair(e, d) for e in ends))
+
+
+class TestConvexity:
+    """Along x -> (1-x) rho0 + x rho1 each value is convex (a norm, or -lambda_min, of an affine
+    matrix function) and the bound is constant.  So the sub-margin x form one interval, the
+    verdicts along the grid read ENTANGLED*, INCONCLUSIVE*, ENTANGLED*, and the first change to
+    ENTANGLED that the scan bisects is the only onset of violation after the first
+    INCONCLUSIVE point."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        fam=affine_pairs(),
+        spec=st.sampled_from(
+            [("ppt", {}), ("ppt", dict(subsystem=1)), ("vb", {}), ("lb", {})]
+            + [("hw", dict(m=1, normalization=n)) for n in ("standard", "rescaled")]
+            + [("isc", dict(m=2))]
+        ),
+        alpha=st.floats(0, 2),
+        beta=st.floats(0, 2),
+    )
+    def test_grid_values_are_convex(self, fam, spec, alpha, beta):
+        criterion, params = spec
+        if criterion in ("hw", "isc"):
+            params = dict(params, alpha=alpha, beta=beta)
+        check = make_check(criterion, **params)
+        (l0, bound), (l1, _) = (check.linear(rho) for rho in fam.endpoints)
+        x = np.linspace(0.0, 1.0, 65).reshape(-1, *(1,) * l0.ndim)
+        judged = check.judge(x * l1 + (1 - x) * l0, bound)
+        f = judged.values[:, 0]
+        scale = max(1.0, float(np.abs(f).max()))
+        assert np.all(f[:-2] - 2 * f[1:-1] + f[2:] >= -1e-12 * scale)
+        pattern = "".join("E" if flag else "I" for flag in judged.entangled)
+        assert re.fullmatch("E*I*E*", pattern), pattern
 
 
 class TestOptimizeParams:
@@ -107,6 +259,14 @@ class TestOptimizeParams:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValidationError):
             optimize_params(ghz(2), [], [1.0], [1])
+
+    def test_m_range_takes_whole_numbers_only(self):
+        for m in (1.5, -1, np.nan, np.inf):
+            with pytest.raises(ValidationError):
+                optimize_params(ghz(2), [0.5], [0.5], [1, m])
+        whole = optimize_params(ghz(2), [0.5], [0.5], [2.0])
+        assert whole == optimize_params(ghz(2), [0.5], [0.5], [2])
+        assert type(whole.m) is int
 
 
 class TestCompare:
@@ -177,6 +337,28 @@ def test_make_check_accepts_every_optional_parameter():
     v = make_check("thm2", alphas=(1, 1, 1), m=1, partitions=[(1, 3)], normalization="rescaled")(ghz(3))
     assert v.params["partition"] == [1, 3]
     assert v.params["normalization"] == "rescaled"
+
+
+@pytest.mark.parametrize("m", [1.5, 0.5, np.nan, np.inf, -np.inf, -1, "1"])
+def test_m_must_be_a_finite_whole_number(m):
+    from hwsep import check_theorem1, check_theorem2
+
+    with pytest.raises(ValidationError, match="whole number"):
+        make_check("hw", alpha=1, beta=1, m=m)(ghz(2))
+    with pytest.raises(ValidationError, match="whole number"):
+        check_theorem1(ghz(2), 1, 1, m)
+    with pytest.raises(ValidationError, match="whole number"):
+        check_theorem2(ghz(3), (1, 1, 1), m)
+
+
+def test_whole_float_m_reports_an_integer():
+    from hwsep import check_theorem2
+
+    v = make_check("hw", alpha=1, beta=1, m=2.0)(ghz(2))
+    assert v == make_check("hw", alpha=1, beta=1, m=2)(ghz(2))
+    assert type(v.params["m"]) is int
+    (w,) = check_theorem2(ghz(3), (1, 1, 1), 2.0, partitions=[(1,)])
+    assert w == check_theorem2(ghz(3), (1, 1, 1), 2, partitions=[(1,)])[0]
 
 
 def test_hw_rescaled_equals_isc():

@@ -429,3 +429,44 @@ class TestScaleAwareMargin:
         alphas = [math.exp(a) for a in log_alphas[: len(dims)]]
         for v in check_theorem2(rho, alphas, m, normalization=normalization):
             assert not v.entangled, v
+
+
+class TestStackedJudgement:
+    """A check judges a stack of its linear images as it judges each state alone."""
+
+    @pytest.mark.parametrize(
+        "criterion,params,dims",
+        [
+            ("hw", dict(alpha=0.5, beta=0.4, m=1), (2, 4)),
+            ("hw", dict(alpha=1.2, beta=0.3, m=3, normalization="rescaled"), (3, 3)),
+            ("isc", dict(alpha=0.5, beta=0.4, m=2), (2, 3)),
+            ("vb", {}, (3, 3)),
+            ("lb", {}, (2, 4)),
+            ("ppt", {}, (2, 4)),
+            ("ppt", dict(subsystem=1), (3, 3)),
+            ("thm2", dict(alphas=(1.0, 0.5, 0.8), m=1), (2, 2, 2)),
+            ("thm2", dict(alphas=(1.0, 0.5, 0.8), m=2, partitions=[(2,), (1, 3)]), (2, 3, 2)),
+        ],
+    )
+    def test_stack_matches_single_checks(self, criterion, params, dims):
+        d = math.prod(dims)
+        states = [as_dm(random_density(d, seed).matrix, dims) for seed in range(4)]
+        states += [ghz(len(dims)) if len(set(dims)) == 1 and dims[0] == 2 else states[0]]
+        check = make_check(criterion, **params)
+        images, bounds = zip(*(check.linear(rho) for rho in states))
+        assert len(set(bounds)) == 1
+        judged = check.judge(np.stack(images), bounds[0])
+        singles = [check(rho) for rho in states]
+        assert [judged.verdict(i) for i in range(len(states))] == singles
+        assert judged.entangled.tolist() == [v.entangled for v in singles]
+
+    def test_theorem2_lists_every_partition_of_one_image(self):
+        check = make_check("thm2", alphas=(1.0, 1.0, 1.0), m=1)
+        image, bound = check.linear(ghz(3))
+        verdicts = check.judge(image[None], bound).verdicts(0)
+        assert verdicts == check_theorem2(ghz(3), (1.0, 1.0, 1.0), 1)
+        assert check(ghz(3)) == max(verdicts, key=lambda v: v.value - v.bound)
+
+    def test_rejects_an_empty_partition_list(self):
+        with pytest.raises(ValidationError):
+            check_theorem2(ghz(3), (1.0, 1.0, 1.0), 1, partitions=[])

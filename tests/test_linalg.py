@@ -46,6 +46,28 @@ def test_trace_norm_rank_one(u, v):
     assert got == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v), abs=1e-9)
 
 
+def test_trace_norm_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((5, 4, 16))
+    norms = trace_norm(stack)
+    assert norms.shape == (5,)
+    assert norms.tolist() == [trace_norm(m) for m in stack]  # bit for bit
+    assert type(trace_norm(stack[0])) is float
+
+
+def test_eig_hermitian_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    stack = g + np.swapaxes(g, -1, -2).conj()
+    evals = eig_hermitian(stack)
+    assert evals.shape == (3, 5)
+    for h, e in zip(stack, evals):
+        np.testing.assert_array_equal(eig_hermitian(h), e)
+    stack[1, 0, 1] += 1.0
+    with pytest.raises(ValidationError):
+        eig_hermitian(stack)
+
+
 def test_eig_hermitian_sorted():
     np.testing.assert_allclose(eig_hermitian(np.diag([3.0, 1.0, 2.0])), [1.0, 2.0, 3.0])
 

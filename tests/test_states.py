@@ -3,6 +3,7 @@ import pytest
 
 from hwsep import DensityMatrix, ValidationError, eig_hermitian, partial_trace, partial_transpose
 from hwsep.states import (
+    StateFamily,
     ghz,
     horodecki_2x4,
     horodecki_mix_family,
@@ -79,6 +80,50 @@ def test_family_generator():
     assert fam.describe() == {"family": "horodecki-mix", "b": 0.9}
     np.testing.assert_array_equal(fam.state(0.0).matrix, horodecki_2x4(0.9).matrix)
     np.testing.assert_array_equal(fam.state(1.0).matrix, xi_state().matrix)
+
+
+
+class TestAffineFamily:
+    def test_state_is_bit_identical_to_mix(self):
+        for b in (0.1, 0.5, 0.9):
+            fam = horodecki_mix_family(b)
+            assert fam.endpoints is not None
+            base, xi = horodecki_2x4(b), xi_state()
+            for x in np.linspace(0.0, 1.0, 23).tolist() + [0.22621243993, 1 / 3]:
+                np.testing.assert_array_equal(fam.state(x).matrix, mix(x, xi, base).matrix)
+
+    def test_endpoints_are_kept_as_a_tuple(self):
+        a, b = random_density(4, 1), random_density(4, 2)
+        fam = StateFamily("pair", endpoints=[a, b])
+        assert fam.endpoints == (a, b)
+        assert fam.generator is None
+        np.testing.assert_array_equal(fam.state(0.25).matrix, mix(0.25, b, a).matrix)
+
+    def test_generator_only_family(self):
+        fam = StateFamily("gen", generator=lambda x: mix(x, ghz(2), ghz(2)))
+        assert fam.endpoints is None
+        assert fam.state(0.5).dims == (2, 2)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"generator": lambda x: ghz(2), "endpoints": (ghz(2), ghz(2))},
+            {"generator": "not callable"},
+            {"endpoints": (ghz(2),)},
+            {"endpoints": (ghz(2), ghz(2), ghz(2))},
+            {"endpoints": (ghz(2), np.eye(4) / 4)},
+            {"endpoints": ghz(2)},
+            {"endpoints": (ghz(2), xi_state())},
+        ],
+    )
+    def test_malformed_family_is_a_validation_error(self, kwargs):
+        with pytest.raises(ValidationError):
+            StateFamily("x", **kwargs)
+
+    def test_rejects_mixing_weight_outside_the_unit_interval(self):
+        with pytest.raises(ValidationError):
+            horodecki_mix_family(0.9).state(1.5)
 
 
 class TestGHZ:
