@@ -5,7 +5,6 @@ from .analysis import (
     OptimizeResult,
     ThresholdResult,
     compare,
-    make_check,
     optimize_params,
     scan_threshold,
 )
@@ -23,6 +22,7 @@ from .criteria import (
     check_ppt,
     check_theorem1,
     check_theorem2,
+    make_check,
     matricize,
     theorem2_bound,
 )

@@ -5,14 +5,14 @@ for a fixed criterion on a uniform grid, brackets the first sign change and
 bisects it down to the requested tolerance.  The reported threshold is the
 onset of violation: the criterion certifies entanglement for x above it.
 
-An affine family (``StateFamily`` with endpoints rho0, rho1) is scanned on
-the check's linear images L0, L1 of its two endpoints: the state at x has
-the image (1-x) L0 + x L1, so the coarse grid is one stacked judgement and
-each bisection step one more, with no state built or validated per point.
-A generator-only family is scanned point by point.  The two paths compute
-the same values up to rounding, so they make the same verdicts,
+A scan judges stacks of the check's linear images of the family's
+states.  An affine family (``StateFamily`` with endpoints rho0, rho1) makes
+them from the images L0, L1 of its endpoints: the state at x has the image
+(1-x) L0 + x L1, so no state is built or validated per point.  A
+generator-only family makes them as the images of its states.  The two
+give the same values up to rounding, so they make the same verdicts,
 evaluations and sign changes unless a point lies within rounding of the
-margin.
+margin.  ``CRITERIA`` lists the names of ``criteria.REGISTRY``.
 """
 
 from __future__ import annotations
@@ -22,54 +22,19 @@ import io
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import bloch, criteria
-from .criteria import CriterionVerdict
+from .criteria import make_check
 from .errors import ValidationError
 from .linalg import DensityMatrix, trace_norm
 from .states import StateFamily
 
-CRITERIA = (*criteria.S_CRITERIA, "ppt", "thm2")
-
-# (required, optional) parameter names and Check class of the criteria outside criteria.S_CRITERIA
-_OTHER = {
-    "ppt": ((), ("subsystem",), criteria.PPTCheck),
-    "thm2": (("alphas", "m"), ("partitions", "normalization"), criteria.Theorem2Check),
-}
+CRITERIA = tuple(criteria.REGISTRY)
 
 # Largest number of array elements a scan stacks into one batch of images.
 _STACK_ELEMS = 2**20
-
-
-def make_check(criterion: str, **params) -> criteria.Check:
-    """Bind a criterion name and parameters into a state -> verdict callable.
-
-    Recognized names: the rows of ``criteria.S_CRITERIA`` (hw, isc, vb, lb),
-    which take the row's free parameters (hw also an optional
-    ``normalization``), plus ppt (optional ``subsystem``) and thm2.  ``thm2``
-    takes ``alphas``/``m`` (and optional ``partitions`` and
-    ``normalization``) and reports the most violated partition.  A missing
-    or unknown parameter is a ValidationError.  The result is a
-    ``criteria.Check``, which also judges a stack of the criterion's linear
-    images of states; ``scan_threshold`` uses that on affine families.
-    """
-    row = criteria.S_CRITERIA.get(criterion)
-    if row is not None:
-        required, optional = row.free, ("normalization",) if row.normalization is None else ()
-    elif criterion in _OTHER:
-        required, optional, build = _OTHER[criterion]
-    else:
-        raise ValidationError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
-    missing = [key for key in required if key not in params]
-    unknown = sorted(set(params) - set(required) - set(optional))
-    if missing or unknown:
-        raise ValidationError(f"criterion {criterion}: missing parameters {missing}, unknown {unknown}")
-    if row is not None:
-        return criteria.RowCheck(row, **row.parameters(params))
-    return build(**params)
 
 
 @dataclass(frozen=True)
@@ -93,41 +58,34 @@ class ThresholdResult:
         return {**asdict(self), "non_monotone": self.non_monotone}
 
 
-def _pointwise(family: StateFamily, check: Callable[[DensityMatrix], CriterionVerdict]):
-    """xs -> (ENTANGLED flags, verdict at xs[0]), one state and one check per point."""
+def _image_source(family: StateFamily, check: criteria.Check):
+    """(xs -> stack of the check's images of the family's states at xs, their bound, elements per image).
 
-    def evaluate(xs):
-        verdicts = [check(family.state(x)) for x in xs]
-        return [v.entangled for v in verdicts], verdicts[0]
-
-    return evaluate
-
-
-def _affine(family: StateFamily, check: criteria.Check):
-    """xs -> (ENTANGLED flags, verdict at xs[0]) on the images of the family's two endpoints.
-
-    The image L is linear in rho, so the state (1-x) rho0 + x rho1 has the image
-    (1-x) L0 + x L1; the points are judged as stacks of at most _STACK_ELEMS elements.
+    The states of a generator-only family must keep the dims they have at x = 0.
     """
-    (image0, bound), (image1, _) = (check.linear(rho) for rho in family.endpoints)
-    chunk = max(1, _STACK_ELEMS // image0.size)
+    if family.endpoints is not None:
+        (image0, bound), (image1, _) = (check.linear(rho) for rho in family.endpoints)
 
-    def evaluate(xs):
-        flags, first = [], None
-        for start in range(0, len(xs), chunk):
-            x = np.array(xs[start : start + chunk]).reshape(-1, *(1,) * image0.ndim)
-            judged = check.judge(x * image1 + (1 - x) * image0, bound)
-            if first is None:
-                first = judged.verdict(0)
-            flags += judged.entangled.tolist()
-        return flags, first
+        def images(xs):
+            x = np.array(xs).reshape(-1, *(1,) * image0.ndim)
+            return x * image1 + (1 - x) * image0
 
-    return evaluate
+    else:
+        rho0 = family.state(0.0)
+        image0, bound = check.linear(rho0)
+
+        def images(xs):
+            states = [family.state(x) for x in xs]
+            if any(rho.dims != rho0.dims for rho in states):
+                raise ValidationError(f"family {family.name!r}: states change dims from {rho0.dims} at x = 0")
+            return np.stack([check.linear(rho)[0] for rho in states])
+
+    return images, bound, image0.size
 
 
 def scan_threshold(
     family: StateFamily,
-    check: Callable[[DensityMatrix], CriterionVerdict],
+    check: criteria.Check,
     grid_points: int = 256,
     tol: float = 1e-6,
 ) -> ThresholdResult:
@@ -141,23 +99,28 @@ def scan_threshold(
     verdict itself, with its margin, so equality cases (pure product
     states) never register as detections through floating-point noise.
 
-    An affine family (one with endpoints) is scanned on the check's linear
-    images of its two endpoints: the whole coarse grid is one stacked
-    judgement, and no state is built per point.  A generator-only family,
-    or a check that is not a ``criteria.Check``, is scanned point by point.
+    ``check`` is a ``criteria.Check``, as ``make_check`` returns.  Its images
+    along the family (see the module docstring) are judged in stacks of at
+    most _STACK_ELEMS elements, each bisection step as a stack of one.
     """
     if not isinstance(grid_points, numbers.Integral) or grid_points < 16:
         raise ValidationError(f"grid_points must be an integer >= 16, got {grid_points!r}")
     if not (math.isfinite(tol) and tol >= 1e-8):
         raise ValidationError(f"tol must be finite and >= 1e-8, got {tol}")
+    if not isinstance(check, criteria.Check):
+        raise ValidationError(f"check must be a criteria.Check, as make_check returns, got {check!r}")
 
-    if family.endpoints is not None and isinstance(check, criteria.Check):
-        evaluate = _affine(family, check)
-    else:
-        evaluate = _pointwise(family, check)
+    images, bound, size = _image_source(family, check)
+    chunk = max(1, _STACK_ELEMS // size)
+
+    def judged(xs) -> list[criteria.Judgement]:
+        """The judgements of the images at xs, in stacks of at most _STACK_ELEMS elements."""
+        return [check.judge(images(xs[start : start + chunk]), bound) for start in range(0, len(xs), chunk)]
 
     xs = [i / (grid_points - 1) for i in range(grid_points)]
-    flags, first = evaluate(xs)
+    grid = judged(xs)
+    first = grid[0].verdict(0)  # reports the criterion and its parameters
+    flags = [flag for stack in grid for flag in stack.entangled.tolist()]
     evaluations = len(xs)
     changes = [i for i in range(1, len(xs)) if flags[i] != flags[i - 1]]
 
@@ -177,8 +140,8 @@ def scan_threshold(
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         evaluations += 1
-        (entangled,), _ = evaluate([mid])
-        if entangled:
+        (stack,) = judged([mid])
+        if stack.entangled[0]:
             hi = mid
         else:
             lo = mid
@@ -225,7 +188,7 @@ def optimize_params(
     """
     alpha_grid = sorted(float(a) for a in alpha_grid)
     beta_grid = sorted(float(b) for b in beta_grid)
-    m_range = sorted(criteria.check_m(m) for m in m_range)
+    m_range = sorted(criteria.check_whole(m) for m in m_range)
     if not alpha_grid or not beta_grid or not m_range:
         raise ValidationError("optimize_params requires nonempty grids")
     dec = bloch.decompose_bipartite(rho, normalization)
@@ -286,32 +249,22 @@ def compare(subject, specs, grid_points: int = 256, tol: float = 1e-6) -> Compar
     """Run several criteria against one family or one state.
 
     ``specs`` is a list of dicts, each with a "criterion" key plus that
-    criterion's parameters.  Families are scanned for thresholds; single
+    criterion's parameters, as ``make_check`` takes them; every spec is
+    bound before any is run.  Families are scanned for thresholds; single
     states are checked directly.
     """
-    specs = list(specs)
-    if not specs:
+    checks = [make_check(**spec) for spec in specs]
+    if not checks:
         raise ValidationError("compare requires at least one criterion spec")
     rows = []
     if isinstance(subject, StateFamily):
-        for spec in specs:
-            spec = dict(spec)
-            check = make_check(spec.pop("criterion"), **spec)
+        for check in checks:
             res = scan_threshold(subject, check, grid_points, tol)
             rows.append(ComparisonRow(res.criterion, res.params, threshold=res.threshold))
         desc = subject.describe()
     else:
-        for spec in specs:
-            spec = dict(spec)
-            verdict = make_check(spec.pop("criterion"), **spec)(subject)
-            rows.append(
-                ComparisonRow(
-                    verdict.criterion,
-                    verdict.params,
-                    value=verdict.value,
-                    bound=verdict.bound,
-                    verdict=verdict.verdict,
-                )
-            )
+        for check in checks:
+            v = check(subject)
+            rows.append(ComparisonRow(v.criterion, v.params, value=v.value, bound=v.bound, verdict=v.verdict))
         desc = {"state": "inline", "dims": list(subject.dims)}
     return ComparisonReport(subject=desc, rows=tuple(rows))

@@ -29,6 +29,7 @@ with weights sqrt(m) alpha_k, which is what ``criteria`` builds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,22 +40,24 @@ from .errors import ValidationError
 from .linalg import DensityMatrix
 
 
-def check_normalization(normalization: str) -> None:
-    """Raises ValidationError unless ``normalization`` is one of hw_basis.NORMALIZATIONS."""
-    if normalization not in hw_basis.NORMALIZATIONS:
-        raise ValidationError(
-            f"unknown normalization {normalization!r}, expected one of {hw_basis.NORMALIZATIONS}"
-        )
+def check_weight(weight) -> float:
+    """``weight`` as a float; raises ValidationError unless it is a finite, nonnegative real number."""
+    # isinstance(weight, float) first: the numbers.Real check is slower, and most weights are floats
+    real = isinstance(weight, float) or isinstance(weight, numbers.Real)  # text is not
+    if not (real and weight >= 0 and math.isfinite(weight)):
+        raise ValidationError(f"weights must be finite, nonnegative real numbers, got {weight!r}")
+    return float(weight)
 
 
-def check_weights(weights, n_parties: int) -> tuple[float, ...]:
-    """The weights as floats; raises ValidationError unless there is one per party, finite and nonnegative."""
-    weights = tuple(float(w) for w in weights)
-    if len(weights) != n_parties:
+def check_weights(weights, n_parties: int | None = None) -> tuple[float, ...]:
+    """Each of the weights through ``check_weight``, one per party when ``n_parties`` is given."""
+    try:
+        weights = tuple(weights)
+    except TypeError:
+        raise ValidationError(f"weights must be a sequence of numbers, got {weights!r}") from None
+    if n_parties is not None and len(weights) != n_parties:
         raise ValidationError(f"need one weight per party: got {len(weights)} for {n_parties} parties")
-    if not all(math.isfinite(w) and w >= 0 for w in weights):
-        raise ValidationError(f"weights must be finite and nonnegative, got {weights}")
-    return weights
+    return tuple(map(check_weight, weights))
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +87,7 @@ def _scale_slots(tensor: np.ndarray, factors, slot) -> np.ndarray:
 
 def _coefficients(rho: DensityMatrix, normalization: str) -> np.ndarray:
     """Read-only coefficient tensor of ``rho``, one d_k^2 axis per party (see the module docstring)."""
-    check_normalization(normalization)
+    hw_basis.check_choice(normalization, hw_basis.NORMALIZATIONS, "normalization")
     dims = rho.dims
     if min(dims) < 2:
         raise ValidationError(f"every party needs dimension >= 2 for a Bloch decomposition, got dims {dims}")

@@ -76,24 +76,36 @@ def _normalization(args) -> str:
     return "rescaled" if getattr(args, "rescaled", False) else "standard"
 
 
-def _criterion_spec(args, parser) -> dict:
-    """Collect criterion parameters for check/scan/compare commands."""
-    crit = args.criterion
+# criterion parameter -> (its flag, as usage errors name it; its value from the parsed arguments, or None)
+_FLAGS = {
+    "alpha": ("--alpha", lambda args, parser: args.alpha),
+    "beta": ("--beta (or --beta-sq)", _beta_value),
+    "m": ("--m", lambda args, parser: args.m),
+    "alphas": (
+        "--alphas",
+        lambda args, parser: None if args.alphas is None else _csv(args.alphas, float, parser),
+    ),
+    "partitions": (
+        "--partition",
+        lambda args, parser: [_csv(args.partition, int, parser)] if args.partition else None,
+    ),
+    "normalization": ("--rescaled", lambda args, parser: _normalization(args)),
+}
+
+
+def _criterion_spec(args, parser, crit: str) -> dict:
+    """The parameters of criterion ``crit``'s row that are given by flags, as ``make_check`` takes them."""
+    row = criteria.REGISTRY.get(crit)
+    if row is None:  # argparse choices leave this to compare's --criteria
+        parser.error(f"unknown criterion {crit!r} in --criteria")
     spec: dict = {"criterion": crit}
-    row = criteria.S_CRITERIA.get(crit)
-    if row is not None and row.free:
-        given = {"alpha": args.alpha, "beta": _beta_value(args, parser), "m": args.m}
-        if any(given[key] is None for key in row.free):
-            parser.error(f"criterion {crit} requires --alpha, --beta (or --beta-sq) and --m")
-        spec.update((key, given[key]) for key in row.free)
-        if row.normalization is None:
-            spec["normalization"] = _normalization(args)
-    elif crit == "thm2":
-        if args.alphas is None or args.m is None:
-            parser.error("criterion thm2 requires --alphas and --m")
-        spec.update(alphas=_csv(args.alphas, float, parser), m=args.m, normalization=_normalization(args))
-        if getattr(args, "partition", None):
-            spec["partitions"] = [_csv(args.partition, int, parser)]
+    for key in (*row.required, *row.optional):
+        value = _FLAGS[key][1](args, parser) if key in _FLAGS else None
+        if value is not None:
+            spec[key] = value
+    if any(key not in spec for key in row.required):
+        *flags, last = (_FLAGS[key][0] for key in row.required)
+        parser.error(f"criterion {crit} requires {', '.join(flags)} and {last}")
     return spec
 
 
@@ -166,24 +178,21 @@ def cmd_decompose(args, parser) -> int:
 
 def cmd_check(args, parser) -> int:
     rho = load_state(args.state)
-    spec = _criterion_spec(args, parser)
-    check = analysis.make_check(**spec)
+    check = analysis.make_check(**_criterion_spec(args, parser, args.criterion))
     _emit(check(rho).to_dict())
     return 0
 
 
 def cmd_tensor_check(args, parser) -> int:
     rho = load_state(args.state)
-    spec = _criterion_spec(args, parser)  # args.criterion is "thm2"
-    del spec["criterion"]
-    _emit([v.to_dict() for v in criteria.check_theorem2(rho, **spec)])
+    check = analysis.make_check(**_criterion_spec(args, parser, "thm2"))
+    _emit([v.to_dict() for v in check.judgement(rho).verdicts(0)])
     return 0
 
 
 def cmd_scan(args, parser) -> int:
     family = _family(args, parser)
-    spec = _criterion_spec(args, parser)
-    check = analysis.make_check(**spec)
+    check = analysis.make_check(**_criterion_spec(args, parser, args.criterion))
     res = analysis.scan_threshold(family, check, args.grid, args.tol)
     _emit(res.to_dict())
     return 0
@@ -211,14 +220,13 @@ def _family(args, parser) -> states.StateFamily:
 def cmd_compare(args, parser) -> int:
     if (args.family is None) == (args.state is None):
         parser.error("compare requires exactly one of --family or --state")
-    names = [tok for tok in args.criteria.split(",") if tok]
-    specs = []
-    for name in names:
-        if name not in analysis.CRITERIA:
-            parser.error(f"unknown criterion {name!r} in --criteria")
-        sub = argparse.Namespace(**vars(args))
-        sub.criterion = name
-        specs.append(_criterion_spec(sub, parser))
+    if args.criteria is not None:
+        names = [tok for tok in args.criteria.split(",") if tok]
+    elif any(flag is not None for flag in (args.alpha, args.beta, args.beta_sq, args.m)):
+        names = ["hw", "isc", "vb", "lb"]
+    else:  # no weights given: the rows that take no parameters
+        names = [name for name, row in criteria.REGISTRY.items() if not row.required]
+    specs = [_criterion_spec(args, parser, name) for name in names]
     subject = _family(args, parser) if args.family else load_state(args.state)
     report = analysis.compare(subject, specs, args.grid, args.tol)
     if args.format == "csv":
@@ -284,18 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="evaluate one criterion on a state")
     # thm2 gives one verdict per bipartition: that is the tensor-check command
-    p.add_argument("--criterion", required=True, choices=[c for c in analysis.CRITERIA if c != "thm2"])
+    p.add_argument("--criterion", required=True, choices=[c for c in criteria.REGISTRY if c != "thm2"])
     add_common(p, params=True, state=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("tensor-check", help="multipartite tensor criterion, per bipartition")
     add_common(p, params=True, state=True)
-    p.set_defaults(func=cmd_tensor_check, criterion="thm2")
+    p.set_defaults(func=cmd_tensor_check)
 
     p = sub.add_parser("scan", help="threshold scan over a one-parameter family")
     p.add_argument("--family", required=True, choices=["horodecki-mix"])
     p.add_argument("--b", type=float)
-    p.add_argument("--criterion", required=True, choices=analysis.CRITERIA)
+    p.add_argument("--criterion", required=True, choices=list(criteria.REGISTRY))
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-6)
     add_common(p, params=True)
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["horodecki-mix"])
     p.add_argument("--b", type=float)
     p.add_argument("--state")
-    p.add_argument("--criteria", default="hw,isc,vb,lb")
+    p.add_argument("--criteria")
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--format", choices=["json", "csv"], default="json")

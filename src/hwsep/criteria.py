@@ -31,30 +31,27 @@ on one kernel, ``bloch``'s coefficient tensor.  The m identity slots are
 copies of one another, so the one-slot tensor with weights sqrt(m) alpha_k
 has the same trace norms, and m enters only through that rescaling and the
 bound.  A state is decomposed once; ``_weighted`` checks the weights (m
-comes checked by ``check_m``), scales a copy's identity slots by sqrt(m)
+comes checked by ``check_whole``), scales a copy's identity slots by sqrt(m)
 times the weights and returns it with ``theorem2_bound``.  The S rows and
 ``optimize_params`` take the trace norm of the two-party copy,
 ``check_theorem2`` that of each matricization of the N-party one.
 
-The S-type criteria are the rows of ``S_CRITERIA``, all on that kernel:
+Every criterion is a row of ``REGISTRY``, and ``make_check`` binds a name
+and parameters into its row's Check, reading each parameter with its one
+parser.  The S rows run on that kernel:
 
 * ``hw``  - caller's (alpha, beta, m) and normalization (``check_theorem1``).
 * ``isc`` - rescaled, caller's (alpha, beta, m), m >= 1.
 * ``vb``  - correlation matrix only: rescaled, alpha = beta = m = 0.
 * ``lb``  - rescaled with m = 1, alpha = beta = 1.
 
-``check_ppt`` tests positivity of the partial transpose (independent of the
-Bloch machinery; detects nothing on bound entangled states).
-
-Every criterion with its parameters bound is a ``Check`` (``RowCheck`` for
-an S row, ``PPTCheck``, ``Theorem2Check``): a map ``linear`` from the state
-to an image that is linear in rho (the weighted coefficient tensor for the
-S rows and thm2, the partial transpose for ppt) and a ``judge`` that
-decides a stack of images in one batch (one stacked SVD per matricization,
-or one stacked eigvalsh) under the margin rule below.  A single verdict
-judges a stack of one, so scans of affine families, which judge mixtures
-of two endpoint images, and single checks share one verdict path.  ``m``
-must be a finite whole number (``check_m``).
+``ppt`` tests positivity of the partial transpose (independent of the
+Bloch machinery; detects nothing on bound entangled states), and ``thm2``
+is the multipartite criterion.  A Check is a map ``linear`` from the state
+to an image that is linear in rho (the weighted coefficient tensor, or the
+partial transpose) and a ``judge`` that decides a stack of images in one
+batch (one stacked SVD per matricization, or one stacked eigvalsh) under
+the margin rule below; a single verdict judges a stack of one.
 
 A verdict is ENTANGLED only when value > bound + margin, where the margin
 is max(VIOLATION_EPS, n eps_mach max(bound, value)) and n is the sum of the
@@ -70,12 +67,12 @@ the margin at ordinary scales where it was.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from . import bloch
+from . import bloch, hw_basis
 from .errors import ValidationError
 from .linalg import DensityMatrix, eig_hermitian, partial_transpose, trace_norm
 
@@ -116,14 +113,14 @@ def _verdict(criterion: str, value: float, bound: float, params: dict, n: int = 
     return CriterionVerdict(criterion, float(value), float(bound), flag, params)
 
 
-def check_m(m, minimum: int = 0) -> int:
-    """``m`` as an int; raises ValidationError unless it is a finite whole number >= ``minimum``."""
+def check_whole(value, minimum: int = 0, name: str = "m") -> int:
+    """``value`` as an int; raises ValidationError unless it is a finite whole number >= ``minimum``."""
     try:
-        whole = int(m)
+        whole = int(value)
     except (TypeError, ValueError, OverflowError):  # None, text, NaN, infinities
         whole = None
-    if whole is None or whole != m or whole < minimum:
-        raise ValidationError(f"m must be a whole number >= {minimum}, got {m!r}")
+    if whole is None or whole != value or whole < minimum:
+        raise ValidationError(f"{name} must be a whole number >= {minimum}, got {value!r}")
     return whole
 
 
@@ -131,7 +128,7 @@ def _weighted(tensor: np.ndarray, dims, weights, m: int, normalization: str) -> 
     """The coefficient tensor with identity slot k scaled by sqrt(m) weights[k], and its separable bound.
 
     Two parties with weights (beta, alpha) give S^m_{alpha,beta} and theorem 1's bound.  The
-    weights are checked here; m comes from ``check_m``.
+    weights are checked here; m comes from ``check_whole``.
     """
     weights = bloch.check_weights(weights, len(dims))
     root = math.sqrt(m)
@@ -155,15 +152,20 @@ class Judgement:
     sizes: tuple[int, ...]
     columns: tuple = (None,)
 
+    def _worst(self, i=slice(None)):
+        """The worst column of image ``i``, or of every image as an array."""
+        return (self.values[i] - self.bound).argmax(axis=-1)
+
     @property
     def entangled(self) -> np.ndarray:
         """The verdict rule on each image's worst column, as a boolean array."""
-        worst = np.argmax(self.values - self.bound, axis=1)
+        worst = self._worst()
         values = self.values[np.arange(len(worst)), worst]
         return _violates(values, self.bound, np.asarray(self.sizes)[worst], np.maximum)
 
     def _column_verdict(self, value: float, j: int) -> CriterionVerdict:
-        return _verdict(self.check.name, value, self.bound, self.check.params(self.columns[j]), self.sizes[j])
+        check = self.check
+        return _verdict(check.row.name, value, self.bound, check.params(self.columns[j]), self.sizes[j])
 
     def verdicts(self, i: int) -> list[CriterionVerdict]:
         """One verdict per column for image ``i``."""
@@ -171,70 +173,43 @@ class Judgement:
 
     def verdict(self, i: int) -> CriterionVerdict:
         """The verdict of image ``i``'s worst column."""
-        values = self.values[i].tolist()
-        slack = [value - self.bound for value in values]
-        j = slack.index(max(slack))
-        return self._column_verdict(values[j], j)
+        j = int(self._worst(i))
+        return self._column_verdict(self.values[i, j], j)
 
 
+@dataclass(slots=True)
 class Check:
-    """A criterion with its parameters bound, as a linear image of the state and a judge.
+    """A criterion's row with its parameters bound, as a linear image of the state and a judge.
 
-    Each subclass has a ``name`` and three methods.  ``linear(rho)``
-    validates rho and returns the criterion's image of it, which is linear
-    in rho (the weighted coefficient tensor, or the partial transpose), with
-    the separable bound; ``judge(images, bound)`` decides a stack of such
-    images (axis 0) in one batch, as a Judgement; ``params(column)`` gives
-    what a verdict on one of its columns reports.  Calling the check on a
-    state judges its one image, so a single verdict and a stacked scan take
-    the same path.
+    A subclass holds the row's parameters as fields.  ``linear(rho)``
+    validates rho and returns its image, linear in rho, with the separable
+    bound; ``judge(images, bound)`` decides a stack of images (axis 0) in one
+    batch, as a Judgement; ``params(column)`` is what a verdict on one of
+    its columns reports, the row's ``reported`` fields.
     """
 
-    __slots__ = ()
+    row: Criterion
+
+    def judgement(self, rho: DensityMatrix) -> Judgement:
+        """The judgement of rho's image alone, a stack of one."""
+        image, bound = self.linear(rho)
+        return self.judge(image[None], bound)
 
     def __call__(self, rho: DensityMatrix) -> CriterionVerdict:
-        image, bound = self.linear(rho)
-        return self.judge(image[None], bound).verdict(0)
+        return self.judgement(rho).verdict(0)
 
+    def params(self, column) -> dict:
+        return {key: getattr(self, key) for key in self.row.reported}
 
-@dataclass(frozen=True)
-class SCriterion:
-    """An S-matrix criterion as a row of data.
-
-    ``normalization`` is fixed, or None when the caller picks it (standard
-    by default).  ``fixed`` pins some of alpha, beta and m, ``free`` names
-    the ones the caller gives, ``reported`` lists the keys of the verdict's
-    params, and ``min_m`` is the smallest m the criterion accepts.
-    """
-
-    name: str
-    normalization: str | None
-    fixed: dict
-    free: tuple[str, ...]
-    reported: tuple[str, ...]
-    min_m: int
-
-    def parameters(self, params: dict) -> dict:
-        """alpha, beta, m and normalization from the caller's params and this row."""
-        out = {"normalization": self.normalization or params.get("normalization", "standard")}
-        out.update(self.fixed)
-        out.update((key, params[key]) for key in self.free)
-        out["m"] = check_m(out["m"], self.min_m)
-        return out
 
 @dataclass(slots=True)
 class RowCheck(Check):
-    """An S row at given parameters (m from ``check_m``): the weighted two-party tensor and its trace norm."""
+    """An S row at given parameters: the weighted two-party tensor and its trace norm."""
 
-    row: SCriterion
     alpha: float
     beta: float
     m: int
     normalization: str
-
-    @property
-    def name(self) -> str:
-        return self.row.name
 
     def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
         dec = bloch.decompose_bipartite(rho, self.normalization)
@@ -243,56 +218,18 @@ class RowCheck(Check):
     def judge(self, images: np.ndarray, bound: float) -> Judgement:
         return Judgement(self, trace_norm(images)[:, None], bound, (sum(images.shape[1:]),))
 
-    def params(self, column) -> dict:
-        given = {"alpha": float(self.alpha), "beta": float(self.beta), "m": self.m}
-        given["normalization"] = self.normalization
-        return {key: given[key] for key in self.row.reported}
-
-
-_ALL_PARAMS = ("alpha", "beta", "m", "normalization")
-
-S_CRITERIA = {
-    row.name: row
-    for row in (
-        SCriterion("hw", None, {}, ("alpha", "beta", "m"), _ALL_PARAMS, 0),
-        SCriterion("isc", "rescaled", {}, ("alpha", "beta", "m"), _ALL_PARAMS, 1),
-        SCriterion("vb", "rescaled", {"alpha": 0.0, "beta": 0.0, "m": 0}, (), ("m", "normalization"), 0),
-        SCriterion("lb", "rescaled", {"alpha": 1.0, "beta": 1.0, "m": 1}, (), _ALL_PARAMS, 1),
-    )
-}
-
-
-def check_theorem1(
-    rho: DensityMatrix,
-    alpha: float,
-    beta: float,
-    m: int,
-    normalization: str = "standard",
-) -> CriterionVerdict:
-    """Trace-norm criterion on the bipartite S matrix (the ``hw`` row)."""
-    return RowCheck(S_CRITERIA["hw"], alpha, beta, check_m(m), normalization)(rho)
-
 
 @dataclass(slots=True)
 class PPTCheck(Check):
     """Positive-partial-transpose test as a Check: the partial transpose, judged by -(min eigenvalue)."""
 
-    subsystem: int = 2
-    name = "ppt"
+    subsystem: int
 
     def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
         return partial_transpose(rho, self.subsystem), 0.0
 
     def judge(self, images: np.ndarray, bound: float) -> Judgement:
         return Judgement(self, -eig_hermitian(images)[:, :1], bound, (1,))
-
-    def params(self, column) -> dict:
-        return {"subsystem": self.subsystem}
-
-
-def check_ppt(rho: DensityMatrix, subsystem: int = 2) -> CriterionVerdict:
-    """Positive-partial-transpose test; value is -(min eigenvalue of rho^PT)."""
-    return PPTCheck(subsystem)(rho)
 
 
 def _split(parties, n: int) -> tuple[list[int], list[int]]:
@@ -329,8 +266,7 @@ def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> flo
     c_k^2 is 1 in the standard normalization and d_k/2 in the rescaled one.
     Two parties with alphas (beta, alpha) give the bound on ||S^m_{alpha,beta}||_tr.
     """
-    bloch.check_normalization(normalization)
-    rescaled = normalization == "rescaled"
+    rescaled = _PARSERS["normalization"](normalization) == "rescaled"
     return math.prod(
         math.sqrt(m * a * a + (d / 2 if rescaled else 1) * (d - 1)) for d, a in zip(dims, alphas)
     )
@@ -346,28 +282,17 @@ def all_bipartitions(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class Theorem2Check(Check):
     """The multipartite criterion as a Check: the weighted N-party tensor, judged per bipartition.
 
-    ``partitions`` is an iterable of 1-based party subsets; None enumerates
-    all distinct bipartitions.  Each is reported as matricized: sorted,
-    without repeats.
+    ``partitions`` holds sorted 1-based party subsets, or None for all distinct bipartitions.
     """
 
     alphas: tuple
     m: int
-    partitions: tuple | None = None
-    normalization: str = "standard"
-    name = "thm2"
-
-    def __post_init__(self):
-        self.alphas = tuple(float(a) for a in self.alphas)
-        self.m = check_m(self.m, 1)
-        if self.partitions is not None:
-            self.partitions = tuple(sorted(set(int(p) for p in part)) for part in self.partitions)
-            if not self.partitions:
-                raise ValidationError("partitions must name at least one bipartition")
+    partitions: tuple | None
+    normalization: str
 
     def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
         if rho.n_parties < 2:
@@ -377,7 +302,7 @@ class Theorem2Check(Check):
 
     def judge(self, images: np.ndarray, bound: float) -> Judgement:
         n = images.ndim - 1
-        parts = self.partitions or tuple(list(part) for part in all_bipartitions(n))
+        parts = self.partitions or tuple(all_bipartitions(n))
         values, sizes = [], []
         for part in parts:
             mats = _unfold(images, *_split(part, n))
@@ -386,9 +311,112 @@ class Theorem2Check(Check):
         return Judgement(self, np.stack(values, axis=1), bound, tuple(sizes), parts)
 
     def params(self, part) -> dict:
-        params = {"alphas": list(self.alphas), "m": self.m, "partition": list(part)}
-        params["normalization"] = self.normalization
-        return params
+        given = {"alphas": list(self.alphas), "m": self.m, "partition": list(part)}
+        given["normalization"] = self.normalization
+        return {key: given[key] for key in self.row.reported}
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """A criterion as one row of data: the Check class it binds into and the keys its verdicts report.
+
+    A caller must give the ``required`` parameters and may give the
+    ``optional`` ones, each read by its parser in ``_PARSERS``; ``defaults``
+    holds the other fields of ``check``, fixed values included.  ``min_m``
+    is the smallest m the criterion accepts.
+    """
+
+    name: str
+    check: type
+    reported: tuple[str, ...]
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    defaults: dict = field(default_factory=dict)
+    min_m: int = 0
+
+
+def _partitions(partitions) -> tuple | None:
+    """Each 1-based party subset sorted and without repeats; None stands for every bipartition."""
+    if partitions is None:
+        return None
+    try:
+        parts = tuple(tuple(sorted({check_whole(p, 1, "party index") for p in part})) for part in partitions)
+    except TypeError:  # not a collection of collections
+        raise ValidationError(f"partitions must be a list of party-index lists, got {partitions!r}") from None
+    if not parts:
+        raise ValidationError("partitions must name at least one bipartition")
+    return parts
+
+
+# The one parser of each criterion parameter; m is read by ``check_whole`` with its row's ``min_m``.
+_PARSERS = {
+    "alpha": bloch.check_weight,
+    "beta": bloch.check_weight,
+    "alphas": bloch.check_weights,
+    "partitions": _partitions,
+    "subsystem": lambda value: hw_basis.check_choice(value, (1, 2), "subsystem"),
+    "normalization": lambda value: hw_basis.check_choice(value, hw_basis.NORMALIZATIONS, "normalization"),
+}
+
+_S_PARAMS = ("alpha", "beta", "m")
+_S_REPORTED = (*_S_PARAMS, "normalization")
+_RESCALED = {"normalization": "rescaled"}
+
+REGISTRY = {
+    row.name: row
+    for row in (
+        Criterion("hw", RowCheck, _S_REPORTED, _S_PARAMS, ("normalization",), {"normalization": "standard"}),
+        Criterion("isc", RowCheck, _S_REPORTED, _S_PARAMS, defaults=_RESCALED, min_m=1),
+        Criterion("vb", RowCheck, ("m", "normalization"), defaults=dict(_RESCALED, alpha=0.0, beta=0.0, m=0)),
+        Criterion("lb", RowCheck, _S_REPORTED, defaults=dict(_RESCALED, alpha=1.0, beta=1.0, m=1)),
+        Criterion("ppt", PPTCheck, ("subsystem",), optional=("subsystem",), defaults={"subsystem": 2}),
+        Criterion(
+            "thm2",
+            Theorem2Check,
+            ("alphas", "m", "partition", "normalization"),
+            ("alphas", "m"),
+            ("partitions", "normalization"),
+            {"partitions": None, "normalization": "standard"},
+            min_m=1,
+        ),
+    )
+}
+
+
+def make_check(criterion: str, **params) -> Check:
+    """Bind a criterion name and parameters into a Check by the name's row of ``REGISTRY``.
+
+    A missing, unknown or malformed parameter is a ValidationError here, not
+    at the first verdict.  Calling the Check on a state gives its verdict
+    (thm2's is that of its most violated partition).
+    """
+    row = REGISTRY.get(criterion)
+    if row is None:
+        raise ValidationError(f"unknown criterion {criterion!r}, expected one of {tuple(REGISTRY)}")
+    missing = [key for key in row.required if key not in params]
+    unknown = sorted(set(params) - set(row.required) - set(row.optional))
+    if missing or unknown:
+        raise ValidationError(f"criterion {criterion}: missing parameters {missing}, unknown {unknown}")
+    values = dict(row.defaults)
+    for key, value in params.items():
+        values[key] = check_whole(value, row.min_m) if key == "m" else _PARSERS[key](value)
+    return row.check(row, **values)
+
+
+def check_theorem1(
+    rho: DensityMatrix,
+    alpha: float,
+    beta: float,
+    m: int,
+    normalization: str = "standard",
+) -> CriterionVerdict:
+    """Trace-norm criterion on the bipartite S matrix (the ``hw`` row)."""
+    return make_check("hw", alpha=alpha, beta=beta, m=m, normalization=normalization)(rho)
+
+
+def check_ppt(rho: DensityMatrix, subsystem: int = 2) -> CriterionVerdict:
+    """Positive-partial-transpose test; value is -(min eigenvalue of rho^PT)."""
+    return make_check("ppt", subsystem=subsystem)(rho)
 
 
 def check_theorem2(
@@ -404,6 +432,5 @@ def check_theorem2(
     all distinct bipartitions.  The state is certified not fully separable
     as soon as any single partition is violated.
     """
-    check = Theorem2Check(alphas, m, partitions, normalization)
-    image, bound = check.linear(rho)
-    return check.judge(image[None], bound).verdicts(0)
+    check = make_check("thm2", alphas=alphas, m=m, partitions=partitions, normalization=normalization)
+    return check.judgement(rho).verdicts(0)

@@ -52,9 +52,12 @@ def _check_indices(d: int, l: int, m: int) -> None:
         raise ValidationError(f"indices (l, m) = ({l}, {m}) out of range for d = {d}")
 
 
-def _check_choice(value: str, allowed: tuple[str, ...], what: str) -> None:
-    if value not in allowed:
-        raise ValidationError(f"unknown {what} {value!r}, expected one of {allowed}")
+def check_choice(value, allowed: tuple, what: str):
+    """The element of ``allowed`` equal to ``value``; raises ValidationError if there is none."""
+    try:
+        return allowed[allowed.index(value)]
+    except ValueError:  # not among them, or not comparable with them
+        raise ValidationError(f"unknown {what} {value!r}, expected one of {allowed}") from None
 
 
 def displacement(d: int, l: int, m: int) -> np.ndarray:
@@ -79,8 +82,8 @@ def observable(
     ``normalization="rescaled"`` the result carries an extra sqrt(2/d).
     """
     _check_indices(d, l, m)
-    _check_choice(normalization, NORMALIZATIONS, "normalization")
-    _check_choice(convention, CONVENTIONS, "convention")
+    check_choice(normalization, NORMALIZATIONS, "normalization")
+    check_choice(convention, CONVENTIONS, "convention")
     if (l, m) == (0, 0):
         return np.eye(d, dtype=complex)
     chi = (1 + 1j) / 2
@@ -128,8 +131,8 @@ class HWObservableBasis:
 def basis(d: int, normalization: str = "standard", convention: str = "symmetric") -> HWObservableBasis:
     """Full observable basis for dimension ``d`` in the canonical ordering."""
     _check_indices(d, 0, 0)
-    _check_choice(normalization, NORMALIZATIONS, "normalization")
-    _check_choice(convention, CONVENTIONS, "convention")
+    check_choice(normalization, NORMALIZATIONS, "normalization")
+    check_choice(convention, CONVENTIONS, "convention")
     return HWObservableBasis(
         dim=d,
         normalization=normalization,

@@ -7,7 +7,7 @@ bit-identical output across runs.
 A ``StateFamily`` is either affine, given by two endpoint states that are
 validated once (``horodecki_mix_family`` is one), or generator-only.  Scans
 of an affine family work on the endpoints alone; a generator-only family
-is scanned point by point.
+gives its states, one per point.
 """
 
 from __future__ import annotations

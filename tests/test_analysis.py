@@ -1,3 +1,5 @@
+import json
+import math
 import re
 
 import numpy as np
@@ -169,12 +171,20 @@ class TestAffineScan:
             res = scan_threshold(FAMILY, make_check(criterion, **params))
             assert res.evaluations >= 256
 
-    def test_plain_callable_is_scanned_point_by_point(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(states, "mix", lambda *args: calls.append(args) or mix(*args))
-        res = scan_threshold(FAMILY, lambda rho: HW_CHECK(rho))
-        assert len(calls) == res.evaluations
-        assert res == scan_threshold(FAMILY, HW_CHECK)
+    def test_plain_callable_is_a_validation_error(self):
+        for fam in (FAMILY, generator_copy(FAMILY)):
+            with pytest.raises(ValidationError, match="make_check"):
+                scan_threshold(fam, lambda rho: HW_CHECK(rho))
+
+    @pytest.mark.parametrize("later", [(4, 2), (2, 2)])
+    def test_family_whose_dims_change_is_a_validation_error(self, later):
+        # (2, 4) -> (4, 2) keeps ppt's 8x8 image shape, so only the dims show the change
+        first = DensityMatrix(np.eye(8) / 8, (2, 4))
+        then = DensityMatrix(np.eye(math.prod(later)) / math.prod(later), later)
+        fam = StateFamily("jump", generator=lambda x: first if x < 0.5 else then)
+        for check in (make_check("ppt"), HW_CHECK):
+            with pytest.raises(ValidationError, match="dims"):
+                scan_threshold(fam, check, grid_points=16)
 
     def test_malformed_family_is_a_validation_error(self):
         with pytest.raises(ValidationError):
@@ -328,6 +338,44 @@ def test_make_check_unknown_name():
 def test_make_check_names_missing_or_unknown_parameters(criterion, params, named):
     with pytest.raises(ValidationError, match=named):
         make_check(criterion, **params)
+
+
+@pytest.mark.parametrize(
+    "criterion,params,reported",
+    [
+        ("thm2", dict(alphas="11", m=1), None),
+        ("thm2", dict(alphas=None, m=1), None),
+        ("thm2", dict(alphas=5, m=1), None),
+        ("thm2", dict(alphas=["a", "b"], m=1), None),
+        ("thm2", dict(alphas=(1, 1), m=1, partitions=[[1.5]]), None),
+        ("thm2", dict(alphas=(1, 1), m=1, partitions=[1]), None),
+        ("thm2", dict(alphas=(1, 1), m=1, partitions=[[1, "a"]]), None),
+        ("thm2", dict(alphas=(1, 1), m=1, partitions=[[0]]), None),
+        ("thm2", dict(alphas=(1, np.nan), m=1), None),
+        ("hw", dict(alpha="x", beta=0.4, m=1), None),
+        ("hw", dict(alpha=None, beta=0.4, m=1), None),
+        ("hw", dict(alpha="0.5", beta=0.4, m=1), None),
+        ("isc", dict(alpha=0.5, beta=-1.0, m=1), None),
+        ("hw", dict(alpha=0.5, beta=0.4, m=1, normalization="gell-mann"), None),
+        ("ppt", dict(subsystem=3), None),
+        ("ppt", dict(subsystem=1.5), None),
+        ("ppt", dict(subsystem="1"), None),
+        ("ppt", dict(subsystem=None), None),
+        # whole numbers of any type are taken and reported as ints, as m is
+        ("ppt", dict(subsystem=2.0), {"subsystem": 2}),
+        ("ppt", dict(subsystem=np.int64(1)), {"subsystem": 1}),
+        ("thm2", dict(alphas=(1, 1), m=1, partitions=[[2.0, np.int64(2)]]), {"partition": [2]}),
+    ],
+)
+def test_make_check_parses_every_parameter_when_it_binds(criterion, params, reported):
+    if reported is None:
+        with pytest.raises(ValidationError):
+            make_check(criterion, **params)
+        return
+    v = make_check(criterion, **params)(ghz(2))
+    for key, value in reported.items():
+        assert v.params[key] == value
+        assert json.dumps(v.params[key]) == json.dumps(value)
 
 
 def test_make_check_accepts_every_optional_parameter():

@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from hwsep import ValidationError, basis, check_ppt, check_theorem1, decompose_bipartite, make_check
-from hwsep.cli import matrix_to_pairs, parse_state_json, run, state_to_json
+from hwsep import ValidationError, analysis, basis, check_ppt, check_theorem1, decompose_bipartite, make_check
+from hwsep.cli import build_parser, matrix_to_pairs, parse_state_json, run, state_to_json
+from hwsep.criteria import REGISTRY
 from hwsep.states import ghz, horodecki_2x4
 
 from reference_data import PRINTED_D3
@@ -120,6 +122,42 @@ def test_compare_csv(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("criterion,alpha,beta,m")
+
+
+def compare_rows(capsys, argv):
+    code = run(["compare", *argv, "--format", "csv", "--grid", "32"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+
+
+def test_compare_default_criteria(tmp_path, capsys):
+    family = ["--family", "horodecki-mix", "--b", "0.9"]
+    assert compare_rows(capsys, family) == ["vb", "lb", "ppt"]  # no weights: the parameter-free rows
+    assert compare_rows(capsys, ["--state", write_state(tmp_path, ghz(2))]) == ["vb", "lb", "ppt"]
+    weights = ["--alpha", "0.5", "--beta-sq", "2/11", "--m", "1"]
+    assert compare_rows(capsys, [*family, *weights]) == ["hw", "isc", "vb", "lb"]
+    with pytest.raises(SystemExit) as err:  # a weighted row named without weights
+        run(["compare", *family, "--criteria", "vb,hw"])
+    assert err.value.code == 2
+
+
+def test_every_command_reads_the_registry(tmp_path, capsys):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(command):
+        return next(a.choices for a in commands[command]._actions if "--criterion" in a.option_strings)
+
+    assert list(choices("scan")) == list(REGISTRY) == list(analysis.CRITERIA)
+    assert list(choices("check")) == [name for name in REGISTRY if name != "thm2"]
+    flags = ["--alpha", "0.5", "--beta", "0.4", "--m", "1", "--alphas", "1,1"]
+    state = ["--state", write_state(tmp_path, ghz(2))]
+    assert compare_rows(capsys, [*state, *flags, "--criteria", ",".join(REGISTRY)]) == list(REGISTRY)
+    samples = {"alpha": 0.5, "beta": 0.4, "m": 1, "alphas": (1.0, 1.0)}
+    for name, row in REGISTRY.items():
+        v = make_check(name, **{key: samples[key] for key in row.required})(ghz(2))
+        assert (v.criterion, list(v.params)) == (name, list(row.reported))
 
 
 def test_full_precision_output(tmp_path, capsys):
