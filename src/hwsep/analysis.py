@@ -13,6 +13,11 @@ generator-only family makes them as the images of its states.  The two
 give the same values up to rounding, so they make the same verdicts,
 evaluations and sign changes unless a point lies within rounding of the
 margin.  ``CRITERIA`` lists the names of ``criteria.REGISTRY``.
+
+``optimize_params`` judges its whole (m, alpha, beta) grid the same way:
+the state is decomposed once, each m's weighted tensors are built as one
+stack and judged in stacks of at most _STACK_ELEMS elements, and the best
+cell is the first maximum of value - bound in that order.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import csv
 import io
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -33,7 +39,7 @@ from .states import StateFamily
 
 CRITERIA = tuple(criteria.REGISTRY)
 
-# Largest number of array elements a scan stacks into one batch of images.
+# Largest number of array elements a scan or a grid search stacks into one batch of images.
 _STACK_ELEMS = 2**20
 
 
@@ -61,7 +67,8 @@ class ThresholdResult:
 def _image_source(family: StateFamily, check: criteria.Check):
     """(xs -> stack of the check's images of the family's states at xs, their bound, elements per image).
 
-    The states of a generator-only family must keep the dims they have at x = 0.
+    The states of a generator-only family must keep the dims they have at x = 0,
+    and its state at x = 0 is built once per scan.
     """
     if family.endpoints is not None:
         (image0, bound), (image1, _) = (check.linear(rho) for rho in family.endpoints)
@@ -74,11 +81,16 @@ def _image_source(family: StateFamily, check: criteria.Check):
         rho0 = family.state(0.0)
         image0, bound = check.linear(rho0)
 
-        def images(xs):
-            states = [family.state(x) for x in xs]
-            if any(rho.dims != rho0.dims for rho in states):
+        def image(x):
+            if x == 0.0:  # built above, to learn the bound and the image size
+                return image0
+            rho = family.state(x)
+            if rho.dims != rho0.dims:
                 raise ValidationError(f"family {family.name!r}: states change dims from {rho0.dims} at x = 0")
-            return np.stack([check.linear(rho)[0] for rho in states])
+            return check.linear(rho)[0]
+
+        def images(xs):
+            return np.stack([image(x) for x in xs])
 
     return images, bound, image0.size
 
@@ -182,25 +194,36 @@ def optimize_params(
 ) -> OptimizeResult:
     """Exhaustive grid search maximizing value - bound.
 
-    Ties are broken toward smaller m, then smaller alpha, then smaller beta
-    (the grids are swept in ascending order and only strict improvements are
-    kept).
+    Ties are broken toward smaller m, then smaller alpha, then smaller beta:
+    the grids are sorted ascending and the first maximum over the cells in C
+    order (m, alpha, beta) is kept.  The grid values are read as weights
+    before anything is built.  Each m's (alpha, beta) tensors are built as
+    one stack, bit-identical to ``criteria._weighted``'s copies, and judged
+    in stacks of at most _STACK_ELEMS elements.
     """
-    alpha_grid = sorted(float(a) for a in alpha_grid)
-    beta_grid = sorted(float(b) for b in beta_grid)
-    m_range = sorted(criteria.check_whole(m) for m in m_range)
-    if not alpha_grid or not beta_grid or not m_range:
+    alphas = sorted(bloch.check_weights(alpha_grid))
+    betas = sorted(bloch.check_weights(beta_grid))
+    ms = sorted(criteria.check_whole(m) for m in m_range)
+    if not alphas or not betas or not ms:
         raise ValidationError("optimize_params requires nonempty grids")
     dec = bloch.decompose_bipartite(rho, normalization)
-    best = None
-    for m in m_range:
-        for alpha in alpha_grid:
-            for beta in beta_grid:
-                s, bound = criteria._weighted(dec.tensor, dec.dims, (beta, alpha), m, normalization)
-                value = trace_norm(s)
-                if best is None or value - bound > best.violation:
-                    best = OptimizeResult(alpha, beta, m, value, bound, normalization)
-    return best
+    # the weights of cell (alpha_a, beta_b) of one m, in C order
+    col_w = np.repeat(alphas, len(betas))
+    row_w = np.tile(betas, len(alphas))
+    cells, chunk = len(row_w), max(1, _STACK_ELEMS // dec.tensor.size)
+    values = np.empty((len(ms), cells))
+    for i, m in enumerate(ms):
+        root = math.sqrt(m)
+        for start in range(0, cells, chunk):
+            rows, cols = root * row_w[start : start + chunk], root * col_w[start : start + chunk]
+            stack = np.broadcast_to(dec.tensor, (len(rows), *dec.tensor.shape)).copy()
+            stack[:, 0] *= rows[:, None]  # row 0, then column 0, as bloch.weighted scales them
+            stack[:, :, 0] *= cols[:, None]
+            values[i, start : start + chunk] = trace_norm(stack)
+    bounds = criteria.theorem2_bound(dec.dims, (row_w, col_w), np.array(ms)[:, None], normalization, np.sqrt)
+    i, cell = divmod(int(np.argmax(values - bounds)), cells)
+    a, b = divmod(cell, len(betas))
+    return OptimizeResult(alphas[a], betas[b], ms[i], float(values[i, cell]), float(bounds[i, cell]), normalization)
 
 
 @dataclass(frozen=True)
@@ -245,6 +268,13 @@ class ComparisonReport:
         return buf.getvalue()
 
 
+def _bind(spec) -> criteria.Check:
+    """``make_check(**spec)``; raises ValidationError naming a spec that is not a mapping with a "criterion" key."""
+    if not (isinstance(spec, Mapping) and "criterion" in spec and all(isinstance(key, str) for key in spec)):
+        raise ValidationError(f'each spec must be a mapping with a "criterion" key and text keys, got {spec!r}')
+    return make_check(**spec)
+
+
 def compare(subject, specs, grid_points: int = 256, tol: float = 1e-6) -> ComparisonReport:
     """Run several criteria against one family or one state.
 
@@ -253,7 +283,7 @@ def compare(subject, specs, grid_points: int = 256, tol: float = 1e-6) -> Compar
     bound before any is run.  Families are scanned for thresholds; single
     states are checked directly.
     """
-    checks = [make_check(**spec) for spec in specs]
+    checks = [_bind(spec) for spec in specs]
     if not checks:
         raise ValidationError("compare requires at least one criterion spec")
     rows = []

@@ -32,9 +32,11 @@ copies of one another, so the one-slot tensor with weights sqrt(m) alpha_k
 has the same trace norms, and m enters only through that rescaling and the
 bound.  A state is decomposed once; ``_weighted`` checks the weights (m
 comes checked by ``check_whole``), scales a copy's identity slots by sqrt(m)
-times the weights and returns it with ``theorem2_bound``.  The S rows and
-``optimize_params`` take the trace norm of the two-party copy,
-``check_theorem2`` that of each matricization of the N-party one.
+times the weights and returns it with ``theorem2_bound``.  The S rows take
+the trace norm of the two-party copy, ``check_theorem2`` that of each
+matricization of the N-party one.  ``analysis.optimize_params`` scales a
+stack of copies the same way, one copy per grid cell, and takes the bounds
+of the whole grid from ``theorem2_bound`` over arrays.
 
 Every criterion is a row of ``REGISTRY``, and ``make_check`` binds a name
 and parameters into its row's Check, reading each parameter with its one
@@ -260,16 +262,16 @@ def matricize(tensor: np.ndarray, parties) -> np.ndarray:
     return _unfold(tensor[None], *_split(parties, tensor.ndim))[0]
 
 
-def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> float:
+def theorem2_bound(dims, alphas, m: int, normalization: str = "standard", sqrt=math.sqrt) -> float | np.ndarray:
     """Fully-separable upper bound, prod_k sqrt(m alpha_k^2 + c_k^2 (d_k - 1)).
 
     c_k^2 is 1 in the standard normalization and d_k/2 in the rescaled one.
     Two parties with alphas (beta, alpha) give the bound on ||S^m_{alpha,beta}||_tr.
+    With ``sqrt=np.sqrt``, m and each alpha_k may be arrays, and the bound is
+    taken elementwise over their broadcast.
     """
     rescaled = _PARSERS["normalization"](normalization) == "rescaled"
-    return math.prod(
-        math.sqrt(m * a * a + (d / 2 if rescaled else 1) * (d - 1)) for d, a in zip(dims, alphas)
-    )
+    return math.prod(sqrt(m * a * a + (d / 2 if rescaled else 1) * (d - 1)) for d, a in zip(dims, alphas))
 
 
 def all_bipartitions(n: int) -> list[tuple[int, ...]]:

@@ -40,8 +40,8 @@ class SeparableEnsemble:
         for p, vecs in zip(self.weights, self.factors):
             psi = vecs[0]
             for v in vecs[1:]:
-                psi = np.kron(psi, v)
-            rho += p * np.outer(psi, psi.conj())
+                psi = (psi[:, None] * v).ravel()  # the Kronecker product of two vectors
+            rho += p * (psi[:, None] * psi.conj())
         return DensityMatrix(rho, self.dims)
 
 
@@ -147,16 +147,21 @@ def product(factors) -> DensityMatrix:
     return DensityMatrix(mat, dims)
 
 
-def _unit_vector(d: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+def _unit_vectors(draws: np.ndarray, dims) -> tuple[np.ndarray, ...]:
+    """One unit vector per party from a row of normal draws: d real parts, then d imaginary parts, per party."""
+    vecs, start = [], 0
+    for d in dims:
+        v = draws[start : start + d] + 1j * draws[start + d : start + 2 * d]
+        vecs.append(v / np.linalg.norm(v))
+        start += 2 * d
+    return tuple(vecs)
 
 
 def random_pure(d: int, seed) -> DensityMatrix:
     """Haar-random pure state as a density matrix."""
     if d < 2:
         raise ValidationError(f"dimension must be >= 2, got {d}")
-    v = _unit_vector(d, np.random.default_rng(seed))
+    (v,) = _unit_vectors(np.random.default_rng(seed).standard_normal(2 * d), (d,))
     return DensityMatrix(np.outer(v, v.conj()), (d,))
 
 
@@ -184,6 +189,7 @@ def random_separable(dims, k_terms: int, seed) -> tuple[SeparableEnsemble, Densi
     rng = np.random.default_rng(seed)
     weights = rng.exponential(size=k_terms)
     weights /= weights.sum()
-    factors = tuple(tuple(_unit_vector(d, rng) for d in dims) for _ in range(k_terms))
+    # every vector's draws in one call, in the order of one call per real or imaginary part
+    factors = tuple(_unit_vectors(row, dims) for row in rng.standard_normal((k_terms, 2 * sum(dims))))
     ensemble = SeparableEnsemble(dims=dims, weights=weights, factors=factors)
     return ensemble, ensemble.assemble()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwsep import DensityMatrix, ValidationError, analysis, compare, make_check, optimize_params, scan_threshold
-from hwsep import states
+from hwsep import bloch, criteria, states
+from hwsep.linalg import trace_norm
 from hwsep.states import (
     StateFamily,
     ghz,
@@ -190,6 +192,19 @@ class TestAffineScan:
         with pytest.raises(ValidationError):
             scan_threshold(StateFamily("x"), HW_CHECK)
 
+    @pytest.mark.parametrize("criterion,params", SCAN_SPECS)
+    def test_generator_builds_each_point_once(self, criterion, params):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return FAMILY.state(x)
+
+        check = make_check(criterion, **params)
+        res = scan_threshold(StateFamily(FAMILY.name, FAMILY.params, generator=counted), check)
+        assert len(calls) == len(set(calls)) == res.evaluations  # x = 0 once, not twice
+        assert res == scan_threshold(FAMILY, check)
+
 
 @st.composite
 def affine_pairs(draw):
@@ -279,6 +294,70 @@ class TestOptimizeParams:
         assert type(whole.m) is int
 
 
+def reference_optimize(rho, alpha_grid, beta_grid, m_range, normalization="standard"):
+    """The grid search one cell at a time, keeping strict improvements only."""
+    dec = bloch.decompose_bipartite(rho, normalization)
+    best = None
+    for m in sorted(m_range):
+        for alpha in sorted(alpha_grid):
+            for beta in sorted(beta_grid):
+                s, bound = criteria._weighted(dec.tensor, dec.dims, (beta, alpha), m, normalization)
+                value = trace_norm(s)
+                if best is None or value - bound > best.violation:
+                    best = analysis.OptimizeResult(alpha, beta, m, value, bound, normalization)
+    return best
+
+
+def bitwise(res):
+    """Every field of an OptimizeResult with its type and all its bits (repr tells -0.0 and np.float64 apart)."""
+    return [repr(value) for value in dataclasses.astuple(res)]
+
+
+def optimize_cases():
+    """Seeded states on 2x2, 2x4, 3x3 and 3x5, each with a seeded grid that repeats values."""
+    rng = np.random.default_rng(77)
+    for d1, d2 in ((2, 2), (2, 4), (3, 3), (3, 5)):
+        for seed in (1, 2):
+            rho = DensityMatrix(random_density(d1 * d2, 100 * d1 + 10 * d2 + seed).matrix, (d1, d2))
+            alphas = [float(a) for a in rng.uniform(0, 2, 4)] + [0.0, 1.0, 1.0]
+            betas = [float(b) for b in rng.uniform(0, 2, 3)] + [0.5, 0.0, 0.5]
+            yield pytest.param(rho, alphas, betas, id=f"{d1}x{d2}-{seed}")
+    rho = horodecki_mix_family(0.8615526620128123).state(0.42994869204783537)
+    yield pytest.param(rho, [0.7, 1.4, 0.7], [0.3, 0.6], id="equal-scaled-weights")  # ties m = 8 with m = 32
+    yield pytest.param(ghz(2), [0.0, 0.7], [0.7, 0.0, 0.0], id="bell")
+    yield pytest.param(FAMILY.state(0.25), [0.5, 0.0], [float(np.sqrt(2 / 11)), 0.0], id="family")
+
+
+M_RANGES = [(0,), (1, 2, 4, 8, 16, 32), (32, 3, 0, 8, 8, 1)]
+
+
+class TestStackedOptimize:
+    """optimize_params judges stacks of cells and gives the per-cell search's result, bit for bit."""
+
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    @pytest.mark.parametrize("rho,alphas,betas", list(optimize_cases()))
+    def test_matches_the_per_cell_search(self, rho, alphas, betas, normalization):
+        for m_range in M_RANGES:
+            got = optimize_params(rho, alphas, betas, m_range, normalization)
+            assert bitwise(got) == bitwise(reference_optimize(rho, alphas, betas, m_range, normalization))
+
+    @pytest.mark.parametrize("elems", [1, 3 * 64 + 1, 5 * 64])
+    def test_chunked_stacks_give_the_same_result(self, monkeypatch, elems):
+        cases = [(*case.values, range(33), norm) for case in optimize_cases() for norm in ("standard", "rescaled")]
+        whole = [optimize_params(*case) for case in cases]
+        monkeypatch.setattr(analysis, "_STACK_ELEMS", elems)  # one, three or five 2x4 cells per stack
+        for case, res in zip(cases, whole):
+            assert bitwise(optimize_params(*case)) == bitwise(res)
+
+    @pytest.mark.parametrize(
+        "grid", [[math.nan, 1.0], [1.0, math.inf], [-math.inf], [0.5, -0.1], ["0.5"], [0.5, None], 0.5]
+    )
+    def test_grids_are_read_as_weights(self, grid):
+        for alphas, betas in ((grid, [0.5]), ([0.5], grid)):
+            with pytest.raises(ValidationError, match="weights"):
+                optimize_params(ghz(2), alphas, betas, [1])
+
+
 class TestCompare:
     SPECS = [
         {"criterion": "hw", "alpha": 0.5, "beta": np.sqrt(2 / 11), "m": 1},
@@ -313,6 +392,12 @@ class TestCompare:
     def test_requires_specs(self):
         with pytest.raises(ValidationError):
             compare(ghz(2), [])
+
+    @pytest.mark.parametrize("spec", [{"alpha": 1}, "vb", None, ["vb"], {"criterion": "vb", 1: 2}])
+    def test_malformed_spec_is_a_validation_error(self, spec):
+        for subject in (ghz(2), FAMILY):
+            with pytest.raises(ValidationError, match=re.escape(repr(spec))):
+                compare(subject, [{"criterion": "vb"}, spec])
 
 
 def test_make_check_unknown_name():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,38 @@ class TestRandomStates:
     def test_separable_multipartite(self):
         _, rho = random_separable((2, 2, 2), 5, 4)
         assert rho.dims == (2, 2, 2)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
+    def test_separable_is_bit_identical_to_per_vector_draws(self, dims):
+        def per_vector(dims, k_terms, seed):
+            """One draw per real or imaginary part and a Kronecker-product loop."""
+            rng = np.random.default_rng(seed)
+            weights = rng.exponential(size=k_terms)
+            weights /= weights.sum()
+            factors = []
+            for _ in range(k_terms):
+                term = []
+                for d in dims:
+                    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                    term.append(v / np.linalg.norm(v))
+                factors.append(term)
+            rho = np.zeros((math.prod(dims),) * 2, dtype=complex)
+            for p, vecs in zip(weights, factors):
+                psi = vecs[0]
+                for v in vecs[1:]:
+                    psi = np.kron(psi, v)
+                rho += p * np.outer(psi, psi.conj())
+            return weights, factors, rho
+
+        for seed in range(200):
+            k_terms = 1 + seed % 20
+            ens, rho = random_separable(dims, k_terms, seed)
+            weights, factors, matrix = per_vector(dims, k_terms, seed)
+            assert np.array_equal(ens.weights, weights)
+            for term, expected in zip(ens.factors, factors, strict=True):
+                for v, w in zip(term, expected, strict=True):
+                    assert v.dtype == w.dtype and np.array_equal(v, w)
+            assert np.array_equal(rho.matrix, matrix)
 
     def test_separable_argument_validation(self):
         with pytest.raises(ValidationError):
