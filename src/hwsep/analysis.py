@@ -220,7 +220,7 @@ def optimize_params(
             stack[:, 0] *= rows[:, None]  # row 0, then column 0, as bloch.weighted scales them
             stack[:, :, 0] *= cols[:, None]
             values[i, start : start + chunk] = trace_norm(stack)
-    bounds = criteria.theorem2_bound(dec.dims, (row_w, col_w), np.array(ms)[:, None], normalization, np.sqrt)
+    bounds = criteria.theorem2_bound(dec.dims, (row_w, col_w), np.array(ms, dtype=float)[:, None], normalization)
     i, cell = divmod(int(np.argmax(values - bounds)), cells)
     a, b = divmod(cell, len(betas))
     return OptimizeResult(alphas[a], betas[b], ms[i], float(values[i, cell]), float(bounds[i, cell]), normalization)

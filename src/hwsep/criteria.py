@@ -135,7 +135,7 @@ def _weighted(tensor: np.ndarray, dims, weights, m: int, normalization: str) -> 
     weights = bloch.check_weights(weights, len(dims))
     root = math.sqrt(m)
     scaled = bloch.weighted(tensor, [root * w for w in weights])
-    return scaled, theorem2_bound(dims, weights, m, normalization)
+    return scaled, float(theorem2_bound(dims, weights, m, normalization))
 
 
 @dataclass(slots=True)
@@ -262,16 +262,17 @@ def matricize(tensor: np.ndarray, parties) -> np.ndarray:
     return _unfold(tensor[None], *_split(parties, tensor.ndim))[0]
 
 
-def theorem2_bound(dims, alphas, m: int, normalization: str = "standard", sqrt=math.sqrt) -> float | np.ndarray:
+def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> float | np.ndarray:
     """Fully-separable upper bound, prod_k sqrt(m alpha_k^2 + c_k^2 (d_k - 1)).
 
     c_k^2 is 1 in the standard normalization and d_k/2 in the rescaled one.
     Two parties with alphas (beta, alpha) give the bound on ||S^m_{alpha,beta}||_tr.
-    With ``sqrt=np.sqrt``, m and each alpha_k may be arrays, and the bound is
-    taken elementwise over their broadcast.
+    m and each alpha_k may be arrays; the bound is then taken elementwise over
+    their broadcast.
     """
     rescaled = _PARSERS["normalization"](normalization) == "rescaled"
-    return math.prod(sqrt(m * a * a + (d / 2 if rescaled else 1) * (d - 1)) for d, a in zip(dims, alphas))
+    # c_k^2 is a float, so whole-number m and weights past int64 reach np.sqrt as a float
+    return math.prod(np.sqrt(m * a * a + (d / 2 if rescaled else 1.0) * (d - 1)) for d, a in zip(dims, alphas))
 
 
 def all_bipartitions(n: int) -> list[tuple[int, ...]]:

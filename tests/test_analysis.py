@@ -328,7 +328,7 @@ def optimize_cases():
     yield pytest.param(FAMILY.state(0.25), [0.5, 0.0], [float(np.sqrt(2 / 11)), 0.0], id="family")
 
 
-M_RANGES = [(0,), (1, 2, 4, 8, 16, 32), (32, 3, 0, 8, 8, 1)]
+M_RANGES = [(0,), (1, 2, 4, 8, 16, 32), (32, 3, 0, 8, 8, 1), (3, 10**20, 2**64 + 1)]  # the last past int64
 
 
 class TestStackedOptimize:

@@ -120,6 +120,16 @@ class TestTheorem1Bound:
         with pytest.raises(ValidationError):
             theorem2_bound((2, 2), (1.0, 1.0), 1, "gell-mann")
 
+    def test_whole_numbers_past_int64(self):
+        assert theorem2_bound((2, 2), (1, 1), 2**70) == math.sqrt(2**70 + 1) ** 2
+
+    def test_arrays_give_the_scalar_bounds(self):
+        ms, alphas = np.array([[0.0], [3.0], [1e20]]), np.array([0.0, 0.5, 7.0])
+        got = theorem2_bound((3, 5), (alphas, 2 * alphas), ms, "rescaled")
+        for i, m in enumerate((0, 3, 10**20)):
+            for j, a in enumerate(alphas.tolist()):
+                assert got[i, j] == theorem2_bound((3, 5), (a, 2 * a), m, "rescaled")
+
 
 class TestCheckTheorem1:
     def test_detects_mixed_family_at_x03(self):
