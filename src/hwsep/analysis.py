@@ -15,9 +15,9 @@ evaluations and sign changes unless a point lies within rounding of the
 margin.  ``CRITERIA`` lists the names of ``criteria.REGISTRY``.
 
 ``optimize_params`` judges its whole (m, alpha, beta) grid the same way:
-the state is decomposed once, each m's weighted tensors are built as one
-stack and judged in stacks of at most _STACK_ELEMS elements, and the best
-cell is the first maximum of value - bound in that order.
+the state is decomposed once, and a cell's tensor depends only on its pair
+(sqrt(m) beta, sqrt(m) alpha), so one tensor per distinct pair is judged in
+stacks of at most _STACK_ELEMS elements; the best cell is the first maximum.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import csv
 import io
 import math
 import numbers
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -117,7 +117,7 @@ def scan_threshold(
     """
     if not isinstance(grid_points, numbers.Integral) or grid_points < 16:
         raise ValidationError(f"grid_points must be an integer >= 16, got {grid_points!r}")
-    if not (math.isfinite(tol) and tol >= 1e-8):
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 1e-8):
         raise ValidationError(f"tol must be finite and >= 1e-8, got {tol}")
     if not isinstance(check, criteria.Check):
         raise ValidationError(f"check must be a criteria.Check, as make_check returns, got {check!r}")
@@ -197,29 +197,35 @@ def optimize_params(
     Ties are broken toward smaller m, then smaller alpha, then smaller beta:
     the grids are sorted ascending and the first maximum over the cells in C
     order (m, alpha, beta) is kept.  The grid values are read as weights
-    before anything is built.  Each m's (alpha, beta) tensors are built as
-    one stack, bit-identical to ``criteria._weighted``'s copies, and judged
-    in stacks of at most _STACK_ELEMS elements.
+    before anything is built.  One tensor per distinct scaled pair, bit-identical
+    to ``criteria._weighted``'s copy, is judged; each cell keeps its own bound.
+    The tensors are judged in stacks of at most _STACK_ELEMS elements.
     """
     alphas = sorted(bloch.check_weights(alpha_grid))
     betas = sorted(bloch.check_weights(beta_grid))
+    if not isinstance(m_range, Iterable):
+        raise ValidationError(f"m_range must be a sequence of whole numbers, got {m_range!r}")
     ms = sorted(criteria.check_whole(m) for m in m_range)
     if not alphas or not betas or not ms:
         raise ValidationError("optimize_params requires nonempty grids")
     dec = bloch.decompose_bipartite(rho, normalization)
-    # the weights of cell (alpha_a, beta_b) of one m, in C order
+    # the weights of cell (alpha_a, beta_b) of one m, in C order, and of every cell scaled by its sqrt(m)
     col_w = np.repeat(alphas, len(betas))
     row_w = np.tile(betas, len(alphas))
+    roots = np.array([math.sqrt(m) for m in ms])[:, None]
+    scaled = np.stack((roots * row_w, roots * col_w), axis=-1).reshape(-1, 2)
+    # equal scaled pairs give equal tensors: one per distinct complex key, -0.0 (other bits than 0.0) keyed as -1
+    keys = np.where(np.signbit(scaled), -1.0, scaled).view(complex).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     cells, chunk = len(row_w), max(1, _STACK_ELEMS // dec.tensor.size)
-    values = np.empty((len(ms), cells))
-    for i, m in enumerate(ms):
-        root = math.sqrt(m)
-        for start in range(0, cells, chunk):
-            rows, cols = root * row_w[start : start + chunk], root * col_w[start : start + chunk]
-            stack = np.broadcast_to(dec.tensor, (len(rows), *dec.tensor.shape)).copy()
-            stack[:, 0] *= rows[:, None]  # row 0, then column 0, as bloch.weighted scales them
-            stack[:, :, 0] *= cols[:, None]
-            values[i, start : start + chunk] = trace_norm(stack)
+    values = np.empty(len(first))
+    for start in range(0, len(first), chunk):
+        rows, cols = scaled[first[start : start + chunk]].T
+        stack = np.broadcast_to(dec.tensor, (len(rows), *dec.tensor.shape)).copy()
+        stack[:, 0] *= rows[:, None]  # row 0, then column 0, as bloch.weighted scales them
+        stack[:, :, 0] *= cols[:, None]
+        values[start : start + chunk] = trace_norm(stack)
+    values = values[inverse].reshape(len(ms), cells)
     bounds = criteria.theorem2_bound(dec.dims, (row_w, col_w), np.array(ms, dtype=float)[:, None], normalization)
     i, cell = divmod(int(np.argmax(values - bounds)), cells)
     a, b = divmod(cell, len(betas))

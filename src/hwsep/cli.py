@@ -3,7 +3,7 @@
 State files are JSON: ``{"dims": [2, 4], "matrix": [[[re, im], ...], ...]}``
 with the matrix given row-major as [re, im] pairs.  All numeric output is
 emitted at full double precision.  Exit codes: 0 success, 2 usage error,
-3 validation error, 4 numerical failure.
+3 validation error, 4 numerical failure.  ``run`` reuses one parser per process.
 """
 
 from __future__ import annotations
@@ -330,8 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built on run's first call and reused; build_parser() makes a new one
+
+
 def run(argv) -> int:
-    parser = build_parser()
+    global _PARSER
+    parser = _PARSER = _PARSER or build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)

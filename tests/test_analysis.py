@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwsep import DensityMatrix, ValidationError, analysis, compare, make_check, optimize_params, scan_threshold
-from hwsep import bloch, criteria, states
+from hwsep import bloch, check_theorem1, cli, criteria, states
 from hwsep.linalg import trace_norm
 from hwsep.states import (
     StateFamily,
@@ -89,9 +89,11 @@ class TestScanThreshold:
         for grid_points in (16.5, 64.0, "64", None):
             with pytest.raises(ValidationError):
                 scan_threshold(FAMILY, HW_CHECK, grid_points=grid_points)
-        for tol in (1e-9, np.nan, np.inf):
-            with pytest.raises(ValidationError):
+        for tol in (1e-9, np.nan, np.inf, "1e-6", None):
+            with pytest.raises(ValidationError, match="tol"):
                 scan_threshold(FAMILY, HW_CHECK, tol=tol)
+            with pytest.raises(ValidationError, match="tol"):
+                compare(FAMILY, [{"criterion": "vb"}], tol=tol)
 
 
 def as_pair(matrix, d):
@@ -289,6 +291,9 @@ class TestOptimizeParams:
         for m in (1.5, -1, np.nan, np.inf):
             with pytest.raises(ValidationError):
                 optimize_params(ghz(2), [0.5], [0.5], [1, m])
+        for m_range in (3, None, 2.0):
+            with pytest.raises(ValidationError, match="m_range"):
+                optimize_params(ghz(2), [0.5], [0.5], m_range)
         whole = optimize_params(ghz(2), [0.5], [0.5], [2.0])
         assert whole == optimize_params(ghz(2), [0.5], [0.5], [2])
         assert type(whole.m) is int
@@ -326,6 +331,9 @@ def optimize_cases():
     yield pytest.param(rho, [0.7, 1.4, 0.7], [0.3, 0.6], id="equal-scaled-weights")  # ties m = 8 with m = 32
     yield pytest.param(ghz(2), [0.0, 0.7], [0.7, 0.0, 0.0], id="bell")
     yield pytest.param(FAMILY.state(0.25), [0.5, 0.0], [float(np.sqrt(2 / 11)), 0.0], id="family")
+    rho = DensityMatrix(random_density(8, 28).matrix, (2, 4))
+    yield pytest.param(rho, [-0.0, 0.5, 0.0, 0.5, -0.0], [0.0, -0.0, 1.0, 0.0], id="signed-zeros")  # with repeats
+    yield pytest.param(ghz(2), [0.0, -0.0], [-0.0, 0.0], id="signed-zeros-only")
 
 
 M_RANGES = [(0,), (1, 2, 4, 8, 16, 32), (32, 3, 0, 8, 8, 1), (3, 10**20, 2**64 + 1)]  # the last past int64
@@ -356,6 +364,63 @@ class TestStackedOptimize:
         for alphas, betas in ((grid, [0.5]), ([0.5], grid)):
             with pytest.raises(ValidationError, match="weights"):
                 optimize_params(ghz(2), alphas, betas, [1])
+
+
+class TestDistinctPairs:
+    """optimize_params judges one tensor per distinct scaled pair (sqrt(m) beta, sqrt(m) alpha)."""
+
+    @pytest.mark.parametrize("m_range,matrices", [("1,2,4,8,16,32", 1279), ("1,2,3", 766)])
+    def test_default_grids_judge_each_distinct_pair_once(self, tmp_path, capsys, monkeypatch, m_range, matrices):
+        judged = []
+        monkeypatch.setattr(analysis, "trace_norm", lambda stack: judged.append(len(stack)) or trace_norm(stack))
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(cli.state_to_json(FAMILY.state(0.25))))
+        assert cli.run(["optimize", "--state", str(path), "--m-range", m_range]) == 0  # the default 16x16 grids
+        assert sum(judged) == matrices
+        assert json.loads(capsys.readouterr().out)["m"] in (1, 2, 3, 4, 8, 16, 32)
+
+    def test_signed_zeros_are_judged_apart(self, monkeypatch):
+        judged = []
+        monkeypatch.setattr(analysis, "trace_norm", lambda stack: judged.append(len(stack)) or trace_norm(stack))
+        optimize_params(ghz(2), [0.0, -0.0, 0.0], [0.5, 0.5], [1, 4])
+        assert sum(judged) == 4  # (0.5, 0.0), (0.5, -0.0), (1.0, 0.0) and (1.0, -0.0)
+
+
+# Pure products of 5x7 at (alpha, beta) = (2, 3), m = 1, sit exactly on the bound (the S matrix has rank
+# one), so only rounding decides them.  On these 20 states, sum(sqrt(eigvalsh(S S^T))) came out up to
+# 4.9e-7 (standard) and 1.2e-6 (rescaled) above the bound, where the margin is 1e-9: a false ENTANGLED.
+# The SVD stayed within 2.2e-14 of the bound.  Any future trace-norm shortcut must pass these tests.
+PURE_PRODUCTS_5X7 = [product([random_pure(5, 2 * seed), random_pure(7, 2 * seed + 1)]) for seed in range(20)]
+
+
+def gram_trace_norm(stack):
+    """The pitfall: a trace norm from the eigenvalues of the Gram matrices S S^T."""
+    gram = np.linalg.eigvalsh(stack @ np.swapaxes(stack, -1, -2))
+    return np.sqrt(np.clip(gram, 0.0, None)).sum(axis=-1)
+
+
+def pure_product_outcomes(normalization):
+    """Per state: check_theorem1's verdict at (2, 3, 1), and whether optimize_params' best cell violates."""
+    for rho in PURE_PRODUCTS_5X7:
+        verdict = check_theorem1(rho, 2.0, 3.0, 1, normalization)
+        res = optimize_params(rho, [0.5, 2.0], [3.0, 1.0], [1], normalization)
+        yield verdict, res, criteria._violates(res.value, res.bound, 25 + 49)  # S is 25 x 49
+
+
+class TestTraceNormOnTheBound:
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    def test_pure_products_stay_inconclusive(self, normalization):
+        for verdict, res, violates in pure_product_outcomes(normalization):
+            assert verdict.verdict == criteria.INCONCLUSIVE
+            assert not criteria._violates(verdict.value, verdict.bound, 25 + 49)
+            assert not violates, res
+
+    def test_a_gram_trace_norm_fails_it(self, monkeypatch):
+        monkeypatch.setattr(criteria, "trace_norm", gram_trace_norm)
+        monkeypatch.setattr(analysis, "trace_norm", gram_trace_norm)
+        outcomes = list(pure_product_outcomes("standard"))
+        assert any(verdict.entangled for verdict, _, _ in outcomes)
+        assert any(violates for _, _, violates in outcomes)
 
 
 class TestCompare:

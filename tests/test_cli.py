@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hwsep import ValidationError, analysis, basis, check_ppt, check_theorem1, decompose_bipartite, make_check
+from hwsep import ValidationError, analysis, basis, check_ppt, check_theorem1, cli, decompose_bipartite, make_check
 from hwsep.cli import build_parser, matrix_to_pairs, parse_state_json, run, state_to_json
 from hwsep.criteria import REGISTRY
 from hwsep.states import ghz, horodecki_2x4
@@ -258,3 +258,45 @@ class TestExitCodes:
         path = tmp_path / "dims.json"
         path.write_text(json.dumps(doc))
         assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one ``run``, usage errors and --help included."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestSharedParser:
+    def test_run_builds_its_parser_once(self, tmp_path, capsys, monkeypatch):
+        builds = []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        monkeypatch.setattr(cli, "_PARSER", None)  # as in a new process
+        path = write_state(tmp_path, ghz(2))
+        for _ in range(4):
+            assert outcome(capsys, ["check", "--state", path, "--criterion", "ppt"])[0] == 0
+            assert outcome(capsys, ["check", "--state", path, "--criterion", "bogus"])[0] == 2
+        assert len(builds) == 1
+        assert build_parser() is not build_parser()  # the public builder still makes a new parser
+
+    def test_same_output_as_a_new_parser(self, tmp_path, capsys, monkeypatch):
+        path = write_state(tmp_path, horodecki_2x4(0.9))
+        commands = [
+            ["check", "--state", path, "--criterion", "hw"],  # usage error: no alpha, beta or m
+            ["state", "--name", "horodecki", "--b", "1.5"],  # validation error
+            ["--help"],
+            ["optimize", "--state", path, "--m-range", "1,2"],
+            ["check", "--state", path, "--criterion", "hw", "--alpha", "0.5", "--beta-sq", "2/11", "--m", "1"],
+            ["scan", "--family", "horodecki-mix", "--b", "0.9", "--criterion", "lb", "--grid", "16"],
+            ["optimize", "--state", path, "--alpha-grid", "x"],  # usage error after a parse that succeeded
+        ]
+        new = []
+        for argv in commands:
+            monkeypatch.setattr(cli, "_PARSER", None)  # each command on a parser of its own
+            new.append(outcome(capsys, argv))
+        assert [code for code, _, _ in new] == [2, 3, 0, 0, 0, 0, 2]
+        monkeypatch.setattr(cli, "_PARSER", None)
+        assert [outcome(capsys, argv) for argv in commands * 2] == new * 2  # one parser for all fourteen
