@@ -118,7 +118,7 @@ def scan_threshold(
     if not isinstance(grid_points, numbers.Integral) or grid_points < 16:
         raise ValidationError(f"grid_points must be an integer >= 16, got {grid_points!r}")
     if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 1e-8):
-        raise ValidationError(f"tol must be finite and >= 1e-8, got {tol}")
+        raise ValidationError(f"tol must be finite and >= 1e-8, got {tol!r}")
     if not isinstance(check, criteria.Check):
         raise ValidationError(f"check must be a criteria.Check, as make_check returns, got {check!r}")
 
