@@ -117,7 +117,7 @@ def scan_threshold(
     """
     if not isinstance(grid_points, numbers.Integral) or grid_points < 16:
         raise ValidationError(f"grid_points must be an integer >= 16, got {grid_points!r}")
-    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 1e-8):
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and math.isfinite(tol) and tol >= 1e-8):
         raise ValidationError(f"tol must be finite and >= 1e-8, got {tol!r}")
     if not isinstance(check, criteria.Check):
         raise ValidationError(f"check must be a criteria.Check, as make_check returns, got {check!r}")
@@ -198,7 +198,7 @@ def optimize_params(
     the grids are sorted ascending and the first maximum over the cells in C
     order (m, alpha, beta) is kept.  The grid values are read as weights
     before anything is built.  One tensor per distinct scaled pair, bit-identical
-    to ``criteria._weighted``'s copy, is judged; each cell keeps its own bound.
+    to the image the cell's ``hw`` TensorCheck makes, is judged; each cell keeps its own bound.
     The tensors are judged in stacks of at most _STACK_ELEMS elements.
     """
     alphas = sorted(bloch.check_weights(alpha_grid))

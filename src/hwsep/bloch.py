@@ -41,9 +41,9 @@ from .linalg import DensityMatrix
 
 
 def check_weight(weight) -> float:
-    """``weight`` as a float; raises ValidationError unless it is a finite, nonnegative real number."""
+    """``weight`` as a float; raises ValidationError unless it is a finite, nonnegative real number, not a bool."""
     # isinstance(weight, float) first: the numbers.Real check is slower, and most weights are floats
-    real = isinstance(weight, float) or isinstance(weight, numbers.Real)  # text is not
+    real = isinstance(weight, float) or (isinstance(weight, numbers.Real) and not isinstance(weight, bool))
     if not (real and weight >= 0 and math.isfinite(weight)):
         raise ValidationError(f"weights must be finite, nonnegative real numbers, got {weight!r}")
     return float(weight)

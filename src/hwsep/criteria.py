@@ -26,34 +26,35 @@ then the basis slots); for fully separable states every bipartition obeys
 
 with c_k^2 = 1 (standard) or d_k/2 (rescaled).  Theorem 1 is its two-party
 case: S^m_{alpha,beta} is W with weights (beta, alpha), and the bound above
-is ``theorem2_bound(dims, (beta, alpha), m, normalization)``.  So both run
+is ``theorem2_bound(dims, (beta, alpha), m, normalization)``, so both run
 on one kernel, ``bloch``'s coefficient tensor.  The m identity slots are
-copies of one another, so the one-slot tensor with weights sqrt(m) alpha_k
-has the same trace norms, and m enters only through that rescaling and the
-bound.  A state is decomposed once; ``_weighted`` checks the weights (m
-comes checked by ``check_whole``), scales a copy's identity slots by sqrt(m)
-times the weights and returns it with ``theorem2_bound``.  The S rows take
-the trace norm of the two-party copy, ``check_theorem2`` that of each
-matricization of the N-party one.  ``analysis.optimize_params`` scales a
-stack of copies the same way, one copy per grid cell, and takes the bounds
-of the whole grid from ``theorem2_bound`` over arrays.
+copies of one another: the one-slot tensor with weights sqrt(m) alpha_k
+has the same trace norms, so m enters only through that rescaling and the
+bound.  ``TensorCheck.linear`` scales a copy's identity slots that way and
+returns it with ``theorem2_bound``; ``analysis.optimize_params`` scales a
+stack of copies, one per grid cell, and bounds them with one
+``theorem2_bound``.
 
-Every criterion is a row of ``REGISTRY``, and ``make_check`` binds a name
-and parameters into its row's Check, reading each parameter with its one
-parser.  The S rows run on that kernel:
+Every criterion is a row of ``REGISTRY``; ``make_check`` binds a name and
+parameters into its row's Check, reading each parameter with its one
+parser.  A Check maps a state to an image that is linear in rho
+(``linear``) and decides a stack of images in one batch (``judge``) under
+the margin rule below; a single verdict judges a stack of one.  Every
+trace-norm row is one ``TensorCheck``: the weighted tensor of a state with
+one party per weight, judged by one stacked SVD per bipartition.  The rows
+differ only in data (which parameters become the weights, which
+bipartitions are judged, which keys a verdict reports).  The S rows are
+two-party ``thm2`` rows with weights (beta, alpha) and the one bipartition:
 
 * ``hw``  - caller's (alpha, beta, m) and normalization (``check_theorem1``).
 * ``isc`` - rescaled, caller's (alpha, beta, m), m >= 1.
 * ``vb``  - correlation matrix only: rescaled, alpha = beta = m = 0.
 * ``lb``  - rescaled with m = 1, alpha = beta = 1.
 
-``ppt`` tests positivity of the partial transpose (independent of the
-Bloch machinery; detects nothing on bound entangled states), and ``thm2``
-is the multipartite criterion.  A Check is a map ``linear`` from the state
-to an image that is linear in rho (the weighted coefficient tensor, or the
-partial transpose) and a ``judge`` that decides a stack of images in one
-batch (one stacked SVD per matricization, or one stacked eigvalsh) under
-the margin rule below; a single verdict judges a stack of one.
+``thm2`` takes two or more weights, ``alphas``, and judges the caller's
+partitions or every distinct one.  ``ppt`` judges the partial transpose of
+a two-party state by one stacked eigvalsh (independent of the Bloch
+machinery; detects nothing on bound entangled states).
 
 A verdict is ENTANGLED only when value > bound + margin, where the margin
 is max(VIOLATION_EPS, n eps_mach max(bound, value)) and n is the sum of the
@@ -70,7 +71,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -109,16 +112,10 @@ def _violates(value, bound, n, maximum=max):
     return value > bound + maximum(VIOLATION_EPS, n * _EPS_MACH * maximum(bound, value))
 
 
-def _verdict(criterion: str, value: float, bound: float, params: dict, n: int = 1) -> CriterionVerdict:
-    """Verdict with the margin for a trace norm of a matrix whose two dimensions sum to ``n``."""
-    flag = ENTANGLED if _violates(value, bound, n) else INCONCLUSIVE
-    return CriterionVerdict(criterion, float(value), float(bound), flag, params)
-
-
 def check_whole(value, minimum: int = 0, name: str = "m") -> int:
-    """``value`` as an int; raises ValidationError unless it is a finite whole number >= ``minimum``."""
+    """``value`` as an int; raises ValidationError unless it is a finite whole number >= ``minimum`` (not a bool)."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):  # None, text, NaN, infinities
         whole = None
     if whole is None or whole != value or whole < minimum:
@@ -126,26 +123,14 @@ def check_whole(value, minimum: int = 0, name: str = "m") -> int:
     return whole
 
 
-def _weighted(tensor: np.ndarray, dims, weights, m: int, normalization: str) -> tuple[np.ndarray, float]:
-    """The coefficient tensor with identity slot k scaled by sqrt(m) weights[k], and its separable bound.
-
-    Two parties with weights (beta, alpha) give S^m_{alpha,beta} and theorem 1's bound.  The
-    weights are checked here; m comes from ``check_whole``.
-    """
-    weights = bloch.check_weights(weights, len(dims))
-    root = math.sqrt(m)
-    scaled = bloch.weighted(tensor, [root * w for w in weights])
-    return scaled, float(theorem2_bound(dims, weights, m, normalization))
-
-
 @dataclass(slots=True)
 class Judgement:
     """Trace norms (or ppt values) of a stack of images against their bound.
 
     Row i of ``values`` belongs to image i of the stack and column j to the
-    matricization ``columns[j]`` (a bipartition for thm2, None otherwise),
-    whose two dimensions sum to ``sizes[j]`` (1 for ppt).  An image's
-    verdict is that of its worst column, the first largest value - bound.
+    matricization ``columns[j]`` (a bipartition, or None for ppt), whose two
+    dimensions sum to ``sizes[j]`` (1 for ppt).  An image's verdict is that
+    of its worst column, the first largest value - bound.
     """
 
     check: Check
@@ -166,8 +151,10 @@ class Judgement:
         return _violates(values, self.bound, np.asarray(self.sizes)[worst], np.maximum)
 
     def _column_verdict(self, value: float, j: int) -> CriterionVerdict:
-        check = self.check
-        return _verdict(check.row.name, value, self.bound, check.params(self.columns[j]), self.sizes[j])
+        """The verdict on ``value`` in column j, with the margin for its matrix."""
+        check, bound = self.check, float(self.bound)
+        flag = ENTANGLED if _violates(value, bound, self.sizes[j]) else INCONCLUSIVE
+        return CriterionVerdict(check.row.name, float(value), bound, flag, check.params(self.columns[j]))
 
     def verdicts(self, i: int) -> list[CriterionVerdict]:
         """One verdict per column for image ``i``."""
@@ -183,14 +170,21 @@ class Judgement:
 class Check:
     """A criterion's row with its parameters bound, as a linear image of the state and a judge.
 
-    A subclass holds the row's parameters as fields.  ``linear(rho)``
-    validates rho and returns its image, linear in rho, with the separable
-    bound; ``judge(images, bound)`` decides a stack of images (axis 0) in one
-    batch, as a Judgement; ``params(column)`` is what a verdict on one of
-    its columns reports, the row's ``reported`` fields.
+    ``reported`` maps the row's reported keys, in order, to their bound
+    values ("partition" to None).  ``linear(rho)`` validates rho and returns
+    its image, linear in rho, with the separable bound; ``judge(images,
+    bound)`` decides a stack of images (axis 0) in one batch, as a
+    Judgement; ``params(column)`` is what a verdict on one of its columns
+    reports.  ``bind`` makes a Check from a row and its parsed parameters.
     """
 
     row: Criterion
+    reported: dict
+
+    @classmethod
+    def bind(cls, row: Criterion, reported: dict, values: dict) -> Check:
+        """The Check of ``row`` at its parsed parameters ``values``; a subclass takes its fields from them."""
+        return cls(row, reported)
 
     def judgement(self, rho: DensityMatrix) -> Judgement:
         """The judgement of rho's image alone, a stack of one."""
@@ -201,55 +195,88 @@ class Check:
         return self.judgement(rho).verdict(0)
 
     def params(self, column) -> dict:
-        return {key: getattr(self, key) for key in self.row.reported}
+        """``reported`` with each list copied, and the bipartition ``column`` as its partition if it has one."""
+        params = {key: value[:] if type(value) is list else value for key, value in self.reported.items()}
+        if "partition" in params:
+            params["partition"] = list(column)
+        return params
+
+    def _require_parties(self, rho: DensityMatrix, n: int) -> None:
+        """The party-count contract of every criterion: rho must have ``n`` parties."""
+        if rho.n_parties != n:
+            raise ValidationError(f"criterion {self.row.name} needs a state of {n} parties, got dims {rho.dims}")
 
 
 @dataclass(slots=True)
-class RowCheck(Check):
-    """An S row at given parameters: the weighted two-party tensor and its trace norm."""
+class TensorCheck(Check):
+    """A trace-norm row at given parameters: the weighted coefficient tensor, judged per bipartition.
 
-    alpha: float
-    beta: float
+    ``weights`` holds one weight per party; ``partitions`` holds sorted
+    1-based party subsets, or None for all distinct bipartitions.
+    """
+
+    weights: tuple
     m: int
+    partitions: tuple | None
     normalization: str
 
+    @classmethod
+    def bind(cls, row: Criterion, reported: dict, values: dict) -> Check:
+        weights = tuple(row.weights(values))
+        if len(weights) < 2:
+            raise ValidationError(f"criterion {row.name} needs one weight per party, two or more, got {weights}")
+        return cls(row, reported, weights, values["m"], values["partitions"], values["normalization"])
+
     def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
-        dec = bloch.decompose_bipartite(rho, self.normalization)
-        return _weighted(dec.tensor, dec.dims, (self.beta, self.alpha), self.m, self.normalization)
+        """The tensor with identity slot k scaled by sqrt(m) weights[k], and its separable bound."""
+        self._require_parties(rho, len(self.weights))
+        if rho.n_parties == 2:  # through the public decomposition, which perfbench counts
+            tensor = bloch.decompose_bipartite(rho, self.normalization).tensor
+        else:
+            tensor = bloch._coefficients(rho, self.normalization)
+        root = math.sqrt(self.m)
+        scaled = bloch.weighted(tensor, [root * w for w in self.weights])
+        return scaled, float(theorem2_bound(rho.dims, self.weights, self.m, self.normalization))
 
     def judge(self, images: np.ndarray, bound: float) -> Judgement:
-        return Judgement(self, trace_norm(images)[:, None], bound, (sum(images.shape[1:]),))
+        columns, shapes, sizes = _plan(images.shape[1:], self.partitions)
+        values = np.empty((len(images), len(columns)))
+        for j, (order, shape) in enumerate(shapes):
+            values[:, j] = trace_norm(images.transpose(order).reshape(len(images), *shape))
+        return Judgement(self, values, bound, sizes, columns)
 
 
 @dataclass(slots=True)
 class PPTCheck(Check):
     """Positive-partial-transpose test as a Check: the partial transpose, judged by -(min eigenvalue)."""
 
-    subsystem: int
-
     def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
-        return partial_transpose(rho, self.subsystem), 0.0
+        self._require_parties(rho, 2)
+        return partial_transpose(rho, self.reported["subsystem"]), 0.0
 
     def judge(self, images: np.ndarray, bound: float) -> Judgement:
         return Judgement(self, -eig_hermitian(images)[:, :1], bound, (1,))
 
 
-def _split(parties, n: int) -> tuple[list[int], list[int]]:
-    """0-based row and column axes of the A|A-bar matricization of an N-way tensor."""
-    a = sorted(set(int(p) for p in parties))
-    if not a or len(a) == n:
-        raise ValidationError("parties must be a nonempty proper subset of 1..N")
-    if a[0] < 1 or a[-1] > n:
-        raise ValidationError(f"party indices must lie in 1..{n}, got {a}")
-    rows = [p - 1 for p in a]
-    return rows, [k for k in range(n) if k not in rows]
+@lru_cache(maxsize=256)
+def _plan(shape: tuple, partitions: tuple | None) -> tuple[tuple, tuple, tuple]:
+    """How a stack (axis 0) of tensors of ``shape`` is matricized for ``partitions`` (None: every bipartition).
 
-
-def _unfold(stack: np.ndarray, rows, cols) -> np.ndarray:
-    """Each N-way tensor of a stack (axis 0) as a matrix over the row and column axes."""
-    shape = stack.shape[1:]
-    perm = stack.transpose([0, *(k + 1 for k in rows), *(k + 1 for k in cols)])
-    return perm.reshape(len(stack), math.prod(shape[k] for k in rows), -1)
+    Returns the bipartitions; for each, the axis order that puts the stack
+    axis and then its 1-based row parties first, and the matrix shape; and
+    the sum of each matrix's two dimensions.
+    """
+    n = len(shape)
+    columns, shapes = partitions or tuple(all_bipartitions(n)), []
+    for part in columns:
+        a = sorted(set(int(p) for p in part))
+        if not a or len(a) == n:
+            raise ValidationError("parties must be a nonempty proper subset of 1..N")
+        if a[0] < 1 or a[-1] > n:
+            raise ValidationError(f"party indices must lie in 1..{n}, got {a}")
+        rows = math.prod(shape[p - 1] for p in a)
+        shapes.append(((0, *a, *(k for k in range(1, n + 1) if k not in a)), (rows, math.prod(shape) // rows)))
+    return columns, tuple(shapes), tuple(sum(matrix) for _, matrix in shapes)
 
 
 def matricize(tensor: np.ndarray, parties) -> np.ndarray:
@@ -259,7 +286,8 @@ def matricize(tensor: np.ndarray, parties) -> np.ndarray:
     and column multi-indices are composed in row-major order over ascending
     party index.
     """
-    return _unfold(tensor[None], *_split(parties, tensor.ndim))[0]
+    _, ((order, shape),), _ = _plan(tensor.shape, (tuple(parties),))
+    return tensor[None].transpose(order).reshape(shape)
 
 
 def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> float | np.ndarray:
@@ -277,46 +305,7 @@ def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> flo
 
 def all_bipartitions(n: int) -> list[tuple[int, ...]]:
     """The 2^(n-1) - 1 distinct bipartitions, as the 1-based subset containing party 1."""
-    out = []
-    rest = range(2, n + 1)
-    for k in range(0, n - 1):
-        for combo in combinations(rest, k):
-            out.append((1, *combo))
-    return out
-
-
-@dataclass(slots=True)
-class Theorem2Check(Check):
-    """The multipartite criterion as a Check: the weighted N-party tensor, judged per bipartition.
-
-    ``partitions`` holds sorted 1-based party subsets, or None for all distinct bipartitions.
-    """
-
-    alphas: tuple
-    m: int
-    partitions: tuple | None
-    normalization: str
-
-    def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
-        if rho.n_parties < 2:
-            raise ValidationError("check_theorem2 requires at least two parties")
-        w = bloch._coefficients(rho, self.normalization)
-        return _weighted(w, rho.dims, self.alphas, self.m, self.normalization)
-
-    def judge(self, images: np.ndarray, bound: float) -> Judgement:
-        n = images.ndim - 1
-        parts = self.partitions or tuple(all_bipartitions(n))
-        values, sizes = [], []
-        for part in parts:
-            mats = _unfold(images, *_split(part, n))
-            values.append(trace_norm(mats))
-            sizes.append(sum(mats.shape[1:]))
-        return Judgement(self, np.stack(values, axis=1), bound, tuple(sizes), parts)
-
-    def params(self, part) -> dict:
-        given = {"alphas": list(self.alphas), "m": self.m, "partition": list(part)}
-        given["normalization"] = self.normalization
-        return {key: given[key] for key in self.row.reported}
+    return [(1, *combo) for k in range(n - 1) for combo in combinations(range(2, n + 1), k)]
 
 
 @dataclass(frozen=True)
@@ -325,12 +314,13 @@ class Criterion:
 
     A caller must give the ``required`` parameters and may give the
     ``optional`` ones, each read by its parser in ``_PARSERS``; ``defaults``
-    holds the other fields of ``check``, fixed values included.  ``min_m``
-    is the smallest m the criterion accepts.
+    holds the other values the Check is bound from, fixed values included.
+    ``min_m`` is the smallest m the criterion accepts.
     """
 
     name: str
     check: type
+    weights: itemgetter | None  # picks a TensorCheck's weights, one per party, from its bound values
     reported: tuple[str, ...]
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
@@ -355,31 +345,37 @@ def _partitions(partitions) -> tuple | None:
 _PARSERS = {
     "alpha": bloch.check_weight,
     "beta": bloch.check_weight,
-    "alphas": bloch.check_weights,
+    "alphas": lambda value: list(bloch.check_weights(value)),
     "partitions": _partitions,
     "subsystem": lambda value: hw_basis.check_choice(value, (1, 2), "subsystem"),
     "normalization": lambda value: hw_basis.check_choice(value, hw_basis.NORMALIZATIONS, "normalization"),
 }
 
+# An S row is the two-party tensor with weights (beta, alpha), judged on its one bipartition.
 _S_PARAMS = ("alpha", "beta", "m")
 _S_REPORTED = (*_S_PARAMS, "normalization")
-_RESCALED = {"normalization": "rescaled"}
+_S_WEIGHTS = itemgetter("beta", "alpha")
+_STANDARD = {"partitions": ((1,),), "normalization": "standard"}
+_RESCALED = dict(_STANDARD, normalization="rescaled")
 
 REGISTRY = {
     row.name: row
     for row in (
-        Criterion("hw", RowCheck, _S_REPORTED, _S_PARAMS, ("normalization",), {"normalization": "standard"}),
-        Criterion("isc", RowCheck, _S_REPORTED, _S_PARAMS, defaults=_RESCALED, min_m=1),
-        Criterion("vb", RowCheck, ("m", "normalization"), defaults=dict(_RESCALED, alpha=0.0, beta=0.0, m=0)),
-        Criterion("lb", RowCheck, _S_REPORTED, defaults=dict(_RESCALED, alpha=1.0, beta=1.0, m=1)),
-        Criterion("ppt", PPTCheck, ("subsystem",), optional=("subsystem",), defaults={"subsystem": 2}),
+        Criterion("hw", TensorCheck, _S_WEIGHTS, _S_REPORTED, _S_PARAMS, ("normalization",), _STANDARD),
+        Criterion("isc", TensorCheck, _S_WEIGHTS, _S_REPORTED, _S_PARAMS, defaults=_RESCALED, min_m=1),
+        Criterion(
+            "vb", TensorCheck, _S_WEIGHTS, ("m", "normalization"), defaults=dict(_RESCALED, alpha=0.0, beta=0.0, m=0)
+        ),
+        Criterion("lb", TensorCheck, _S_WEIGHTS, _S_REPORTED, defaults=dict(_RESCALED, alpha=1.0, beta=1.0, m=1)),
+        Criterion("ppt", PPTCheck, None, ("subsystem",), optional=("subsystem",), defaults={"subsystem": 2}),
         Criterion(
             "thm2",
-            Theorem2Check,
+            TensorCheck,
+            itemgetter("alphas"),
             ("alphas", "m", "partition", "normalization"),
             ("alphas", "m"),
             ("partitions", "normalization"),
-            {"partitions": None, "normalization": "standard"},
+            dict(_STANDARD, partitions=None),
             min_m=1,
         ),
     )
@@ -403,7 +399,7 @@ def make_check(criterion: str, **params) -> Check:
     values = dict(row.defaults)
     for key, value in params.items():
         values[key] = check_whole(value, row.min_m) if key == "m" else _PARSERS[key](value)
-    return row.check(row, **values)
+    return row.check.bind(row, {key: values.get(key) for key in row.reported}, values)
 
 
 def check_theorem1(

@@ -53,11 +53,13 @@ def _check_indices(d: int, l: int, m: int) -> None:
 
 
 def check_choice(value, allowed: tuple, what: str):
-    """The element of ``allowed`` equal to ``value``; raises ValidationError if there is none."""
-    try:
-        return allowed[allowed.index(value)]
-    except ValueError:  # not among them, or not comparable with them
-        raise ValidationError(f"unknown {what} {value!r}, expected one of {allowed}") from None
+    """The element of ``allowed`` equal to ``value``; raises ValidationError if there is none (a bool is none)."""
+    if not isinstance(value, (bool, np.bool_)):  # True == 1, but a flag is not an index
+        try:
+            return allowed[allowed.index(value)]
+        except ValueError:  # not among them, or not comparable with them
+            pass
+    raise ValidationError(f"unknown {what} {value!r}, expected one of {allowed}")
 
 
 def displacement(d: int, l: int, m: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwsep import DensityMatrix, ValidationError, analysis, compare, make_check, optimize_params, scan_threshold
-from hwsep import bloch, check_theorem1, cli, criteria, states
+from hwsep import check_theorem1, cli, criteria, states
 from hwsep.linalg import trace_norm
 from hwsep.states import (
     StateFamily,
@@ -89,7 +89,7 @@ class TestScanThreshold:
         for grid_points in (16.5, 64.0, "64", None):
             with pytest.raises(ValidationError):
                 scan_threshold(FAMILY, HW_CHECK, grid_points=grid_points)
-        for tol in (1e-9, np.nan, np.inf, "1e-6", None):
+        for tol in (1e-9, np.nan, np.inf, "1e-6", None, True):  # True == 1.0, but a flag is not a tolerance
             with pytest.raises(ValidationError, match="tol"):
                 scan_threshold(FAMILY, HW_CHECK, tol=tol)
             with pytest.raises(ValidationError, match="tol"):
@@ -288,7 +288,7 @@ class TestOptimizeParams:
             optimize_params(ghz(2), [], [1.0], [1])
 
     def test_m_range_takes_whole_numbers_only(self):
-        for m in (1.5, -1, np.nan, np.inf):
+        for m in (1.5, -1, np.nan, np.inf, True):
             with pytest.raises(ValidationError):
                 optimize_params(ghz(2), [0.5], [0.5], [1, m])
         for m_range in (3, None, 2.0):
@@ -301,12 +301,11 @@ class TestOptimizeParams:
 
 def reference_optimize(rho, alpha_grid, beta_grid, m_range, normalization="standard"):
     """The grid search one cell at a time, keeping strict improvements only."""
-    dec = bloch.decompose_bipartite(rho, normalization)
     best = None
     for m in sorted(m_range):
         for alpha in sorted(alpha_grid):
             for beta in sorted(beta_grid):
-                s, bound = criteria._weighted(dec.tensor, dec.dims, (beta, alpha), m, normalization)
+                s, bound = make_check("hw", alpha=alpha, beta=beta, m=m, normalization=normalization).linear(rho)
                 value = trace_norm(s)
                 if best is None or value - bound > best.violation:
                     best = analysis.OptimizeResult(alpha, beta, m, value, bound, normalization)
@@ -358,7 +357,7 @@ class TestStackedOptimize:
             assert bitwise(optimize_params(*case)) == bitwise(res)
 
     @pytest.mark.parametrize(
-        "grid", [[math.nan, 1.0], [1.0, math.inf], [-math.inf], [0.5, -0.1], ["0.5"], [0.5, None], 0.5]
+        "grid", [[math.nan, 1.0], [1.0, math.inf], [-math.inf], [0.5, -0.1], ["0.5"], [0.5, None], 0.5, [0.5, True]]
     )
     def test_grids_are_read_as_weights(self, grid):
         for alphas, betas in ((grid, [0.5]), ([0.5], grid)):
@@ -515,6 +514,13 @@ def test_make_check_names_missing_or_unknown_parameters(criterion, params, named
         ("ppt", dict(subsystem=2.0), {"subsystem": 2}),
         ("ppt", dict(subsystem=np.int64(1)), {"subsystem": 1}),
         ("thm2", dict(alphas=(1, 1), m=1, partitions=[[2.0, np.int64(2)]]), {"partition": [2]}),
+        # a bool is not a number, though True == 1
+        ("hw", dict(alpha=True, beta=0.4, m=1), None),
+        ("hw", dict(alpha=0.5, beta=False, m=1), None),
+        ("hw", dict(alpha=0.5, beta=0.4, m=True), None),
+        ("thm2", dict(alphas=(1, True), m=1), None),
+        ("thm2", dict(alphas=(1, 1), m=1, partitions=[[True]]), None),
+        ("ppt", dict(subsystem=True), None),
     ],
 )
 def test_make_check_parses_every_parameter_when_it_binds(criterion, params, reported):
@@ -537,7 +543,7 @@ def test_make_check_accepts_every_optional_parameter():
     assert v.params["normalization"] == "rescaled"
 
 
-@pytest.mark.parametrize("m", [1.5, 0.5, np.nan, np.inf, -np.inf, -1, "1"])
+@pytest.mark.parametrize("m", [1.5, 0.5, np.nan, np.inf, -np.inf, -1, "1", True, np.True_])
 def test_m_must_be_a_finite_whole_number(m):
     from hwsep import check_theorem1, check_theorem2
 

@@ -218,6 +218,6 @@ class TestCoefficientTensor:
             build_W(rho, (1.0,))  # wrong number of alphas
         with pytest.raises(ValidationError):
             build_W(rho, (1.0, -0.5))  # negative alpha
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValidationError):
+        for bad in (np.nan, np.inf, -np.inf, True):
+            with pytest.raises(ValidationError, match="weights"):
                 build_W(rho, (1.0, bad))

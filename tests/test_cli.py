@@ -249,6 +249,14 @@ class TestExitCodes:
         assert "dimension >= 2" in capsys.readouterr().err
         assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 0  # ppt needs no Bloch data
 
+    @pytest.mark.parametrize(
+        "argv", [["--criterion", "vb"], ["--criterion", "hw", "--alpha", "1", "--beta", "1", "--m", "1"]]
+    )
+    def test_validation_error_two_party_row_on_three_parties(self, tmp_path, capsys, argv):
+        path = write_state(tmp_path, ghz(3))
+        assert run(["check", "--state", path, *argv]) == 3
+        assert f"criterion {argv[1]} needs a state of 2 parties" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dims", ["24", [2.0, 4.0], [2, "4"], [True, 4], {"a": 2}])
     def test_validation_error_dims_not_a_list_of_integers(self, tmp_path, capsys, dims):
         doc = state_to_json(horodecki_2x4(0.9))

@@ -327,14 +327,22 @@ class TestTheorem2:
             assert not v.entangled
 
     def test_matches_theorem1_for_two_parties(self):
-        for seed in range(10):
-            rho = as_dm(random_density(8, seed).matrix, (2, 4))
-            alpha, beta, m = 0.6, 1.2, 2
-            v2 = check_theorem2(rho, (beta, alpha), m)[0]
-            v1 = check_theorem1(rho, alpha, beta, m)
-            assert v2.value == pytest.approx(v1.value, abs=1e-10)
-            assert v2.bound == pytest.approx(v1.bound, abs=1e-10)
-            assert v2.verdict == v1.verdict
+        # every S row is thm2 on two parties with weights (beta, alpha), to the last bit
+        rows = [
+            ("hw", dict(alpha=0.6, beta=1.2, m=2), (1.2, 0.6), 2, "standard"),
+            ("hw", dict(alpha=0.6, beta=1.2, m=2, normalization="rescaled"), (1.2, 0.6), 2, "rescaled"),
+            ("isc", dict(alpha=0.9, beta=0.4, m=3), (0.4, 0.9), 3, "rescaled"),
+            ("vb", {}, (0.0, 0.0), 1, "rescaled"),  # zero weights: m = 0 and m = 1 give the same tensor and bound
+            ("lb", {}, (1.0, 1.0), 1, "rescaled"),
+        ]
+        states = [as_dm(random_density(8, seed).matrix, (2, 4)) for seed in range(10)]
+        states += [as_dm(random_density(9, 77).matrix, (3, 3)), rho_x(0.3)]
+        states += [product([random_pure(2, 1), random_pure(3, 2)])]
+        for criterion, params, weights, m, normalization in rows:
+            for rho in states:
+                v1 = make_check(criterion, **params)(rho)
+                (v2,) = check_theorem2(rho, weights, m, normalization=normalization)
+                assert (v2.value, v2.bound, v2.verdict) == (v1.value, v1.bound, v1.verdict), criterion
 
     def test_matches_theorem1_rescaled(self):
         rho = as_dm(random_density(9, 77).matrix, (3, 3))
@@ -367,6 +375,41 @@ class TestTheorem2:
             check_theorem2(ghz(3), (1.0, 1.0, 1.0), 0)
         with pytest.raises(ValidationError):
             check_theorem2(random_density(4, 0), (1.0,), 1)
+
+
+class TestPartyCount:
+    """Every criterion checks a state's party count in one place, and the error names the criterion."""
+
+    @pytest.mark.parametrize(
+        "criterion,params",
+        [
+            ("hw", dict(alpha=0.5, beta=0.4, m=1)),
+            ("isc", dict(alpha=0.5, beta=0.4, m=1)),
+            ("vb", {}),
+            ("lb", {}),
+            ("ppt", {}),
+        ],
+    )
+    @pytest.mark.parametrize("dims", [(3,), (2, 2, 2)], ids=["one-party", "three-party"])
+    def test_two_party_rows_reject_other_party_counts(self, criterion, params, dims):
+        rho = as_dm(random_density(math.prod(dims), 5).matrix, dims)
+        check = make_check(criterion, **params)
+        for evaluate in (check, check.linear):
+            with pytest.raises(ValidationError, match=f"criterion {criterion} needs a state of 2 parties") as err:
+                evaluate(rho)
+            assert "check_theorem2" not in str(err.value)
+
+    @pytest.mark.parametrize("alphas", [(), (1.0,)])
+    def test_thm2_needs_two_weights_when_bound(self, alphas):
+        with pytest.raises(ValidationError, match="criterion thm2 needs one weight per party, two or more"):
+            make_check("thm2", alphas=alphas, m=1)
+
+    def test_thm2_needs_one_party_per_weight(self):
+        check = make_check("thm2", alphas=(1.0, 1.0), m=1)
+        with pytest.raises(ValidationError, match="criterion thm2 needs a state of 2 parties"):
+            check(ghz(3))
+        with pytest.raises(ValidationError, match="criterion thm2 needs a state of 3 parties"):
+            check_theorem2(ghz(2), (1.0, 1.0, 1.0), 1)
 
 
 class TestOneSlotKernel:
