@@ -161,8 +161,8 @@ class Judgement:
         return [self._column_verdict(value, j) for j, value in enumerate(self.values[i].tolist())]
 
     def verdict(self, i: int) -> CriterionVerdict:
-        """The verdict of image ``i``'s worst column."""
-        j = int(self._worst(i))
+        """The verdict of image ``i``'s worst column (a one-column judgement has no other to look for)."""
+        j = int(self._worst(i)) if len(self.columns) > 1 else 0
         return self._column_verdict(self.values[i, j], j)
 
 
@@ -229,8 +229,9 @@ class TensorCheck(Check):
 
     def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
         """The tensor with identity slot k scaled by sqrt(m) weights[k], and its separable bound."""
-        self._require_parties(rho, len(self.weights))
-        if rho.n_parties == 2:  # through the public decomposition, which perfbench counts
+        n = len(self.weights)
+        self._require_parties(rho, n)
+        if n == 2:  # through the public decomposition, which perfbench counts
             tensor = bloch.decompose_bipartite(rho, self.normalization).tensor
         else:
             tensor = bloch._coefficients(rho, self.normalization)
@@ -242,7 +243,7 @@ class TensorCheck(Check):
         columns, shapes, sizes = _plan(images.shape[1:], self.partitions)
         values = np.empty((len(images), len(columns)))
         for j, (order, shape) in enumerate(shapes):
-            values[:, j] = trace_norm(images.transpose(order).reshape(len(images), *shape))
+            values[:, j] = trace_norm(images.transpose(order).reshape(-1, *shape))
         return Judgement(self, values, bound, sizes, columns)
 
 
