@@ -33,7 +33,7 @@ import numpy as np
 
 from . import bloch, criteria
 from .criteria import make_check
-from .errors import ValidationError
+from .errors import ValidationError, check_weights, check_whole
 from .linalg import DensityMatrix, trace_norm
 from .states import StateFamily
 
@@ -41,6 +41,12 @@ CRITERIA = tuple(criteria.REGISTRY)
 
 # Largest number of array elements a scan or a grid search stacks into one batch of images.
 _STACK_ELEMS = 2**20
+
+
+def _batches(count: int, size: int) -> list[slice]:
+    """Slices of range(count) whose images of ``size`` elements make batches of at most _STACK_ELEMS elements."""
+    step = max(1, _STACK_ELEMS // size)
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -123,14 +129,8 @@ def scan_threshold(
         raise ValidationError(f"check must be a criteria.Check, as make_check returns, got {check!r}")
 
     images, bound, size = _image_source(family, check)
-    chunk = max(1, _STACK_ELEMS // size)
-
-    def judged(xs) -> list[criteria.Judgement]:
-        """The judgements of the images at xs, in stacks of at most _STACK_ELEMS elements."""
-        return [check.judge(images(xs[start : start + chunk]), bound) for start in range(0, len(xs), chunk)]
-
     xs = [i / (grid_points - 1) for i in range(grid_points)]
-    grid = judged(xs)
+    grid = [check.judge(images(xs[batch]), bound) for batch in _batches(len(xs), size)]
     first = grid[0].verdict(0)  # reports the criterion and its parameters
     flags = [flag for stack in grid for flag in stack.entangled.tolist()]
     evaluations = len(xs)
@@ -152,8 +152,7 @@ def scan_threshold(
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         evaluations += 1
-        (stack,) = judged([mid])
-        if stack.entangled[0]:
+        if check.judge(images([mid]), bound).entangled[0]:
             hi = mid
         else:
             lo = mid
@@ -201,11 +200,11 @@ def optimize_params(
     to the image the cell's ``hw`` TensorCheck makes, is judged; each cell keeps its own bound.
     The tensors are judged in stacks of at most _STACK_ELEMS elements.
     """
-    alphas = sorted(bloch.check_weights(alpha_grid))
-    betas = sorted(bloch.check_weights(beta_grid))
+    alphas = sorted(check_weights(alpha_grid))
+    betas = sorted(check_weights(beta_grid))
     if not isinstance(m_range, Iterable):
         raise ValidationError(f"m_range must be a sequence of whole numbers, got {m_range!r}")
-    ms = sorted(criteria.check_whole(m) for m in m_range)
+    ms = sorted(check_whole(m) for m in m_range)
     if not alphas or not betas or not ms:
         raise ValidationError("optimize_params requires nonempty grids")
     dec = bloch.decompose_bipartite(rho, normalization)
@@ -217,14 +216,11 @@ def optimize_params(
     # equal scaled pairs give equal tensors: one per distinct complex key, -0.0 (other bits than 0.0) keyed as -1
     keys = np.where(np.signbit(scaled), -1.0, scaled).view(complex).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    cells, chunk = len(row_w), max(1, _STACK_ELEMS // dec.tensor.size)
-    values = np.empty(len(first))
-    for start in range(0, len(first), chunk):
-        rows, cols = scaled[first[start : start + chunk]].T
-        stack = np.broadcast_to(dec.tensor, (len(rows), *dec.tensor.shape)).copy()
-        stack[:, 0] *= rows[:, None]  # row 0, then column 0, as bloch.weighted scales them
-        stack[:, :, 0] *= cols[:, None]
-        values[start : start + chunk] = trace_norm(stack)
+    cells, values = len(row_w), np.empty(len(first))
+    for batch in _batches(len(first), dec.tensor.size):
+        rows, cols = scaled[first[batch]].T
+        stack = np.broadcast_to(dec.tensor, (len(rows), *dec.tensor.shape))
+        values[batch] = trace_norm(bloch.weighted(stack, (rows[:, None], cols[:, None])))
     values = values[inverse].reshape(len(ms), cells)
     bounds = criteria.theorem2_bound(dec.dims, (row_w, col_w), np.array(ms, dtype=float)[:, None], normalization)
     i, cell = divmod(int(np.argmax(values - bounds)), cells)

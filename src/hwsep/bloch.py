@@ -29,35 +29,14 @@ with weights sqrt(m) alpha_k, which is what ``criteria`` builds.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import hw_basis
-from .errors import ValidationError
+from .errors import ValidationError, check_choice, check_weights
 from .linalg import DensityMatrix
-
-
-def check_weight(weight) -> float:
-    """``weight`` as a float; raises ValidationError unless it is a finite, nonnegative real number, not a bool."""
-    # isinstance(weight, float) first: the numbers.Real check is slower, and most weights are floats
-    real = isinstance(weight, float) or (isinstance(weight, numbers.Real) and not isinstance(weight, bool))
-    if not (real and weight >= 0 and math.isfinite(weight)):
-        raise ValidationError(f"weights must be finite, nonnegative real numbers, got {weight!r}")
-    return float(weight)
-
-
-def check_weights(weights, n_parties: int | None = None) -> tuple[float, ...]:
-    """Each of the weights through ``check_weight``, one per party when ``n_parties`` is given."""
-    try:
-        weights = tuple(weights)
-    except TypeError:
-        raise ValidationError(f"weights must be a sequence of numbers, got {weights!r}") from None
-    if n_parties is not None and len(weights) != n_parties:
-        raise ValidationError(f"need one weight per party: got {len(weights)} for {n_parties} parties")
-    return tuple(map(check_weight, weights))
 
 
 @lru_cache(maxsize=None)
@@ -79,15 +58,18 @@ def _slot_scales(dims, normalization: str) -> list[float]:
 
 
 def _scale_slots(tensor: np.ndarray, factors, slot) -> np.ndarray:
-    """Multiply ``slot`` (an index or slice) of axis k of ``tensor`` by factors[k], in place."""
-    for axis, factor in enumerate(factors):
+    """Multiply ``slot`` (an index or slice) of slot axis k of ``tensor`` by factors[k], in place.
+
+    The slot axes are the last len(factors), so a factor may be an array broadcasting over leading stack axes.
+    """
+    for axis, factor in enumerate(factors, tensor.ndim - len(factors)):
         tensor[(slice(None),) * axis + (slot,)] *= factor
     return tensor
 
 
 def _coefficients(rho: DensityMatrix, normalization: str) -> np.ndarray:
     """Read-only coefficient tensor of ``rho``, one d_k^2 axis per party (see the module docstring)."""
-    hw_basis.check_choice(normalization, hw_basis.NORMALIZATIONS, "normalization")
+    check_choice(normalization, hw_basis.NORMALIZATIONS, "normalization")
     dims = rho.dims
     if min(dims) < 2:
         raise ValidationError(f"every party needs dimension >= 2 for a Bloch decomposition, got dims {dims}")
@@ -105,7 +87,7 @@ def _coefficients(rho: DensityMatrix, normalization: str) -> np.ndarray:
 
 
 def weighted(tensor: np.ndarray, weights) -> np.ndarray:
-    """Copy of a coefficient tensor with the identity slot of axis k scaled by weights[k]."""
+    """Copy of a coefficient tensor, or of a stack of them, with the identity slot of axis k scaled by weights[k]."""
     return _scale_slots(np.array(tensor), weights, 0)
 
 
@@ -152,8 +134,7 @@ class BlochDecomposition:
 
 def decompose_single(rho: DensityMatrix, normalization: str = "standard") -> BlochVector:
     """Bloch vector of a single-system state."""
-    if rho.n_parties != 1:
-        raise ValidationError(f"decompose_single requires one subsystem, got dims {rho.dims}")
+    rho.require_parties(1, "decompose_single")
     return BlochVector(rho.dims[0], normalization, _coefficients(rho, normalization)[1:])
 
 
@@ -166,8 +147,7 @@ def purity_from_bloch(r: BlochVector) -> float:
 
 def decompose_bipartite(rho: DensityMatrix, normalization: str = "standard") -> BlochDecomposition:
     """Bloch data (r, s, T) of a bipartite state."""
-    if rho.n_parties != 2:
-        raise ValidationError(f"decompose_bipartite requires two subsystems, got dims {rho.dims}")
+    rho.require_parties(2, "decompose_bipartite")
     return BlochDecomposition(rho.dims, normalization, _coefficients(rho, normalization))
 
 
@@ -193,4 +173,6 @@ def build_W(rho: DensityMatrix, alphas, normalization: str = "standard") -> np.n
     Entry (a_1, ..., a_N) is Tr(rho O_{a_1} x ... x O_{a_N}), times alphas[k]
     for each axis k whose slot a_k is the identity (see the module docstring).
     """
-    return weighted(_coefficients(rho, normalization), check_weights(alphas, rho.n_parties))
+    weights = check_weights(alphas)
+    rho.require_parties(len(weights), "build_W")
+    return weighted(_coefficients(rho, normalization), weights)

@@ -37,14 +37,17 @@ stack of copies, one per grid cell, and bounds them with one
 
 Every criterion is a row of ``REGISTRY``; ``make_check`` binds a name and
 parameters into its row's Check, reading each parameter with its one
-parser.  A Check maps a state to an image that is linear in rho
+parser from ``errors`` (partitions against the number of weights, when
+the row binds).  A Check maps a state to an image that is linear in rho
 (``linear``) and decides a stack of images in one batch (``judge``) under
 the margin rule below; a single verdict judges a stack of one.  Every
 trace-norm row is one ``TensorCheck``: the weighted tensor of a state with
 one party per weight, judged by one stacked SVD per bipartition.  The rows
 differ only in data (which parameters become the weights, which
-bipartitions are judged, which keys a verdict reports).  The S rows are
-two-party ``thm2`` rows with weights (beta, alpha) and the one bipartition:
+bipartitions are judged, which keys a verdict reports).  A state with
+another party count is refused by ``DensityMatrix.require_parties``.
+The S rows are two-party ``thm2`` rows with weights (beta, alpha) and
+the one bipartition:
 
 * ``hw``  - caller's (alpha, beta, m) and normalization (``check_theorem1``).
 * ``isc`` - rescaled, caller's (alpha, beta, m), m >= 1.
@@ -78,7 +81,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import bloch, hw_basis
-from .errors import ValidationError
+from .errors import ValidationError, check_choice, check_parties, check_weight, check_weights, check_whole
 from .linalg import DensityMatrix, eig_hermitian, partial_transpose, trace_norm
 
 # Absolute floor of the violation margin (see the module docstring).
@@ -110,17 +113,6 @@ class CriterionVerdict:
 def _violates(value, bound, n, maximum=max):
     """value > bound + max(VIOLATION_EPS, n eps_mach max(bound, value)); elementwise with np.maximum."""
     return value > bound + maximum(VIOLATION_EPS, n * _EPS_MACH * maximum(bound, value))
-
-
-def check_whole(value, minimum: int = 0, name: str = "m") -> int:
-    """``value`` as an int; raises ValidationError unless it is a finite whole number >= ``minimum`` (not a bool)."""
-    try:
-        whole = None if isinstance(value, (bool, np.bool_)) else int(value)
-    except (TypeError, ValueError, OverflowError):  # None, text, NaN, infinities
-        whole = None
-    if whole is None or whole != value or whole < minimum:
-        raise ValidationError(f"{name} must be a whole number >= {minimum}, got {value!r}")
-    return whole
 
 
 @dataclass(slots=True)
@@ -201,18 +193,13 @@ class Check:
             params["partition"] = list(column)
         return params
 
-    def _require_parties(self, rho: DensityMatrix, n: int) -> None:
-        """The party-count contract of every criterion: rho must have ``n`` parties."""
-        if rho.n_parties != n:
-            raise ValidationError(f"criterion {self.row.name} needs a state of {n} parties, got dims {rho.dims}")
-
 
 @dataclass(slots=True)
 class TensorCheck(Check):
     """A trace-norm row at given parameters: the weighted coefficient tensor, judged per bipartition.
 
-    ``weights`` holds one weight per party; ``partitions`` holds sorted
-    1-based party subsets, or None for all distinct bipartitions.
+    ``weights`` holds one weight per party; ``partitions`` holds party
+    subsets of 1..len(weights), or None for all distinct bipartitions.
     """
 
     weights: tuple
@@ -225,12 +212,20 @@ class TensorCheck(Check):
         weights = tuple(row.weights(values))
         if len(weights) < 2:
             raise ValidationError(f"criterion {row.name} needs one weight per party, two or more, got {weights}")
-        return cls(row, reported, weights, values["m"], values["partitions"], values["normalization"])
+        partitions = values["partitions"]
+        if partitions is not None:  # the caller's: the S rows and thm2 default to every bipartition
+            try:
+                partitions = tuple(check_parties(part, len(weights)) for part in partitions)
+            except TypeError:  # not a collection
+                raise ValidationError(f"partitions must be a list of party-index lists, got {partitions!r}") from None
+            if not partitions:
+                raise ValidationError("partitions must name at least one bipartition")
+        return cls(row, reported, weights, values["m"], partitions, values["normalization"])
 
     def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
         """The tensor with identity slot k scaled by sqrt(m) weights[k], and its separable bound."""
         n = len(self.weights)
-        self._require_parties(rho, n)
+        rho.require_parties(n, self.row)
         if n == 2:  # through the public decomposition, which perfbench counts
             tensor = bloch.decompose_bipartite(rho, self.normalization).tensor
         else:
@@ -252,7 +247,7 @@ class PPTCheck(Check):
     """Positive-partial-transpose test as a Check: the partial transpose, judged by -(min eigenvalue)."""
 
     def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
-        self._require_parties(rho, 2)
+        rho.require_parties(2, self.row)
         return partial_transpose(rho, self.reported["subsystem"]), 0.0
 
     def judge(self, images: np.ndarray, bound: float) -> Judgement:
@@ -263,20 +258,15 @@ class PPTCheck(Check):
 def _plan(shape: tuple, partitions: tuple | None) -> tuple[tuple, tuple, tuple]:
     """How a stack (axis 0) of tensors of ``shape`` is matricized for ``partitions`` (None: every bipartition).
 
-    Returns the bipartitions; for each, the axis order that puts the stack
-    axis and then its 1-based row parties first, and the matrix shape; and
-    the sum of each matrix's two dimensions.
+    Returns the bipartitions (parsed ones are trusted); for each, the axis
+    order that puts the stack axis and then its row parties first, and the
+    matrix shape; and the sum of each matrix's two dimensions.
     """
     n = len(shape)
     columns, shapes = partitions or tuple(all_bipartitions(n)), []
     for part in columns:
-        a = sorted(set(int(p) for p in part))
-        if not a or len(a) == n:
-            raise ValidationError("parties must be a nonempty proper subset of 1..N")
-        if a[0] < 1 or a[-1] > n:
-            raise ValidationError(f"party indices must lie in 1..{n}, got {a}")
-        rows = math.prod(shape[p - 1] for p in a)
-        shapes.append(((0, *a, *(k for k in range(1, n + 1) if k not in a)), (rows, math.prod(shape) // rows)))
+        rows = math.prod(shape[p - 1] for p in part)
+        shapes.append(((0, *part, *(k for k in range(1, n + 1) if k not in part)), (rows, math.prod(shape) // rows)))
     return columns, tuple(shapes), tuple(sum(matrix) for _, matrix in shapes)
 
 
@@ -287,7 +277,7 @@ def matricize(tensor: np.ndarray, parties) -> np.ndarray:
     and column multi-indices are composed in row-major order over ascending
     party index.
     """
-    _, ((order, shape),), _ = _plan(tensor.shape, (tuple(parties),))
+    _, ((order, shape),), _ = _plan(tensor.shape, (check_parties(parties, tensor.ndim),))
     return tensor[None].transpose(order).reshape(shape)
 
 
@@ -300,6 +290,8 @@ def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> flo
     their broadcast.
     """
     rescaled = _PARSERS["normalization"](normalization) == "rescaled"
+    if len(dims) != len(alphas):
+        raise ValidationError(f"theorem2_bound needs one weight per party, got {len(alphas)} for dims {tuple(dims)}")
     # c_k^2 is a float, so whole-number m and weights past int64 reach np.sqrt as a float
     return math.prod(np.sqrt(m * a * a + (d / 2 if rescaled else 1.0) * (d - 1)) for d, a in zip(dims, alphas))
 
@@ -316,7 +308,7 @@ class Criterion:
     A caller must give the ``required`` parameters and may give the
     ``optional`` ones, each read by its parser in ``_PARSERS``; ``defaults``
     holds the other values the Check is bound from, fixed values included.
-    ``min_m`` is the smallest m the criterion accepts.
+    ``min_m`` is the smallest m the criterion accepts.  Messages name a row "criterion <name>".
     """
 
     name: str
@@ -328,35 +320,25 @@ class Criterion:
     defaults: dict = field(default_factory=dict)
     min_m: int = 0
 
-
-def _partitions(partitions) -> tuple | None:
-    """Each 1-based party subset sorted and without repeats; None stands for every bipartition."""
-    if partitions is None:
-        return None
-    try:
-        parts = tuple(tuple(sorted({check_whole(p, 1, "party index") for p in part})) for part in partitions)
-    except TypeError:  # not a collection of collections
-        raise ValidationError(f"partitions must be a list of party-index lists, got {partitions!r}") from None
-    if not parts:
-        raise ValidationError("partitions must name at least one bipartition")
-    return parts
+    def __str__(self) -> str:
+        return f"criterion {self.name}"
 
 
-# The one parser of each criterion parameter; m is read by ``check_whole`` with its row's ``min_m``.
+# The one parser of each criterion parameter; m is read with its row's ``min_m``, partitions by TensorCheck.bind.
 _PARSERS = {
-    "alpha": bloch.check_weight,
-    "beta": bloch.check_weight,
-    "alphas": lambda value: list(bloch.check_weights(value)),
-    "partitions": _partitions,
-    "subsystem": lambda value: hw_basis.check_choice(value, (1, 2), "subsystem"),
-    "normalization": lambda value: hw_basis.check_choice(value, hw_basis.NORMALIZATIONS, "normalization"),
+    "alpha": check_weight,
+    "beta": check_weight,
+    "alphas": lambda value: list(check_weights(value)),
+    "partitions": lambda value: value,
+    "subsystem": lambda value: check_choice(value, (1, 2), "subsystem"),
+    "normalization": lambda value: check_choice(value, hw_basis.NORMALIZATIONS, "normalization"),
 }
 
-# An S row is the two-party tensor with weights (beta, alpha), judged on its one bipartition.
+# An S row is the two-party tensor with weights (beta, alpha), judged on every bipartition: its one.
 _S_PARAMS = ("alpha", "beta", "m")
 _S_REPORTED = (*_S_PARAMS, "normalization")
 _S_WEIGHTS = itemgetter("beta", "alpha")
-_STANDARD = {"partitions": ((1,),), "normalization": "standard"}
+_STANDARD = {"partitions": None, "normalization": "standard"}
 _RESCALED = dict(_STANDARD, normalization="rescaled")
 
 REGISTRY = {
@@ -376,7 +358,7 @@ REGISTRY = {
             ("alphas", "m", "partition", "normalization"),
             ("alphas", "m"),
             ("partitions", "normalization"),
-            dict(_STANDARD, partitions=None),
+            _STANDARD,
             min_m=1,
         ),
     )

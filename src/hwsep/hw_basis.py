@@ -39,32 +39,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_choice, check_whole
 
 NORMALIZATIONS = ("standard", "rescaled")
 CONVENTIONS = ("symmetric", "plain")
 
 
-def _check_indices(d: int, l: int, m: int) -> None:
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
-    if not (0 <= l < d and 0 <= m < d):
+def _check_indices(d, l, m) -> tuple[int, int, int]:
+    """(d, l, m) as ints; raises ValidationError unless d >= 2 and l, m lie in 0..d-1."""
+    d, l, m = check_whole(d, 2, "dimension"), check_whole(l, 0, "index l"), check_whole(m, 0, "index m")
+    if l >= d or m >= d:
         raise ValidationError(f"indices (l, m) = ({l}, {m}) out of range for d = {d}")
-
-
-def check_choice(value, allowed: tuple, what: str):
-    """The element of ``allowed`` equal to ``value``; raises ValidationError if there is none (a bool is none)."""
-    if not isinstance(value, (bool, np.bool_)):  # True == 1, but a flag is not an index
-        try:
-            return allowed[allowed.index(value)]
-        except ValueError:  # not among them, or not comparable with them
-            pass
-    raise ValidationError(f"unknown {what} {value!r}, expected one of {allowed}")
+    return d, l, m
 
 
 def displacement(d: int, l: int, m: int) -> np.ndarray:
     """Displacement operator with entries D[k, (k+m) mod d] = exp(2 pi i k l / d)."""
-    _check_indices(d, l, m)
+    d, l, m = _check_indices(d, l, m)
     out = np.zeros((d, d), dtype=complex)
     ks = np.arange(d)
     out[ks, (ks + m) % d] = np.exp(2j * np.pi * ks * l / d)
@@ -83,7 +74,7 @@ def observable(
     See the module docstring for the two phase conventions.  With
     ``normalization="rescaled"`` the result carries an extra sqrt(2/d).
     """
-    _check_indices(d, l, m)
+    d, l, m = _check_indices(d, l, m)
     check_choice(normalization, NORMALIZATIONS, "normalization")
     check_choice(convention, CONVENTIONS, "convention")
     if (l, m) == (0, 0):
@@ -132,7 +123,7 @@ class HWObservableBasis:
 
 def basis(d: int, normalization: str = "standard", convention: str = "symmetric") -> HWObservableBasis:
     """Full observable basis for dimension ``d`` in the canonical ordering."""
-    _check_indices(d, 0, 0)
+    d, _, _ = _check_indices(d, 0, 0)
     check_choice(normalization, NORMALIZATIONS, "normalization")
     check_choice(convention, CONVENTIONS, "convention")
     return HWObservableBasis(
@@ -150,7 +141,7 @@ def verify_orthogonality(d: int, normalization: str = "standard", convention: st
     The target is d * identity for the standard normalization and
     2 * identity for the rescaled one.
     """
-    elems = _basis_array(d, normalization, convention)
-    gram = np.einsum("aij,bji->ab", elems, elems).real
-    target = (d if normalization == "standard" else 2.0) * np.eye(len(elems))
+    b = basis(d, normalization, convention)
+    gram = np.einsum("aij,bji->ab", b.elements, b.elements).real
+    target = (b.dim if normalization == "standard" else 2.0) * np.eye(len(b))
     return float(np.abs(gram - target).max())

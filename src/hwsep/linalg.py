@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_choice, check_whole
 
 # Absolute tolerances for state validation.  All states handled here have
 # exact rational/surd entries, so machine precision leaves ample headroom.
@@ -40,11 +40,9 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(check_whole(d, 1, "subsystem dimension") for d in self.dims)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
-        if any(d < 1 for d in dims):
-            raise ValidationError(f"subsystem dimensions must be positive, got {dims}")
         if int(np.prod(dims)) != mat.shape[0]:
             raise ValidationError(
                 f"dims {dims} imply dimension {int(np.prod(dims))}, matrix is {mat.shape[0]}x{mat.shape[0]}"
@@ -72,6 +70,11 @@ class DensityMatrix:
     @property
     def n_parties(self) -> int:
         return len(self.dims)
+
+    def require_parties(self, n: int, what) -> None:
+        """The one party-count check: raises ValidationError, naming ``what`` (formatted only then), unless n parties."""
+        if len(self.dims) != n:
+            raise ValidationError(f"{what} needs a state of {n} parties, got dims {self.dims}")
 
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
@@ -104,21 +107,15 @@ def eig_hermitian(m: np.ndarray) -> np.ndarray:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _require_bipartite(rho: DensityMatrix, index: int, name: str) -> tuple[int, int]:
-    if rho.n_parties != 2:
-        raise ValidationError(f"{name} requires a bipartite state, got dims {rho.dims}")
-    if index not in (1, 2):
-        raise ValidationError(f"subsystem index must be 1 or 2, got {index}")
-    return rho.dims
-
-
 def partial_transpose(rho: DensityMatrix, subsystem: int = 2) -> np.ndarray:
     """Transpose the chosen tensor factor of a bipartite state.
 
     ``subsystem`` is 1-based.  The result is Hermitian but in general not
     positive, so a bare matrix is returned.
     """
-    d1, d2 = _require_bipartite(rho, subsystem, "partial_transpose")
+    rho.require_parties(2, "partial_transpose")
+    subsystem = check_choice(subsystem, (1, 2), "subsystem")
+    d1, d2 = rho.dims
     r4 = rho.matrix.reshape(d1, d2, d1, d2)
     axes = (2, 1, 0, 3) if subsystem == 1 else (0, 3, 2, 1)
     return r4.transpose(axes).reshape(d1 * d2, d1 * d2)
@@ -126,12 +123,9 @@ def partial_transpose(rho: DensityMatrix, subsystem: int = 2) -> np.ndarray:
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduced state of one factor of a bipartite state (``keep`` is 1-based)."""
-    d1, d2 = _require_bipartite(rho, keep, "partial_trace")
+    rho.require_parties(2, "partial_trace")
+    keep = check_choice(keep, (1, 2), "subsystem")
+    d1, d2 = rho.dims
     r4 = rho.matrix.reshape(d1, d2, d1, d2)
-    if keep == 1:
-        red = np.einsum("ijkj->ik", r4)
-        d = d1
-    else:
-        red = np.einsum("ijil->jl", r4)
-        d = d2
-    return DensityMatrix(red, (d,))
+    red = np.einsum("ijkj->ik", r4) if keep == 1 else np.einsum("ijil->jl", r4)
+    return DensityMatrix(red, (len(red),))

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_whole
 from .linalg import DensityMatrix
 
 
@@ -127,8 +127,7 @@ def horodecki_mix_family(b: float) -> StateFamily:
 
 def ghz(n: int) -> DensityMatrix:
     """(|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    if n < 2:
-        raise ValidationError(f"ghz requires n >= 2, got {n}")
+    n = check_whole(n, 2, "ghz's n")
     psi = np.zeros(2**n)
     psi[0] = psi[-1] = 1 / np.sqrt(2)
     return DensityMatrix(np.outer(psi, psi), (2,) * n)
@@ -159,16 +158,14 @@ def _unit_vectors(draws: np.ndarray, dims) -> tuple[np.ndarray, ...]:
 
 def random_pure(d: int, seed) -> DensityMatrix:
     """Haar-random pure state as a density matrix."""
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
+    d = check_whole(d, 2, "dimension")
     (v,) = _unit_vectors(np.random.default_rng(seed).standard_normal(2 * d), (d,))
     return DensityMatrix(np.outer(v, v.conj()), (d,))
 
 
 def random_density(d: int, seed) -> DensityMatrix:
     """Random full-rank mixed state G G^dag / Tr(G G^dag)."""
-    if d < 2:
-        raise ValidationError(f"dimension must be >= 2, got {d}")
+    d = check_whole(d, 2, "dimension")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
@@ -181,11 +178,8 @@ def random_separable(dims, k_terms: int, seed) -> tuple[SeparableEnsemble, Densi
     Weights are Dirichlet(1, ..., 1) distributed, realized as normalized
     exponential draws.
     """
-    dims = tuple(int(d) for d in dims)
-    if any(d < 2 for d in dims):
-        raise ValidationError(f"subsystem dimensions must be >= 2, got {dims}")
-    if k_terms < 1:
-        raise ValidationError(f"k_terms must be >= 1, got {k_terms}")
+    dims = tuple(check_whole(d, 2, "subsystem dimension") for d in dims)
+    k_terms = check_whole(k_terms, 1, "k_terms")
     rng = np.random.default_rng(seed)
     weights = rng.exponential(size=k_terms)
     weights /= weights.sum()

@@ -257,6 +257,11 @@ class TestExitCodes:
         assert run(["check", "--state", path, *argv]) == 3
         assert f"criterion {argv[1]} needs a state of 2 parties" in capsys.readouterr().err
 
+    def test_validation_error_partition_out_of_range(self, tmp_path, capsys):
+        path = write_state(tmp_path, ghz(2))
+        assert run(["tensor-check", "--state", path, "--alphas", "1,1", "--m", "1", "--partition", "3"]) == 3
+        assert "party indices must lie in 1..2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("dims", ["24", [2.0, 4.0], [2, "4"], [True, 4], {"a": 2}])
     def test_validation_error_dims_not_a_list_of_integers(self, tmp_path, capsys, dims):
         doc = state_to_json(horodecki_2x4(0.9))

@@ -13,8 +13,11 @@ from hwsep import (
     check_theorem1,
     check_theorem2,
     decompose_bipartite,
+    decompose_single,
     make_check,
     matricize,
+    partial_trace,
+    partial_transpose,
     theorem2_bound,
     trace_norm,
 )
@@ -306,6 +309,11 @@ class TestMatricize:
             matricize(w, [1, 2])
         with pytest.raises(ValidationError):
             matricize(w, [3])
+        # party indices are whole numbers, not truncated: [1.5] is not party 1, [True, 2.9] not {1, 2}
+        with pytest.raises(ValidationError):
+            matricize(np.arange(16.0).reshape(4, 4), [1.5])
+        with pytest.raises(ValidationError):
+            matricize(np.zeros((4, 4, 4)), [True, 2.9])
 
 
 class TestTheorem2:
@@ -410,6 +418,27 @@ class TestPartyCount:
             check(ghz(3))
         with pytest.raises(ValidationError, match="criterion thm2 needs a state of 3 parties"):
             check_theorem2(ghz(2), (1.0, 1.0, 1.0), 1)
+        with pytest.raises(ValidationError, match="one weight per party"):
+            theorem2_bound((2, 4, 2), (1, 1), 1)  # not the two-party bound of the first two
+
+    @pytest.mark.parametrize("partition", [[3], [1, 2]])
+    def test_thm2_partitions_are_read_against_the_weights_when_bound(self, partition):
+        with pytest.raises(ValidationError, match=r"1\.\.2, got"):
+            make_check("thm2", alphas=(1, 1), m=1, partitions=[partition])
+
+    @pytest.mark.parametrize(
+        "call,what,n",
+        [
+            (lambda rho: decompose_single(rho), "decompose_single", 1),
+            (lambda rho: decompose_bipartite(rho), "decompose_bipartite", 2),
+            (lambda rho: partial_transpose(rho), "partial_transpose", 2),
+            (lambda rho: partial_trace(rho, 1), "partial_trace", 2),
+            (lambda rho: build_W(rho, (1.0, 1.0)), "build_W", 2),
+        ],
+    )
+    def test_every_reader_raises_the_one_message(self, call, what, n):
+        with pytest.raises(ValidationError, match=rf"^{what} needs a state of {n} parties, got dims \(2, 2, 2\)$"):
+            call(ghz(3))
 
 
 class TestOneSlotKernel:

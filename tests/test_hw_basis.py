@@ -136,6 +136,14 @@ def test_conventions_agree_when_phase_vanishes():
 def test_invalid_arguments():
     with pytest.raises(ValidationError):
         basis(1)
+    # d, l and m are whole numbers: 2.5 and 1.5 are refused, 1.0 is read as 1
+    with pytest.raises(ValidationError):
+        basis(2.5)
+    with pytest.raises(ValidationError):
+        verify_orthogonality(2.5)
+    with pytest.raises(ValidationError):
+        displacement(3, 1.5, 0)
+    np.testing.assert_array_equal(displacement(3, 0, 1.0), displacement(3, 0, 1))
     with pytest.raises(ValidationError):
         basis(3, "weird")
     with pytest.raises(ValidationError):

@@ -124,6 +124,8 @@ def test_partial_transpose_index_error():
         partial_transpose(BELL, 3)
     with pytest.raises(ValidationError):
         partial_transpose(ghz(3), 1)  # not bipartite
+    with pytest.raises(ValidationError):
+        partial_transpose(BELL, True)  # a flag, not subsystem 1
 
 
 def test_partial_trace_product():
@@ -146,6 +148,8 @@ def test_partial_trace_is_trace_preserving():
 def test_partial_trace_index_error():
     with pytest.raises(ValidationError):
         partial_trace(BELL, 0)
+    with pytest.raises(ValidationError):
+        partial_trace(BELL, True)
 
 
 class TestDensityMatrixValidation:
@@ -172,6 +176,9 @@ class TestDensityMatrixValidation:
     def test_rejects_dims_mismatch(self):
         with pytest.raises(ValidationError, match="dims"):
             DensityMatrix(np.eye(4) / 4, (2, 3))
+        for dims in ((2.9, 2.1), (True, 4)):  # not truncated to (2, 2) or read as (1, 4)
+            with pytest.raises(ValidationError, match="subsystem dimension must be a whole number"):
+                DensityMatrix(np.eye(4) / 4, dims)
 
     def test_rejects_non_finite(self):
         m = np.eye(2, dtype=complex) / 2

@@ -145,6 +145,8 @@ class TestGHZ:
     def test_rejects_small_n(self):
         with pytest.raises(ValidationError):
             ghz(1)
+        with pytest.raises(ValidationError):
+            ghz(2.5)
 
 
 class TestRandomStates:
@@ -212,6 +214,17 @@ class TestRandomStates:
             random_separable((2, 4), 0, 1)
         with pytest.raises(ValidationError):
             random_separable((1, 4), 3, 1)
+        with pytest.raises(ValidationError):
+            random_separable((2.5, 2), 3, 0)  # not truncated to (2, 2)
+        with pytest.raises(ValidationError):
+            random_separable((2, 2), 2.5, 0)
+        with pytest.raises(ValidationError):
+            random_pure(2.5, 0)
+
+    def test_whole_float_sizes_are_read_as_ints(self):
+        for made, expected in ((random_density(3.0, 0), random_density(3, 0)), (ghz(3.0), ghz(3))):
+            assert made.dims == expected.dims
+            np.testing.assert_array_equal(made.matrix, expected.matrix)
 
 
 def test_product_concatenates_dims():
