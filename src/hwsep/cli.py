@@ -4,6 +4,11 @@ State files are JSON: ``{"dims": [2, 4], "matrix": [[[re, im], ...], ...]}``
 with the matrix given row-major as [re, im] pairs.  All numeric output is
 emitted at full double precision.  Exit codes: 0 success, 2 usage error,
 3 validation error, 4 numerical failure.  ``run`` reuses one parser per process.
+
+Named states and families are rows of ``_STATES`` and ``_FAMILIES``: a
+constructor and the parameters it takes, in order.  A family's row is also
+a state's, at ``--x``.  Their parameters and the criteria's are read from
+their flags by ``_FLAGS``; a missing required flag is a usage error.
 """
 
 from __future__ import annotations
@@ -76,21 +81,32 @@ def _normalization(args) -> str:
     return "rescaled" if getattr(args, "rescaled", False) else "standard"
 
 
-# criterion parameter -> (its flag, as usage errors name it; its value from the parsed arguments, or None)
+# parameter -> (its flag, as usage errors name it; its value from the parsed arguments, or None)
 _FLAGS = {
-    "alpha": ("--alpha", lambda args, parser: args.alpha),
+    **{
+        key: (f"--{key}", lambda args, parser, key=key: getattr(args, key))  # as argparse parsed it
+        for key in ("alpha", "m", "b", "x", "n", "dim", "terms", "seed")
+    },
     "beta": ("--beta (or --beta-sq)", _beta_value),
-    "m": ("--m", lambda args, parser: args.m),
-    "alphas": (
-        "--alphas",
-        lambda args, parser: None if args.alphas is None else _csv(args.alphas, float, parser),
-    ),
-    "partitions": (
-        "--partition",
-        lambda args, parser: [_csv(args.partition, int, parser)] if args.partition else None,
-    ),
+    "alphas": ("--alphas", lambda args, parser: None if args.alphas is None else _csv(args.alphas, float, parser)),
+    "dims": ("--dims", lambda args, parser: None if args.dims is None else _csv(args.dims, int, parser)),
+    "partitions": ("--partition", lambda args, parser: [_csv(args.partition, int, parser)] if args.partition else None),
     "normalization": ("--rescaled", lambda args, parser: _normalization(args)),
 }
+
+
+def _read(args, parser, what: str, required, optional=()) -> dict:
+    """The flag value of each parameter that has one given, in order; a required one missing is a usage error."""
+    values = {}
+    for key in (*required, *optional):
+        value = _FLAGS[key][1](args, parser) if key in _FLAGS else None  # ppt's subsystem has no flag
+        if value is not None:
+            values[key] = value
+    missing = [_FLAGS[key][0] for key in required if key not in values]
+    if missing:
+        *flags, last = missing
+        parser.error(f"{what} requires {', '.join(flags)} and {last}" if flags else f"{what} requires {last}")
+    return values
 
 
 def _criterion_spec(args, parser, crit: str) -> dict:
@@ -98,15 +114,29 @@ def _criterion_spec(args, parser, crit: str) -> dict:
     row = criteria.REGISTRY.get(crit)
     if row is None:  # argparse choices leave this to compare's --criteria
         parser.error(f"unknown criterion {crit!r} in --criteria")
-    spec: dict = {"criterion": crit}
-    for key in (*row.required, *row.optional):
-        value = _FLAGS[key][1](args, parser) if key in _FLAGS else None
-        if value is not None:
-            spec[key] = value
-    if any(key not in spec for key in row.required):
-        *flags, last = (_FLAGS[key][0] for key in row.required)
-        parser.error(f"criterion {crit} requires {', '.join(flags)} and {last}")
-    return spec
+    return {"criterion": crit, **_read(args, parser, f"criterion {crit}", row.required, row.optional)}
+
+
+# family name -> (its constructor, the parameters it takes in order); ``state --name`` gives its state at --x
+_FAMILIES = {"horodecki-mix": (states.horodecki_mix_family, ("b",))}
+
+# state name -> (its constructor, the parameters it takes in order); a family's row makes the family
+_STATES = {
+    "horodecki": (states.horodecki_2x4, ("b",)),
+    "xi": (states.xi_state, ()),
+    "bell": (lambda: states.ghz(2), ()),
+    "ghz": (states.ghz, ("n",)),
+    **_FAMILIES,
+    "random-pure": (states.random_pure, ("dim", "seed")),
+    "random-density": (states.random_density, ("dim", "seed")),
+    "random-separable": (lambda *params: states.random_separable(*params)[1], ("dims", "terms", "seed")),
+}
+
+
+def _make(table: dict, name: str, args, parser):
+    """Row ``name`` of ``table`` called on the flag values of its parameters."""
+    make, keys = table[name]
+    return make(*_read(args, parser, name, keys).values())
 
 
 def _emit(doc) -> None:
@@ -129,36 +159,11 @@ def cmd_basis(args, parser) -> int:
 
 
 def cmd_state(args, parser) -> int:
-    name = args.name
-    if name == "horodecki":
-        rho = states.horodecki_2x4(_require(args.b, "--b", parser))
-    elif name == "xi":
-        rho = states.xi_state()
-    elif name == "bell":
-        rho = states.ghz(2)
-    elif name == "ghz":
-        rho = states.ghz(args.n)
-    elif name == "horodecki-mix":
-        fam = states.horodecki_mix_family(_require(args.b, "--b", parser))
-        rho = fam.state(_require(args.x, "--x", parser))
-    elif name == "random-pure":
-        rho = states.random_pure(_require(args.dim, "--dim", parser), args.seed)
-    elif name == "random-density":
-        rho = states.random_density(_require(args.dim, "--dim", parser), args.seed)
-    elif name == "random-separable":
-        if args.dims is None:
-            parser.error("--dims is required for random-separable")
-        _, rho = states.random_separable(_csv(args.dims, int, parser), args.terms, args.seed)
-    else:  # unreachable: argparse choices
-        parser.error(f"unknown state name {name!r}")
+    rho = _make(_STATES, args.name, args, parser)
+    if args.name in _FAMILIES:  # built before --x is read, so a bad --b is a validation error first
+        rho = rho.state(_read(args, parser, args.name, ("x",))["x"])
     _emit(state_to_json(rho))
     return 0
-
-
-def _require(value, flag, parser):
-    if value is None:
-        parser.error(f"{flag} is required for this command")
-    return value
 
 
 def cmd_decompose(args, parser) -> int:
@@ -191,7 +196,7 @@ def cmd_tensor_check(args, parser) -> int:
 
 
 def cmd_scan(args, parser) -> int:
-    family = _family(args, parser)
+    family = _make(_FAMILIES, args.family, args, parser)
     check = analysis.make_check(**_criterion_spec(args, parser, args.criterion))
     res = analysis.scan_threshold(family, check, args.grid, args.tol)
     _emit(res.to_dict())
@@ -211,12 +216,6 @@ def cmd_optimize(args, parser) -> int:
     return 0
 
 
-def _family(args, parser) -> states.StateFamily:
-    if args.family != "horodecki-mix":  # unreachable: argparse choices
-        parser.error(f"unknown family {args.family!r}")
-    return states.horodecki_mix_family(_require(args.b, "--b", parser))
-
-
 def cmd_compare(args, parser) -> int:
     if (args.family is None) == (args.state is None):
         parser.error("compare requires exactly one of --family or --state")
@@ -227,7 +226,7 @@ def cmd_compare(args, parser) -> int:
     else:  # no weights given: the rows that take no parameters
         names = [name for name, row in criteria.REGISTRY.items() if not row.required]
     specs = [_criterion_spec(args, parser, name) for name in names]
-    subject = _family(args, parser) if args.family else load_state(args.state)
+    subject = _make(_FAMILIES, args.family, args, parser) if args.family else load_state(args.state)
     report = analysis.compare(subject, specs, args.grid, args.tol)
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
@@ -263,20 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("state", help="emit a named state as JSON")
-    p.add_argument(
-        "--name",
-        required=True,
-        choices=[
-            "horodecki",
-            "xi",
-            "bell",
-            "ghz",
-            "horodecki-mix",
-            "random-pure",
-            "random-density",
-            "random-separable",
-        ],
-    )
+    p.add_argument("--name", required=True, choices=list(_STATES))
     p.add_argument("--b", type=float)
     p.add_argument("--x", type=float)
     p.add_argument("--n", type=int, default=3)
@@ -301,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tensor_check)
 
     p = sub.add_parser("scan", help="threshold scan over a one-parameter family")
-    p.add_argument("--family", required=True, choices=["horodecki-mix"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--b", type=float)
     p.add_argument("--criterion", required=True, choices=list(criteria.REGISTRY))
     p.add_argument("--grid", type=int, default=256)
@@ -317,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("compare", help="multi-criterion report for a family or state")
-    p.add_argument("--family", choices=["horodecki-mix"])
+    p.add_argument("--family", choices=list(_FAMILIES))
     p.add_argument("--b", type=float)
     p.add_argument("--state")
     p.add_argument("--criteria")

@@ -1,5 +1,5 @@
 """Exception types, and the one parser of each kind of input: every count, index and dimension
-(``check_whole``), party subset, choice and weight.  A bool is none of them, although ``True == 1``."""
+(``check_whole``), list of dims, party subset, choice and weight.  A bool is none of them, although ``True == 1``."""
 
 import math
 import numbers
@@ -23,6 +23,17 @@ def check_whole(value, minimum: int = 0, name: str = "m") -> int:
         whole = None
     if whole is None or whole != value or whole < minimum:
         raise ValidationError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return whole
+
+
+def check_dims(dims, minimum: int) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints; raises ValidationError unless a nonempty collection of whole numbers >= minimum."""
+    try:  # a plain loop: every DensityMatrix reads its dims here
+        whole = tuple([check_whole(d, minimum, "subsystem dimension") for d in dims])
+    except TypeError:  # not a collection
+        raise ValidationError(f"dims must be a collection of subsystem dimensions, got {dims!r}") from None
+    if not whole:
+        raise ValidationError("dims must name at least one subsystem, got none")
     return whole
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, check_choice, check_whole
+from .errors import NumericalError, ValidationError, check_choice, check_dims
 
 # Absolute tolerances for state validation.  All states handled here have
 # exact rational/surd entries, so machine precision leaves ample headroom.
@@ -40,7 +40,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
-        dims = tuple(check_whole(d, 1, "subsystem dimension") for d in self.dims)
+        dims = check_dims(self.dims, 1)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")
         if int(np.prod(dims)) != mat.shape[0]:

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError, check_whole
+from .errors import ValidationError, check_dims, check_whole
 from .linalg import DensityMatrix
 
 
@@ -178,7 +178,7 @@ def random_separable(dims, k_terms: int, seed) -> tuple[SeparableEnsemble, Densi
     Weights are Dirichlet(1, ..., 1) distributed, realized as normalized
     exponential draws.
     """
-    dims = tuple(check_whole(d, 2, "subsystem dimension") for d in dims)
+    dims = check_dims(dims, 2)
     k_terms = check_whole(k_terms, 1, "k_terms")
     rng = np.random.default_rng(seed)
     weights = rng.exponential(size=k_terms)

@@ -7,7 +7,15 @@ import pytest
 from hwsep import ValidationError, analysis, basis, check_ppt, check_theorem1, cli, decompose_bipartite, make_check
 from hwsep.cli import build_parser, matrix_to_pairs, parse_state_json, run, state_to_json
 from hwsep.criteria import REGISTRY
-from hwsep.states import ghz, horodecki_2x4
+from hwsep.states import (
+    ghz,
+    horodecki_2x4,
+    horodecki_mix_family,
+    random_density,
+    random_pure,
+    random_separable,
+    xi_state,
+)
 
 from reference_data import PRINTED_D3
 
@@ -47,6 +55,61 @@ def test_state_round_trip(capsys):
     rho = parse_state_json(doc)
     np.testing.assert_allclose(rho.matrix, horodecki_2x4(0.9).matrix, atol=1e-15)
     assert rho.dims == (2, 4)
+
+
+# every state name: the flags its row reads, and the same state made by the library
+NAMED_STATES = {
+    "horodecki": (["--b", "0.9"], lambda: horodecki_2x4(0.9)),
+    "xi": ([], xi_state),
+    "bell": ([], lambda: ghz(2)),
+    "ghz": (["--n", "4"], lambda: ghz(4)),
+    "horodecki-mix": (["--b", "0.9", "--x", "0.3"], lambda: horodecki_mix_family(0.9).state(0.3)),
+    "random-pure": (["--dim", "3", "--seed", "5"], lambda: random_pure(3, 5)),
+    "random-density": (["--dim", "3", "--seed", "5"], lambda: random_density(3, 5)),
+    "random-separable": (["--dims", "2,3", "--terms", "4", "--seed", "5"], lambda: random_separable((2, 3), 4, 5)[1]),
+}
+
+
+class TestStateTables:
+    def test_choices_are_the_tables(self):
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+        def choices(command, flag):
+            return next(a.choices for a in commands[command]._actions if flag in a.option_strings)
+
+        assert choices("state", "--name") == list(cli._STATES) == list(NAMED_STATES)
+        assert choices("scan", "--family") == choices("compare", "--family") == list(cli._FAMILIES)
+        assert set(cli._FAMILIES) <= set(cli._STATES)
+
+    @pytest.mark.parametrize("name", list(NAMED_STATES))
+    def test_every_state_is_the_library_state(self, capsys, name):
+        flags, made = NAMED_STATES[name]
+        code, out, err = outcome(capsys, ["state", "--name", name, *flags])
+        assert (code, err) == (0, "")
+        assert out == json.dumps(state_to_json(made()), indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["state", "--name", "horodecki"], "--b"),
+            (["state", "--name", "horodecki-mix", "--x", "0.3"], "--b"),
+            (["state", "--name", "horodecki-mix", "--b", "0.9"], "--x"),
+            (["state", "--name", "random-pure", "--seed", "1"], "--dim"),
+            (["state", "--name", "random-density"], "--dim"),
+            (["state", "--name", "random-separable", "--terms", "3"], "--dims"),
+            (["scan", "--family", "horodecki-mix", "--criterion", "vb"], "--b"),
+            (["compare", "--family", "horodecki-mix", "--criteria", "vb"], "--b"),
+        ],
+    )
+    def test_missing_flag_is_a_usage_error(self, capsys, argv, missing):
+        code, out, err = outcome(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"{argv[2]} requires {missing}\n" in err
+
+    def test_family_is_built_before_x_is_read(self, capsys):
+        code, out, err = outcome(capsys, ["state", "--name", "horodecki-mix", "--b", "1.5"])
+        assert (code, out) == (3, "")
+        assert "b must lie in (0, 1)" in err
 
 
 def test_check_ppt_on_bell_file(tmp_path, capsys):
@@ -216,6 +279,10 @@ class TestExitCodes:
 
     def test_validation_error_bad_b(self, capsys):
         assert run(["state", "--name", "horodecki", "--b", "1.5"]) == 3
+
+    def test_validation_error_empty_dims(self, capsys):
+        assert run(["state", "--name", "random-separable", "--dims", ""]) == 3
+        assert "dims must name at least one subsystem" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_validation_error_non_finite_weights(self, tmp_path, capsys, value):

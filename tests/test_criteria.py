@@ -281,6 +281,50 @@ class TestPPT:
             assert v1.value == pytest.approx(v2.value, abs=1e-10)
 
 
+class TestPPTBoundary:
+    """On 2x2 and 2x3, PPT is separability (Peres 1996; Horodecki 1996).
+
+    A separable state mixed towards a random pure (entangled, NPT) state and
+    bisected onto the PPT boundary from the PPT side is therefore a separable
+    state on the boundary of the separable set, where no check may say ENTANGLED.
+    """
+
+    CHECKS = [
+        *(
+            make_check("hw", alpha=alpha, beta=beta, m=m, normalization=normalization)
+            for alpha, beta, m in [(0.5, math.sqrt(2 / 11), 1), (1, 1, 1), (0, 0, 1), (2, 0.3, 2), (0.2, 1.5, 3)]
+            for normalization in ("standard", "rescaled")
+        ),
+        make_check("vb"),
+        make_check("lb"),
+        make_check("isc", alpha=0.8, beta=1.1, m=1),
+        make_check("thm2", alphas=(0.7, 1.3), m=2),
+        make_check("ppt", subsystem=1),
+        make_check("ppt", subsystem=2),
+    ]
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_no_check_flags_a_separable_boundary_state(self, dims):
+        d, rng = math.prod(dims), np.random.default_rng(sum(dims))
+
+        def min_eig_pt(mat):
+            return np.linalg.eigvalsh(mat.reshape(*dims, *dims).transpose(0, 3, 2, 1).reshape(d, d))[0]
+
+        for seed in range(130):
+            inner = random_separable(dims, 2 * d, seed)[1].matrix
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            outer = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+            assert min_eig_pt(inner) > 0 > min_eig_pt(outer)
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if min_eig_pt((1 - mid) * inner + mid * outer) >= 0 else (lo, mid)
+            mat = (1 - lo) * inner + lo * outer
+            assert 0 <= min_eig_pt(mat) < 1e-12  # on the boundary, from the PPT side
+            rho = DensityMatrix(mat, dims)
+            assert not any(check(rho).entangled for check in self.CHECKS)
+
+
 class TestMatricize:
     def test_two_axes_is_plain_reshape(self):
         w = np.arange(12.0).reshape(3, 4)

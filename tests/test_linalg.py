@@ -179,6 +179,10 @@ class TestDensityMatrixValidation:
         for dims in ((2.9, 2.1), (True, 4)):  # not truncated to (2, 2) or read as (1, 4)
             with pytest.raises(ValidationError, match="subsystem dimension must be a whole number"):
                 DensityMatrix(np.eye(4) / 4, dims)
+        with pytest.raises(ValidationError, match="dims must be a collection"):
+            DensityMatrix(np.eye(2) / 2, 2)
+        with pytest.raises(ValidationError, match="dims must name at least one subsystem"):
+            DensityMatrix(np.eye(1), ())  # a state of no parties
 
     def test_rejects_non_finite(self):
         m = np.eye(2, dtype=complex) / 2

@@ -1,0 +1,98 @@
+"""A Hilbert-space oracle for every trace-norm row: local filters and a realignment, no operator basis.
+
+For weights w_k, scales s_k = sqrt(m) w_k and c_k = 1 (standard) or sqrt(d_k / 2) (rescaled),
+
+    ||W^(A|A-bar)||_tr = prod_k sqrt(d_k) ||R_A((F_1 x ... x F_N)(rho))||_tr,
+    F_k(X) = c_k X + (s_k - c_k) Tr_k(X) x I_k / d_k,
+
+where R_A puts the (i_k, j_k) index pairs of the parties in A on the rows.
+The map from an operator to its coefficients on a party's basis is sqrt(d_k)
+times a unitary, and weighting the identity slot changes c_k I along
+vec(I)/sqrt(d_k) alone.  The realignment (CCNR) criterion is s = c = 1 and
+de Vicente's correlation criterion (``vb``) is s = 0, rescaled.  The oracle
+uses reshapes, partial traces and a complex SVD, never ``hw_basis`` or ``bloch``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from hwsep import DensityMatrix, check_theorem2, make_check, optimize_params
+from hwsep.criteria import all_bipartitions
+from hwsep.states import random_density
+
+RTOL = 1e-12
+
+
+def realigned(rho, weights, m, normalization, part):
+    """The value and bound of the trace-norm criterion on bipartition ``part``, from the identity above."""
+    dims, n = rho.dims, len(rho.dims)
+    t = rho.matrix.reshape(dims + dims)  # axes i_1..i_N, then j_1..j_N
+    bound = 1.0
+    for k, (d, w) in enumerate(zip(dims, weights)):
+        c = 1.0 if normalization == "standard" else math.sqrt(d / 2)
+        traced = np.expand_dims(np.trace(t, axis1=k, axis2=n + k), (k, n + k))
+        identity = np.eye(d).reshape([d if axis in (k, n + k) else 1 for axis in range(2 * n)]) / d
+        t = c * t + (math.sqrt(m) * w - c) * traced * identity
+        bound *= math.sqrt(m * w * w + c * c * (d - 1))
+    rest = [k for k in range(1, n + 1) if k not in part]
+    order = [axis for k in (*part, *rest) for axis in (k - 1, n + k - 1)]
+    matrix = t.transpose(order).reshape(math.prod(dims[k - 1] ** 2 for k in part), -1)
+    return math.prod(math.sqrt(d) for d in dims) * np.linalg.svd(matrix, compute_uv=False).sum(), bound
+
+
+def random_state(dims, seed):
+    return DensityMatrix(random_density(math.prod(dims), seed).matrix, dims)
+
+
+def agrees(verdict, oracle):
+    np.testing.assert_allclose((verdict.value, verdict.bound), oracle, rtol=RTOL, atol=0)
+
+
+TWO_PARTY_DIMS = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("dims", TWO_PARTY_DIMS)
+@pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_hw_in_both_normalizations(dims, normalization, m):
+    rng = np.random.default_rng(sum(dims) * 10 + m)
+    for seed in range(3):
+        rho, (alpha, beta) = random_state(dims, seed), rng.uniform(0, 2, 2)
+        verdict = make_check("hw", alpha=alpha, beta=beta, m=m, normalization=normalization)(rho)
+        agrees(verdict, realigned(rho, (beta, alpha), m, normalization, (1,)))
+
+
+@pytest.mark.parametrize("dims", TWO_PARTY_DIMS)
+def test_fixed_rows(dims):
+    rng = np.random.default_rng(sum(dims))
+    for seed in range(3):
+        rho = random_state(dims, seed)
+        agrees(make_check("vb")(rho), realigned(rho, (0.0, 0.0), 0, "rescaled", (1,)))
+        agrees(make_check("lb")(rho), realigned(rho, (1.0, 1.0), 1, "rescaled", (1,)))
+        (alpha, beta), m = rng.uniform(0, 2, 2), int(rng.integers(1, 4))
+        verdict = make_check("isc", alpha=alpha, beta=beta, m=m)(rho)
+        agrees(verdict, realigned(rho, (beta, alpha), m, "rescaled", (1,)))
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 2, 2)])
+@pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+def test_thm2_on_every_bipartition(dims, normalization):
+    rng = np.random.default_rng(len(dims))
+    for seed in range(2):
+        rho, alphas, m = random_state(dims, seed), rng.uniform(0, 2, len(dims)), seed + 1
+        verdicts = check_theorem2(rho, alphas, m, normalization=normalization)
+        assert [tuple(v.params["partition"]) for v in verdicts] == all_bipartitions(len(dims))
+        for verdict in verdicts:
+            agrees(verdict, realigned(rho, alphas, m, normalization, verdict.params["partition"]))
+
+
+@pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+def test_best_cell_of_the_grid_search(normalization):
+    grid = [0.0, 0.3, 0.7, 1.2]
+    for dims in [(2, 2), (2, 4), (3, 3)]:
+        rho = random_state(dims, 7)
+        best = optimize_params(rho, grid, grid, [1, 2, 3], normalization)
+        oracle = realigned(rho, (best.beta, best.alpha), best.m, normalization, (1,))
+        np.testing.assert_allclose((best.value, best.bound), oracle, rtol=RTOL, atol=0)

@@ -216,6 +216,10 @@ class TestRandomStates:
             random_separable((1, 4), 3, 1)
         with pytest.raises(ValidationError):
             random_separable((2.5, 2), 3, 0)  # not truncated to (2, 2)
+        with pytest.raises(ValidationError, match="dims must name at least one subsystem"):
+            random_separable((), 2, 0)
+        with pytest.raises(ValidationError, match="dims must be a collection"):
+            random_separable(2, 2, 0)
         with pytest.raises(ValidationError):
             random_separable((2, 2), 2.5, 0)
         with pytest.raises(ValidationError):
