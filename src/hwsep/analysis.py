@@ -8,11 +8,14 @@ onset of violation: the criterion certifies entanglement for x above it.
 A scan judges stacks of the check's linear images of the family's
 states.  An affine family (``StateFamily`` with endpoints rho0, rho1) makes
 them from the images L0, L1 of its endpoints: the state at x has the image
-(1-x) L0 + x L1, so no state is built or validated per point.  A
-generator-only family makes them as the images of its states.  The two
-give the same values up to rounding, so they make the same verdicts,
-evaluations and sign changes unless a point lies within rounding of the
-margin.  ``CRITERIA`` lists the names of ``criteria.REGISTRY``.
+(1-x) L0 + x L1, so no state is built or validated per point.  Its
+values are convex in x, so it judges about sqrt(n) of its n grid points,
+decides from them the points away from an onset and judges the rest
+(``_coarse_grid``): the verdicts of judging every point.  A generator-only
+family judges the images of all its states.  The two give the same values
+up to rounding, so they make the same verdicts, evaluations and sign
+changes unless a point lies within rounding of the margin.  ``CRITERIA``
+lists the names of ``criteria.REGISTRY``.
 
 ``optimize_params`` judges its whole (m, alpha, beta) grid the same way:
 the state is decomposed once, and a cell's tensor depends only on its pair
@@ -71,7 +74,7 @@ class ThresholdResult:
 
 
 def _image_source(family: StateFamily, check: criteria.Check):
-    """(xs -> stack of the check's images of the family's states at xs, their bound, elements per image).
+    """(xs -> stack of the check's images of the family's states at xs, their bound, the shape of one image).
 
     The states of a generator-only family must keep the dims they have at x = 0,
     and its state at x = 0 is built once per scan.
@@ -98,7 +101,48 @@ def _image_source(family: StateFamily, check: criteria.Check):
         def images(xs):
             return np.stack([image(x) for x in xs])
 
-    return images, bound, image0.size
+    return images, bound, image0.shape
+
+
+def _coarse_grid(check, images, bound, shape, xs, affine):
+    """The verdict at xs[0] (it reports the criterion and its parameters) and the flag at every x in xs.
+
+    A generator-only family's points are all judged.  An affine family's
+    samples, every isqrt(len(xs))-th point and the last, are judged first:
+    their worst-column values v are convex in x, so between samples a and b
+    a value lies in [L - 2 delta, max(v_a, v_b) + 2 delta], L the larger of
+    the neighbouring sample segments' secants at x, each less 2t delta for
+    an extension of t times its base.  A point is INCONCLUSIVE when that
+    upper end is under the margin's floor and ENTANGLED when its lower end
+    passes the largest margin there; the rest are judged in one more stack.
+    delta = 64 N eps_mach scale, N the largest sum of a judged matrix's
+    dimensions (ppt's matrix dimension), scale = max(1, |bound|, |v|).  It
+    covers forming (1-x) L0 + x L1 (under 3 N eps_mach scale) and an SVD or
+    eigvalsh error of p(N) eps_mach times the matrix norm (at most scale)
+    for p(N) up to 61 N; values on the bound came out within N eps_mach / 2.
+    """
+    size, n = math.prod(shape), len(xs)
+    stride = math.isqrt(n) if affine else 1
+    picked = [*range(0, n - 1, stride), n - 1]
+
+    def judge(points):
+        return [check.judge(images([xs[i] for i in points[b]]), bound) for b in _batches(len(points), size)]
+
+    stacks, flags = judge(picked), np.zeros(n, dtype=bool)
+    flags[picked] = [flag for stack in stacks for flag in stack.entangled.tolist()]
+    rest = [i for a, b in zip(picked, picked[1:]) for i in range(a + 1, b)]
+    if rest:
+        v, sizes = np.concatenate([stack.values.max(axis=1) for stack in stacks]), stacks[0].sizes
+        delta = 64 * max(*sizes, *shape) * criteria._EPS_MACH * max(1.0, abs(bound), float(np.abs(v).max()))
+        at, x, j = np.array(xs)[picked], np.array(xs)[rest], np.array(rest) // stride  # segment j: samples j, j + 1
+        rise, base = (np.concatenate(([np.nan], np.diff(a), [np.nan])) for a in (v, at))  # segment j's at j + 1
+        t, u = (x - at[j]) / base[j], (at[j + 1] - x) / base[j + 2]  # segments j - 1 and j + 1 extended to x
+        lower = np.fmax(v[j] + (rise[j] - 2 * delta) * t, v[j + 1] - (rise[j + 2] + 2 * delta) * u) - 2 * delta
+        flags[rest] = entangled = criteria._violates(lower, bound, max(sizes), np.maximum)
+        inconclusive = np.maximum(v[j], v[j + 1]) + 2 * delta < bound + criteria.VIOLATION_EPS
+        todo = np.array(rest)[entangled == inconclusive].tolist()  # neither, or (never) both
+        flags[todo] = [flag for stack in judge(todo) for flag in stack.entangled.tolist()]
+    return stacks[0].verdict(0), flags.tolist()
 
 
 def scan_threshold(
@@ -120,6 +164,7 @@ def scan_threshold(
     ``check`` is a ``criteria.Check``, as ``make_check`` returns.  Its images
     along the family (see the module docstring) are judged in stacks of at
     most _STACK_ELEMS elements, each bisection step as a stack of one.
+    ``evaluations`` counts the grid points decided plus the bisection steps.
     """
     if not isinstance(grid_points, numbers.Integral) or grid_points < 16:
         raise ValidationError(f"grid_points must be an integer >= 16, got {grid_points!r}")
@@ -128,11 +173,9 @@ def scan_threshold(
     if not isinstance(check, criteria.Check):
         raise ValidationError(f"check must be a criteria.Check, as make_check returns, got {check!r}")
 
-    images, bound, size = _image_source(family, check)
+    images, bound, shape = _image_source(family, check)
     xs = [i / (grid_points - 1) for i in range(grid_points)]
-    grid = [check.judge(images(xs[batch]), bound) for batch in _batches(len(xs), size)]
-    first = grid[0].verdict(0)  # reports the criterion and its parameters
-    flags = [flag for stack in grid for flag in stack.entangled.tolist()]
+    first, flags = _coarse_grid(check, images, bound, shape, xs, family.endpoints is not None)
     evaluations = len(xs)
     changes = [i for i in range(1, len(xs)) if flags[i] != flags[i - 1]]
 

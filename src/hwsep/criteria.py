@@ -168,6 +168,8 @@ class Check:
     bound)`` decides a stack of images (axis 0) in one batch, as a
     Judgement; ``params(column)`` is what a verdict on one of its columns
     reports.  ``bind`` makes a Check from a row and its parsed parameters.
+    A judge's values must be convex in the image (a trace norm, or -lambda_min):
+    scans decide points between judged ones from that (``analysis._coarse_grid``).
     """
 
     row: Criterion

@@ -159,14 +159,14 @@ def _unit_vectors(draws: np.ndarray, dims) -> tuple[np.ndarray, ...]:
 def random_pure(d: int, seed) -> DensityMatrix:
     """Haar-random pure state as a density matrix."""
     d = check_whole(d, 2, "dimension")
-    (v,) = _unit_vectors(np.random.default_rng(seed).standard_normal(2 * d), (d,))
+    (v,) = _unit_vectors(np.random.default_rng(check_whole(seed, 0, "seed")).standard_normal(2 * d), (d,))
     return DensityMatrix(np.outer(v, v.conj()), (d,))
 
 
 def random_density(d: int, seed) -> DensityMatrix:
     """Random full-rank mixed state G G^dag / Tr(G G^dag)."""
     d = check_whole(d, 2, "dimension")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_whole(seed, 0, "seed"))
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = g @ g.conj().T
     return DensityMatrix(rho / rho.trace().real, (d,))
@@ -180,7 +180,9 @@ def random_separable(dims, k_terms: int, seed) -> tuple[SeparableEnsemble, Densi
     """
     dims = check_dims(dims, 2)
     k_terms = check_whole(k_terms, 1, "k_terms")
-    rng = np.random.default_rng(seed)
+    if k_terms * 2 * sum(dims) * 8 > np.iinfo(np.intp).max:  # the bytes of its normal draws
+        raise ValidationError(f"k_terms {k_terms} draws more normals than one array can hold")
+    rng = np.random.default_rng(check_whole(seed, 0, "seed"))
     weights = rng.exponential(size=k_terms)
     weights /= weights.sum()
     # every vector's draws in one call, in the order of one call per real or imaginary part

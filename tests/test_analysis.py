@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hwsep import DensityMatrix, ValidationError, analysis, compare, make_check, optimize_params, scan_threshold
 from hwsep import check_theorem1, cli, criteria, states
-from hwsep.linalg import trace_norm
+from hwsep.linalg import eig_hermitian, trace_norm
 from hwsep.states import (
     StateFamily,
     ghz,
@@ -208,15 +208,19 @@ class TestAffineScan:
         assert res == scan_threshold(FAMILY, check)
 
 
+TWO_PARTY = ((2, 2), (2, 3), (3, 3))
+
+
 @st.composite
-def affine_pairs(draw):
-    d = draw(st.sampled_from([2, 3]))
+def affine_pairs(draw, shapes=TWO_PARTY):
+    """The affine family between two seeded random states, each pure or mixed, of dims drawn from ``shapes``."""
+    dims = draw(st.sampled_from(shapes))
     seed = draw(st.integers(0, 2**31))
     kinds = draw(st.tuples(st.booleans(), st.booleans()))
     ends = [
-        (random_pure if pure else random_density)(d * d, seed + k).matrix for k, pure in enumerate(kinds)
+        (random_pure if pure else random_density)(math.prod(dims), seed + k).matrix for k, pure in enumerate(kinds)
     ]
-    return StateFamily("pair", endpoints=tuple(as_pair(e, d) for e in ends))
+    return StateFamily("pair", {"seed": seed}, endpoints=tuple(DensityMatrix(e, dims) for e in ends))
 
 
 class TestConvexity:
@@ -250,6 +254,124 @@ class TestConvexity:
         assert np.all(f[:-2] - 2 * f[1:-1] + f[2:] >= -1e-12 * scale)
         pattern = "".join("E" if flag else "I" for flag in judged.entangled)
         assert re.fullmatch("E*I*E*", pattern), pattern
+
+
+def exhaustive_scan(family, check, grid_points=256, tol=1e-6):
+    """An affine scan that judges every coarse-grid point, in one stack, before the same bisection."""
+    (l0, bound), (l1, _) = (check.linear(rho) for rho in family.endpoints)
+
+    def judge(xs):
+        x = np.array(xs).reshape(-1, *(1,) * l0.ndim)
+        return check.judge(x * l1 + (1 - x) * l0, bound)
+
+    xs = [i / (grid_points - 1) for i in range(grid_points)]
+    grid = judge(xs)
+    flags, first, evaluations = grid.entangled.tolist(), grid.verdict(0), grid_points
+    changes = sum(flags[i] != flags[i - 1] for i in range(1, grid_points))
+    onset = next((i for i in range(1, grid_points) if flags[i] and not flags[i - 1]), None)
+    threshold, width = (0.0 if flags[0] else None), 0.0
+    if onset is not None and not flags[0]:
+        lo, hi = xs[onset - 1], xs[onset]
+        while hi - lo > tol:
+            mid, evaluations = 0.5 * (lo + hi), evaluations + 1
+            lo, hi = (lo, mid) if judge([mid]).entangled[0] else (mid, hi)
+        threshold, width = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return analysis.ThresholdResult(
+        first.criterion, first.params, family.describe(), threshold, width, evaluations, changes
+    )
+
+
+ORACLE_GRIDS = (16, 17, 100, 256, 257)
+
+
+def bell_family(noise=0.0, weight=1.0):
+    """Phi+ -> weight Psi+ + (1 - weight) Phi+, each mixed with white noise; ppt reads max(q) - 1/2 along it,
+    where q are the two Bell weights, so it is INCONCLUSIVE on |x - 1/(2 weight)| <= noise / (4 weight (1 - noise))."""
+    phi, psi = np.zeros(4), np.zeros(4)
+    phi[[0, 3]] = psi[[1, 2]] = 1 / np.sqrt(2)
+    bell = [np.outer(v, v) for v in (phi, psi)]
+    ends = (bell[0], weight * bell[1] + (1 - weight) * bell[0])
+    ends = [DensityMatrix((1 - noise) * e + noise * np.eye(4) / 4, (2, 2)) for e in ends]
+    return StateFamily("bell", endpoints=ends)
+
+
+class TestCertifiedGrid:
+    """An affine scan decides most coarse-grid points from judged samples by convexity; the result is the one
+    judging every point gives, field for field."""
+
+    @pytest.mark.parametrize("criterion,params", SCAN_SPECS)
+    def test_every_spec_matches_the_exhaustive_scan(self, criterion, params):
+        check = make_check(criterion, **params)
+        for fam in [fam for fam, _ in SCAN_FAMILIES] + [bell_family(0.0273, 0.6)]:
+            for grid in ORACLE_GRIDS:
+                assert repr(scan_threshold(fam, check, grid)) == repr(exhaustive_scan(fam, check, grid))
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        fam=affine_pairs(TWO_PARTY + ((2, 2, 2),)),
+        spec=st.sampled_from(SCAN_SPECS),
+        alphas=st.tuples(*[st.floats(0, 2)] * 3),
+        m=st.integers(1, 3),
+    )
+    def test_random_pairs_match_the_exhaustive_scan(self, fam, spec, alphas, m):
+        criterion, params = spec
+        if len(fam.endpoints[0].dims) == 3:  # three qubits: thm2 on every bipartition
+            criterion, params = "thm2", dict(alphas=alphas, m=m)
+        check = make_check(criterion, **params)
+        for grid in ORACLE_GRIDS:
+            assert repr(scan_threshold(fam, check, grid)) == repr(exhaustive_scan(fam, check, grid))
+
+    def test_the_one_inconclusive_point_of_a_bell_mixture_is_judged(self, monkeypatch):
+        fam, check = bell_family(), make_check("ppt")
+        judged = []
+        monkeypatch.setattr(criteria, "eig_hermitian", lambda stack: judged.extend(stack) or eig_hermitian(stack))
+        res = scan_threshold(fam, check, grid_points=257)
+        monkeypatch.undo()
+        assert 0 < len(judged) < 257
+        (l0, _), (l1, _) = (check.linear(rho) for rho in fam.endpoints)
+        middle = 0.5 * l1 + (1 - 0.5) * l0  # x = 0.5, grid point 128
+        assert any(np.array_equal(image, middle) for image in judged)
+        assert not check.judge(middle[None], 0.0).entangled[0]
+        assert repr(res) == repr(exhaustive_scan(fam, check, 257))
+        assert res.sign_changes == 2 and res.threshold == 0.0
+
+    def test_values_on_the_bound(self):
+        # ppt along a mixture of two pure products, and hw along one pure product: every value on the bound
+        ends = [product([random_pure(2, 2 * seed), random_pure(3, 2 * seed + 1)]) for seed in (1, 2)]
+        products = StateFamily("products", endpoints=ends)
+        one = StateFamily("one-product", endpoints=[PURE_PRODUCTS_5X7[0]] * 2)
+        cases = [(products, make_check("ppt", subsystem=s)) for s in (1, 2)] + [
+            (one, make_check("hw", alpha=a, beta=b, m=1, normalization=n))
+            for a, b in ((2.0, 3.0), (2e4, 3e4))
+            for n in ("standard", "rescaled")
+        ]
+        for fam, check in cases:
+            (l0, bound), (l1, _) = (check.linear(rho) for rho in fam.endpoints)
+            x = np.linspace(0.0, 1.0, 33).reshape(-1, *(1,) * l0.ndim)
+            values = check.judge(x * l1 + (1 - x) * l0, bound).values
+            assert np.allclose(values, bound, rtol=1e-12, atol=1e-14)
+            for grid in ORACLE_GRIDS:
+                res = scan_threshold(fam, check, grid)
+                assert repr(res) == repr(exhaustive_scan(fam, check, grid))
+                assert res.threshold is None and res.sign_changes == 0
+
+    @pytest.mark.parametrize("past", [5e-10, 1e-9])
+    def test_values_at_the_margin(self, past):
+        # a Werner state with lambda_min(rho^PT) = -past at both ends: ppt reads past, inside or on the margin's floor
+        phi = np.zeros(4)
+        phi[[0, 3]] = 1 / np.sqrt(2)
+        p = (1 + 4 * past) / 3
+        rho = DensityMatrix(p * np.outer(phi, phi) + (1 - p) * np.eye(4) / 4, (2, 2))
+        fam, check = StateFamily("werner", endpoints=(rho, rho)), make_check("ppt")
+        for grid in ORACLE_GRIDS:
+            assert repr(scan_threshold(fam, check, grid)) == repr(exhaustive_scan(fam, check, grid))
+
+    def test_paper_scan_judges_few_images(self, monkeypatch):
+        judged = []
+        monkeypatch.setattr(criteria, "trace_norm", lambda stack: judged.append(len(stack)) or trace_norm(stack))
+        res = scan_threshold(FAMILY, HW_CHECK)
+        assert res.evaluations == 256 + 12  # grid points decided plus bisection steps, as when all were judged
+        assert sum(judged) <= 50
 
 
 class TestOptimizeParams:

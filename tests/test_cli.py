@@ -284,6 +284,20 @@ class TestExitCodes:
         assert run(["state", "--name", "random-separable", "--dims", ""]) == 3
         assert "dims must name at least one subsystem" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--name", "random-pure", "--dim", "2", "--seed", "-1"], "seed"),
+            (["--name", "random-density", "--dim", "2", "--seed", "-1"], "seed"),
+            (["--name", "random-separable", "--dims", "2,2", "--seed", "-1"], "seed"),
+            (["--name", "random-separable", "--dims", "2,2", "--terms", "100000000000000000000"], "k_terms"),
+        ],
+    )
+    def test_validation_error_seed_and_terms(self, capsys, flags, named):
+        assert run(["state", *flags]) == 3
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_validation_error_non_finite_weights(self, tmp_path, capsys, value):
         path = write_state(tmp_path, horodecki_2x4(0.9))

@@ -225,6 +225,19 @@ class TestRandomStates:
         with pytest.raises(ValidationError):
             random_pure(2.5, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.nan, None, "1", True])
+    def test_seed_is_a_whole_number(self, seed):
+        for make in (lambda: random_pure(2, seed), lambda: random_density(2, seed)):
+            with pytest.raises(ValidationError, match="seed"):
+                make()
+        with pytest.raises(ValidationError, match="seed"):
+            random_separable((2, 2), 2, seed)
+
+    @pytest.mark.parametrize("k_terms", [10**20, 2**57])  # refused before any draw is made
+    def test_terms_past_one_array_are_a_validation_error(self, k_terms):
+        with pytest.raises(ValidationError, match="k_terms"):
+            random_separable((2, 2), k_terms, 0)
+
     def test_whole_float_sizes_are_read_as_ints(self):
         for made, expected in ((random_density(3.0, 0), random_density(3, 0)), (ghz(3.0), ghz(3))):
             assert made.dims == expected.dims
