@@ -14,8 +14,7 @@ decides from them the points away from an onset and judges the rest
 (``_coarse_grid``): the verdicts of judging every point.  A generator-only
 family judges the images of all its states.  The two give the same values
 up to rounding, so they make the same verdicts, evaluations and sign
-changes unless a point lies within rounding of the margin.  ``CRITERIA``
-lists the names of ``criteria.REGISTRY``.
+changes unless a point lies within rounding of the margin.
 
 ``optimize_params`` judges its whole (m, alpha, beta) grid the same way:
 the state is decomposed once, and a cell's tensor depends only on its pair
@@ -28,7 +27,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, field
 
@@ -36,11 +34,9 @@ import numpy as np
 
 from . import bloch, criteria
 from .criteria import make_check
-from .errors import ValidationError, check_weights, check_whole
+from .errors import ValidationError, check_real, check_weights, check_whole
 from .linalg import DensityMatrix, trace_norm
 from .states import StateFamily
-
-CRITERIA = tuple(criteria.REGISTRY)
 
 # Largest number of array elements a scan or a grid search stacks into one batch of images.
 _STACK_ELEMS = 2**20
@@ -166,10 +162,11 @@ def scan_threshold(
     most _STACK_ELEMS elements, each bisection step as a stack of one.
     ``evaluations`` counts the grid points decided plus the bisection steps.
     """
-    if not isinstance(grid_points, numbers.Integral) or grid_points < 16:
-        raise ValidationError(f"grid_points must be an integer >= 16, got {grid_points!r}")
-    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and math.isfinite(tol) and tol >= 1e-8):
+    grid_points = check_whole(grid_points, 16, "grid_points")
+    if check_real(tol, "tol") < 1e-8:
         raise ValidationError(f"tol must be finite and >= 1e-8, got {tol!r}")
+    if not isinstance(family, StateFamily):
+        raise ValidationError(f"family must be a StateFamily, got {family!r}")
     if not isinstance(check, criteria.Check):
         raise ValidationError(f"check must be a criteria.Check, as make_check returns, got {check!r}")
 
@@ -216,15 +213,10 @@ class OptimizeResult:
         return self.value - self.bound
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "m": self.m,
-            "value": self.value,
-            "bound": self.bound,
-            "violation": self.violation,
-            "normalization": self.normalization,
-        }
+        """The fields, with ``violation`` before ``normalization``."""
+        doc = asdict(self)
+        normalization = doc.pop("normalization")
+        return {**doc, "violation": self.violation, "normalization": normalization}
 
 
 def optimize_params(
@@ -281,6 +273,10 @@ class ComparisonRow:
     verdict: str | None = None
 
 
+# A report's CSV columns: a row's criterion, the parameters the S rows report, and its outcome.
+_CSV_COLUMNS = ("criterion", "alpha", "beta", "m", "normalization", "threshold", "value", "bound", "verdict")
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     subject: dict
@@ -290,26 +286,11 @@ class ComparisonReport:
         return asdict(self)
 
     def to_csv(self) -> str:
+        """One line per row, in ``_CSV_COLUMNS``: its fields, with the parameters it has among them."""
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["criterion", "alpha", "beta", "m", "normalization", "threshold", "value", "bound", "verdict"]
-        )
-        for row in self.rows:
-            p = row.params
-            writer.writerow(
-                [
-                    row.criterion,
-                    p.get("alpha", ""),
-                    p.get("beta", ""),
-                    p.get("m", ""),
-                    p.get("normalization", ""),
-                    "" if row.threshold is None else repr(row.threshold),
-                    "" if row.value is None else repr(row.value),
-                    "" if row.bound is None else repr(row.bound),
-                    row.verdict or "",
-                ]
-            )
+        writer = csv.DictWriter(buf, _CSV_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows({**row.params, **asdict(row)} for row in self.rows)
         return buf.getvalue()
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import hw_basis
 from .errors import ValidationError, check_choice, check_weights
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, require_parties
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +134,7 @@ class BlochDecomposition:
 
 def decompose_single(rho: DensityMatrix, normalization: str = "standard") -> BlochVector:
     """Bloch vector of a single-system state."""
-    rho.require_parties(1, "decompose_single")
+    require_parties(rho, 1, "decompose_single")
     return BlochVector(rho.dims[0], normalization, _coefficients(rho, normalization)[1:])
 
 
@@ -147,7 +147,7 @@ def purity_from_bloch(r: BlochVector) -> float:
 
 def decompose_bipartite(rho: DensityMatrix, normalization: str = "standard") -> BlochDecomposition:
     """Bloch data (r, s, T) of a bipartite state."""
-    rho.require_parties(2, "decompose_bipartite")
+    require_parties(rho, 2, "decompose_bipartite")
     return BlochDecomposition(rho.dims, normalization, _coefficients(rho, normalization))
 
 
@@ -174,5 +174,5 @@ def build_W(rho: DensityMatrix, alphas, normalization: str = "standard") -> np.n
     for each axis k whose slot a_k is the identity (see the module docstring).
     """
     weights = check_weights(alphas)
-    rho.require_parties(len(weights), "build_W")
+    require_parties(rho, len(weights), "build_W")
     return weighted(_coefficients(rho, normalization), weights)

@@ -7,8 +7,9 @@ emitted at full double precision.  Exit codes: 0 success, 2 usage error,
 
 Named states and families are rows of ``_STATES`` and ``_FAMILIES``: a
 constructor and the parameters it takes, in order.  A family's row is also
-a state's, at ``--x``.  Their parameters and the criteria's are read from
-their flags by ``_FLAGS``; a missing required flag is a usage error.
+a state's, at ``--x``.  argparse parses each flag once, into the parameter
+it names; a row takes its parameters from them, and a missing required one
+is a usage error.
 """
 
 from __future__ import annotations
@@ -57,52 +58,35 @@ def load_state(path: str) -> DensityMatrix:
     return parse_state_json(doc)
 
 
-def _csv(text: str, kind, parser) -> list:
-    """Comma-separated values of type ``kind``; a malformed one is a usage error."""
-    try:
-        return [kind(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        parser.error(f"expected comma-separated {kind.__name__} values, got {text!r}")
+def _list(kind):
+    """An argparse type: comma-separated ``kind`` values, empty ones skipped; a malformed one is a usage error."""
 
-
-def _beta_value(args, parser) -> float | None:
-    if getattr(args, "beta_sq", None) is not None:
+    def parse(text: str) -> list:
         try:
-            frac = Fraction(args.beta_sq)
-        except (ValueError, ZeroDivisionError):
-            parser.error(f"--beta-sq must be a rational number such as 2/11, got {args.beta_sq!r}")
-        if frac < 0:
-            parser.error("--beta-sq must be nonnegative")
-        return math.sqrt(float(frac))
-    return args.beta
+            return [kind(tok) for tok in text.split(",") if tok != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {kind.__name__} values, got {text!r}") from None
+
+    return parse
 
 
-def _normalization(args) -> str:
-    return "rescaled" if getattr(args, "rescaled", False) else "standard"
+def _beta_sq(text: str) -> float:
+    """An argparse type: beta from beta^2, an exact nonnegative rational such as 2/11."""
+    try:
+        return math.sqrt(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):  # not a rational, negative, or past float range
+        raise argparse.ArgumentTypeError(f"must be a nonnegative rational number such as 2/11, got {text!r}") from None
 
 
-# parameter -> (its flag, as usage errors name it; its value from the parsed arguments, or None)
-_FLAGS = {
-    **{
-        key: (f"--{key}", lambda args, parser, key=key: getattr(args, key))  # as argparse parsed it
-        for key in ("alpha", "m", "b", "x", "n", "dim", "terms", "seed")
-    },
-    "beta": ("--beta (or --beta-sq)", _beta_value),
-    "alphas": ("--alphas", lambda args, parser: None if args.alphas is None else _csv(args.alphas, float, parser)),
-    "dims": ("--dims", lambda args, parser: None if args.dims is None else _csv(args.dims, int, parser)),
-    "partitions": ("--partition", lambda args, parser: [_csv(args.partition, int, parser)] if args.partition else None),
-    "normalization": ("--rescaled", lambda args, parser: _normalization(args)),
-}
+# a parameter's flag as usage errors name it, where that is not --<parameter>
+_FLAGS = {"beta": "--beta (or --beta-sq)"}
 
 
 def _read(args, parser, what: str, required, optional=()) -> dict:
-    """The flag value of each parameter that has one given, in order; a required one missing is a usage error."""
-    values = {}
-    for key in (*required, *optional):
-        value = _FLAGS[key][1](args, parser) if key in _FLAGS else None  # ppt's subsystem has no flag
-        if value is not None:
-            values[key] = value
-    missing = [_FLAGS[key][0] for key in required if key not in values]
+    """The parsed value of each parameter that has one given, in order; a required one missing is a usage error."""
+    given = vars(args)  # ppt's subsystem has no flag
+    values = {key: given[key] for key in (*required, *optional) if given.get(key) is not None}
+    missing = [_FLAGS.get(key, f"--{key}") for key in required if key not in values]
     if missing:
         *flags, last = missing
         parser.error(f"{what} requires {', '.join(flags)} and {last}" if flags else f"{what} requires {last}")
@@ -144,7 +128,7 @@ def _emit(doc) -> None:
 
 
 def cmd_basis(args, parser) -> int:
-    b = hw_basis.basis(args.dim, _normalization(args), args.convention)
+    b = hw_basis.basis(args.dim, args.normalization, args.convention)
     _emit(
         {
             "dim": b.dim,
@@ -168,7 +152,7 @@ def cmd_state(args, parser) -> int:
 
 def cmd_decompose(args, parser) -> int:
     rho = load_state(args.state)
-    dec = bloch.decompose_bipartite(rho, _normalization(args))
+    dec = bloch.decompose_bipartite(rho, args.normalization)
     _emit(
         {
             "dims": list(dec.dims),
@@ -183,21 +167,21 @@ def cmd_decompose(args, parser) -> int:
 
 def cmd_check(args, parser) -> int:
     rho = load_state(args.state)
-    check = analysis.make_check(**_criterion_spec(args, parser, args.criterion))
+    check = criteria.make_check(**_criterion_spec(args, parser, args.criterion))
     _emit(check(rho).to_dict())
     return 0
 
 
 def cmd_tensor_check(args, parser) -> int:
     rho = load_state(args.state)
-    check = analysis.make_check(**_criterion_spec(args, parser, "thm2"))
+    check = criteria.make_check(**_criterion_spec(args, parser, "thm2"))
     _emit([v.to_dict() for v in check.judgement(rho).verdicts(0)])
     return 0
 
 
 def cmd_scan(args, parser) -> int:
     family = _make(_FAMILIES, args.family, args, parser)
-    check = analysis.make_check(**_criterion_spec(args, parser, args.criterion))
+    check = criteria.make_check(**_criterion_spec(args, parser, args.criterion))
     res = analysis.scan_threshold(family, check, args.grid, args.tol)
     _emit(res.to_dict())
     return 0
@@ -205,13 +189,7 @@ def cmd_scan(args, parser) -> int:
 
 def cmd_optimize(args, parser) -> int:
     rho = load_state(args.state)
-    res = analysis.optimize_params(
-        rho,
-        _csv(args.alpha_grid, float, parser),
-        _csv(args.beta_grid, float, parser),
-        _csv(args.m_range, int, parser),
-        _normalization(args),
-    )
+    res = analysis.optimize_params(rho, args.alpha_grid, args.beta_grid, args.m_range, args.normalization)
     _emit(res.to_dict())
     return 0
 
@@ -220,8 +198,8 @@ def cmd_compare(args, parser) -> int:
     if (args.family is None) == (args.state is None):
         parser.error("compare requires exactly one of --family or --state")
     if args.criteria is not None:
-        names = [tok for tok in args.criteria.split(",") if tok]
-    elif any(flag is not None for flag in (args.alpha, args.beta, args.beta_sq, args.m)):
+        names = args.criteria
+    elif any(flag is not None for flag in (args.alpha, args.beta, args.m)):
         names = ["hw", "isc", "vb", "lb"]
     else:  # no weights given: the rows that take no parameters
         names = [name for name, row in criteria.REGISTRY.items() if not row.required]
@@ -242,16 +220,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    floats, ints = _list(float), _list(int)
+
     def add_common(p, *, rescaled=True, params=False, state=False):
         if rescaled:
-            p.add_argument("--rescaled", action="store_true", help="use the rescaled normalization")
+            p.add_argument(
+                "--rescaled",
+                dest="normalization",
+                action="store_const",
+                const="rescaled",
+                default="standard",
+                help="use the rescaled normalization",
+            )
         if params:
             p.add_argument("--alpha", type=float)
-            p.add_argument("--beta", type=float)
-            p.add_argument("--beta-sq", dest="beta_sq", help="exact rational beta^2, e.g. 2/11")
+            beta = p.add_mutually_exclusive_group()
+            beta.add_argument("--beta", type=float)
+            beta.add_argument(
+                "--beta-sq", dest="beta", type=_beta_sq, metavar="BETA_SQ", help="exact rational beta^2, e.g. 2/11"
+            )
             p.add_argument("--m", type=int)
-            p.add_argument("--alphas", help="comma-separated per-party weights, e.g. 1,1,1")
-            p.add_argument("--partition", help="comma-separated 1-based party subset, e.g. 1,3")
+            p.add_argument("--alphas", type=floats, help="comma-separated per-party weights, e.g. 1,1,1")
+            p.add_argument(
+                "--partition",
+                dest="partitions",
+                type=lambda text: [ints(text)] if text else None,  # empty: every bipartition
+                metavar="PARTITION",
+                help="comma-separated 1-based party subset, e.g. 1,3",
+            )
         if state:
             p.add_argument("--state", required=True, help="path to a state JSON file")
 
@@ -267,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--dim", type=int)
-    p.add_argument("--dims", help="comma-separated subsystem dimensions, e.g. 2,4")
+    p.add_argument("--dims", type=ints, help="comma-separated subsystem dimensions, e.g. 2,4")
     p.add_argument("--terms", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_state)
@@ -296,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("optimize", help="grid search over (alpha, beta, m)")
-    p.add_argument("--alpha-grid", dest="alpha_grid", default=",".join(str(v / 10) for v in range(16)))
-    p.add_argument("--beta-grid", dest="beta_grid", default=",".join(str(v / 10) for v in range(16)))
-    p.add_argument("--m-range", dest="m_range", default="1,2,3")
+    p.add_argument("--alpha-grid", dest="alpha_grid", type=floats, default=[v / 10 for v in range(16)])
+    p.add_argument("--beta-grid", dest="beta_grid", type=floats, default=[v / 10 for v in range(16)])
+    p.add_argument("--m-range", dest="m_range", type=ints, default=[1, 2, 3])
     add_common(p, state=True)
     p.set_defaults(func=cmd_optimize)
 
@@ -306,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=list(_FAMILIES))
     p.add_argument("--b", type=float)
     p.add_argument("--state")
-    p.add_argument("--criteria")
+    p.add_argument("--criteria", type=_list(str))
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -45,7 +45,8 @@ trace-norm row is one ``TensorCheck``: the weighted tensor of a state with
 one party per weight, judged by one stacked SVD per bipartition.  The rows
 differ only in data (which parameters become the weights, which
 bipartitions are judged, which keys a verdict reports).  A state with
-another party count is refused by ``DensityMatrix.require_parties``.
+another party count, or a subject that is not a ``DensityMatrix``, is
+refused by ``linalg.require_parties``.
 The S rows are two-party ``thm2`` rows with weights (beta, alpha) and
 the one bipartition:
 
@@ -82,7 +83,7 @@ import numpy as np
 
 from . import bloch, hw_basis
 from .errors import ValidationError, check_choice, check_parties, check_weight, check_weights, check_whole
-from .linalg import DensityMatrix, eig_hermitian, partial_transpose, trace_norm
+from .linalg import DensityMatrix, eig_hermitian, partial_transpose, require_parties, trace_norm
 
 # Absolute floor of the violation margin (see the module docstring).
 VIOLATION_EPS = 1e-9
@@ -227,7 +228,7 @@ class TensorCheck(Check):
     def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
         """The tensor with identity slot k scaled by sqrt(m) weights[k], and its separable bound."""
         n = len(self.weights)
-        rho.require_parties(n, self.row)
+        require_parties(rho, n, self.row)
         if n == 2:  # through the public decomposition, which perfbench counts
             tensor = bloch.decompose_bipartite(rho, self.normalization).tensor
         else:
@@ -249,7 +250,7 @@ class PPTCheck(Check):
     """Positive-partial-transpose test as a Check: the partial transpose, judged by -(min eigenvalue)."""
 
     def linear(self, rho: DensityMatrix) -> tuple[np.ndarray, float]:
-        rho.require_parties(2, self.row)
+        require_parties(rho, 2, self.row)
         return partial_transpose(rho, self.reported["subsystem"]), 0.0
 
     def judge(self, images: np.ndarray, bound: float) -> Judgement:

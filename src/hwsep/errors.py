@@ -1,5 +1,6 @@
 """Exception types, and the one parser of each kind of input: every count, index and dimension
-(``check_whole``), list of dims, party subset, choice and weight.  A bool is none of them, although ``True == 1``."""
+(``check_whole``), list of dims, party subset, choice, real number and weight.  A bool is none of them,
+although ``True == 1``."""
 
 import math
 import numbers
@@ -60,11 +61,22 @@ def check_choice(value, allowed: tuple, what: str):
     raise ValidationError(f"unknown {what} {value!r}, expected one of {allowed}")
 
 
+def _real(value) -> bool:
+    """A real number, not a bool."""
+    # isinstance(value, float) first: the numbers.Real check is slower, and most values are floats
+    return isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def check_real(value, what: str) -> float:
+    """``value`` as a float; raises ValidationError naming ``what`` unless it is a finite real number, not a bool."""
+    if not (_real(value) and math.isfinite(value)):
+        raise ValidationError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def check_weight(weight) -> float:
     """``weight`` as a float; raises ValidationError unless it is a finite, nonnegative real number, not a bool."""
-    # isinstance(weight, float) first: the numbers.Real check is slower, and most weights are floats
-    real = isinstance(weight, float) or (isinstance(weight, numbers.Real) and not isinstance(weight, bool))
-    if not (real and weight >= 0 and math.isfinite(weight)):
+    if not (_real(weight) and weight >= 0 and math.isfinite(weight)):
         raise ValidationError(f"weights must be finite, nonnegative real numbers, got {weight!r}")
     return float(weight)
 

@@ -1,11 +1,12 @@
 """Dense complex matrix kernel.
 
 Everything here works on plain ``numpy`` arrays of complex doubles; matrices
-are small (at most a few thousand entries), so dense routines from
-``numpy.linalg`` are used throughout.  Quantum states are wrapped in
-:class:`DensityMatrix`, which validates the usual contracts (Hermitian,
-unit trace, positive semidefinite) at construction time and records how the
-total space factors into subsystems.
+are dense, from 2x2 up to about a million entries (GHZ-10 is 1024x1024), so
+dense routines from ``numpy.linalg`` are used throughout.  Quantum states
+are wrapped in :class:`DensityMatrix`, which validates the usual contracts
+(Hermitian, unit trace, positive semidefinite) at construction time and
+records how the total space factors into subsystems.  ``require_parties``
+is the one check that a subject is a state of a given number of parties.
 """
 
 from __future__ import annotations
@@ -71,13 +72,16 @@ class DensityMatrix:
     def n_parties(self) -> int:
         return len(self.dims)
 
-    def require_parties(self, n: int, what) -> None:
-        """The one party-count check: raises ValidationError, naming ``what`` (formatted only then), unless n parties."""
-        if len(self.dims) != n:
-            raise ValidationError(f"{what} needs a state of {n} parties, got dims {self.dims}")
-
     def purity(self) -> float:
         return float(np.trace(self.matrix @ self.matrix).real)
+
+
+def require_parties(rho: DensityMatrix, n: int, what) -> None:
+    """Raises ValidationError, naming ``what`` (formatted only then), unless rho is a DensityMatrix of n parties."""
+    if not isinstance(rho, DensityMatrix):
+        raise ValidationError(f"{what} needs a DensityMatrix, got {type(rho).__name__}")
+    if len(rho.dims) != n:
+        raise ValidationError(f"{what} needs a state of {n} parties, got dims {rho.dims}")
 
 
 def trace_norm(m: np.ndarray) -> float | np.ndarray:
@@ -113,7 +117,7 @@ def partial_transpose(rho: DensityMatrix, subsystem: int = 2) -> np.ndarray:
     ``subsystem`` is 1-based.  The result is Hermitian but in general not
     positive, so a bare matrix is returned.
     """
-    rho.require_parties(2, "partial_transpose")
+    require_parties(rho, 2, "partial_transpose")
     subsystem = check_choice(subsystem, (1, 2), "subsystem")
     d1, d2 = rho.dims
     r4 = rho.matrix.reshape(d1, d2, d1, d2)
@@ -123,7 +127,7 @@ def partial_transpose(rho: DensityMatrix, subsystem: int = 2) -> np.ndarray:
 
 def partial_trace(rho: DensityMatrix, keep: int) -> DensityMatrix:
     """Reduced state of one factor of a bipartite state (``keep`` is 1-based)."""
-    rho.require_parties(2, "partial_trace")
+    require_parties(rho, 2, "partial_trace")
     keep = check_choice(keep, (1, 2), "subsystem")
     d1, d2 = rho.dims
     r4 = rho.matrix.reshape(d1, d2, d1, d2)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError, check_dims, check_whole
+from .errors import ValidationError, check_dims, check_real, check_whole
 from .linalg import DensityMatrix
 
 
@@ -91,6 +91,7 @@ def horodecki_2x4(b: float) -> DensityMatrix:
     PPT for every b in (0, 1) yet entangled, which makes it the standard
     hard case for correlation-based criteria.
     """
+    b = check_real(b, "b")
     if not 0 < b < 1:
         raise ValidationError(f"b must lie in (0, 1), got {b}")
     mat = np.zeros((8, 8))
@@ -113,6 +114,7 @@ def xi_state() -> DensityMatrix:
 
 def mix(x: float, sigma: DensityMatrix, rho: DensityMatrix) -> DensityMatrix:
     """Convex combination x*sigma + (1-x)*rho."""
+    x = check_real(x, "mixing weight")
     if not 0 <= x <= 1:
         raise ValidationError(f"mixing weight must lie in [0, 1], got {x}")
     if sigma.dims != rho.dims:
@@ -122,7 +124,8 @@ def mix(x: float, sigma: DensityMatrix, rho: DensityMatrix) -> DensityMatrix:
 
 def horodecki_mix_family(b: float) -> StateFamily:
     """x -> x |xi><xi| + (1-x) * horodecki_2x4(b), as the affine family between those endpoints."""
-    return StateFamily(name="horodecki-mix", params={"b": float(b)}, endpoints=(horodecki_2x4(b), xi_state()))
+    rho = horodecki_2x4(b)  # reads b before float(b), which would take text such as "0.5"
+    return StateFamily(name="horodecki-mix", params={"b": float(b)}, endpoints=(rho, xi_state()))
 
 
 def ghz(n: int) -> DensityMatrix:

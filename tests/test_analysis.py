@@ -86,9 +86,15 @@ class TestScanThreshold:
     def test_argument_validation(self):
         with pytest.raises(ValidationError):
             scan_threshold(FAMILY, HW_CHECK, grid_points=8)
-        for grid_points in (16.5, 64.0, "64", None):
-            with pytest.raises(ValidationError):
+        for grid_points in (16.5, "64", None, True):
+            with pytest.raises(ValidationError, match="grid_points"):
                 scan_threshold(FAMILY, HW_CHECK, grid_points=grid_points)
+        # a count is a whole number of any type, as m is
+        for grid_points in (64.0, np.int64(64)):
+            assert scan_threshold(FAMILY, HW_CHECK, grid_points=grid_points) == scan_threshold(FAMILY, HW_CHECK, 64)
+        for family in ("x", FAMILY.state(0.5), None):  # a state is not a family
+            with pytest.raises(ValidationError, match="family must be a StateFamily"):
+                scan_threshold(family, HW_CHECK)
         for tol in (1e-9, np.nan, np.inf, "1e-6", None, True):  # True == 1.0, but a flag is not a tolerance
             with pytest.raises(ValidationError, match="tol"):
                 scan_threshold(FAMILY, HW_CHECK, tol=tol)
@@ -135,7 +141,7 @@ class TestAffineScan:
     """Affine families are scanned on their endpoints' images, generator-only ones point by point."""
 
     def test_every_criterion_is_covered(self):
-        assert {name for name, _ in SCAN_SPECS} == set(analysis.CRITERIA)
+        assert {name for name, _ in SCAN_SPECS} == set(criteria.REGISTRY)
 
     @pytest.mark.parametrize("criterion,params", SCAN_SPECS)
     def test_same_result_as_a_generator_only_copy(self, criterion, params):

@@ -1,10 +1,11 @@
 import argparse
 import json
+import math
 
 import numpy as np
 import pytest
 
-from hwsep import ValidationError, analysis, basis, check_ppt, check_theorem1, cli, decompose_bipartite, make_check
+from hwsep import ValidationError, basis, check_ppt, check_theorem1, cli, decompose_bipartite, make_check
 from hwsep.cli import build_parser, matrix_to_pairs, parse_state_json, run, state_to_json
 from hwsep.criteria import REGISTRY
 from hwsep.states import (
@@ -212,7 +213,7 @@ def test_every_command_reads_the_registry(tmp_path, capsys):
     def choices(command):
         return next(a.choices for a in commands[command]._actions if "--criterion" in a.option_strings)
 
-    assert list(choices("scan")) == list(REGISTRY) == list(analysis.CRITERIA)
+    assert list(choices("scan")) == list(REGISTRY)
     assert list(choices("check")) == [name for name in REGISTRY if name != "thm2"]
     flags = ["--alpha", "0.5", "--beta", "0.4", "--m", "1", "--alphas", "1,1"]
     state = ["--state", write_state(tmp_path, ghz(2))]
@@ -265,6 +266,29 @@ class TestExitCodes:
             run([*argv, "--state", path])
         assert err.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a malformed list is a usage error even for a row that does not read it
+            (["check", "--criterion", "ppt", "--alphas", "x"], "argument --alphas: expected comma-separated float"),
+            (["check", "--criterion", "vb", "--partition", "1,y"], "argument --partition: expected comma-separated"),
+            (["state", "--name", "ghz", "--dims", "x"], "argument --dims: expected comma-separated int values"),
+            (["check", "--criterion", "hw", "--alpha", "1", "--beta", "0.9", "--beta-sq", "2/11"], "not allowed"),
+            (["check", "--criterion", "hw", "--alpha", "1", "--beta-sq=-1/2", "--m", "1"], "nonnegative rational"),
+            (["check", "--criterion", "hw", "--alpha", "1", "--beta-sq", "1e400"], "nonnegative rational"),
+            (["compare", "--criteria", "vb", "--beta-sq", "1/4", "--beta", "0.5"], "argument --beta: not allowed"),
+        ],
+    )
+    def test_usage_error_malformed_or_conflicting_flag(self, tmp_path, capsys, argv, message):
+        path = write_state(tmp_path, ghz(2))
+        code, out, err = outcome(capsys, argv if argv[0] == "state" else [*argv, "--m", "1", "--state", path])
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
+
+    def test_empty_partition_is_every_bipartition(self, tmp_path, capsys):
+        thm2 = ["tensor-check", "--state", write_state(tmp_path, ghz(3)), "--alphas", "1,1,1", "--m", "1"]
+        assert run_json(capsys, [*thm2, "--partition", ""]) == run_json(capsys, thm2)
 
     def test_validation_error_bad_file(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"
@@ -352,6 +376,109 @@ class TestExitCodes:
         path = tmp_path / "dims.json"
         path.write_text(json.dumps(doc))
         assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3
+
+
+# each flag of each command: (option, dest, metavar, default, required, choices); what --help shows of it
+RESCALED = ("--rescaled", "normalization", None, "standard", False, None)
+STATE_FILE = ("--state", "state", None, None, True, None)
+PARAMS = [
+    RESCALED,
+    ("--alpha", "alpha", None, None, False, None),
+    ("--beta", "beta", None, None, False, None),
+    ("--beta-sq", "beta", "BETA_SQ", None, False, None),
+    ("--m", "m", None, None, False, None),
+    ("--alphas", "alphas", None, None, False, None),
+    ("--partition", "partitions", "PARTITION", None, False, None),
+]
+FAMILY_FLAGS = [("--b", "b", None, None, False, None)]
+GRID_FLAGS = [("--grid", "grid", None, 256, False, None), ("--tol", "tol", None, 1e-6, False, None)]
+TENTHS = [v / 10 for v in range(16)]
+FLAG_SURFACE = {
+    "basis": [
+        ("--dim", "dim", None, None, True, None),
+        ("--convention", "convention", None, "symmetric", False, ("symmetric", "plain")),
+        RESCALED,
+    ],
+    "state": [
+        ("--name", "name", None, None, True, list(NAMED_STATES)),
+        *FAMILY_FLAGS,
+        ("--x", "x", None, None, False, None),
+        ("--n", "n", None, 3, False, None),
+        ("--dim", "dim", None, None, False, None),
+        ("--dims", "dims", None, None, False, None),
+        ("--terms", "terms", None, 10, False, None),
+        ("--seed", "seed", None, 0, False, None),
+    ],
+    "decompose": [RESCALED, STATE_FILE],
+    "check": [("--criterion", "criterion", None, None, True, ["hw", "isc", "vb", "lb", "ppt"]), *PARAMS, STATE_FILE],
+    "tensor-check": [*PARAMS, STATE_FILE],
+    "scan": [
+        ("--family", "family", None, None, True, ["horodecki-mix"]),
+        *FAMILY_FLAGS,
+        ("--criterion", "criterion", None, None, True, ["hw", "isc", "vb", "lb", "ppt", "thm2"]),
+        *GRID_FLAGS,
+        *PARAMS,
+    ],
+    "optimize": [
+        ("--alpha-grid", "alpha_grid", None, TENTHS, False, None),
+        ("--beta-grid", "beta_grid", None, TENTHS, False, None),
+        ("--m-range", "m_range", None, [1, 2, 3], False, None),
+        RESCALED,
+        STATE_FILE,
+    ],
+    "compare": [
+        ("--family", "family", None, None, False, ["horodecki-mix"]),
+        *FAMILY_FLAGS,
+        ("--state", "state", None, None, False, None),
+        ("--criteria", "criteria", None, None, False, None),
+        *GRID_FLAGS,
+        ("--format", "format", None, "json", False, ["json", "csv"]),
+        *PARAMS,
+    ],
+}
+
+
+class TestFlagSurface:
+    """Each command's flags as argparse holds them, which pins --help without a text that varies by Python version."""
+
+    @staticmethod
+    def commands():
+        return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_every_flag_of_every_command(self):
+        commands = self.commands()
+        assert list(commands) == list(FLAG_SURFACE)
+        for name, command in commands.items():
+            flags = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+            got = [(*a.option_strings, a.dest, a.metavar, a.default, a.required, a.choices) for a in flags]
+            assert got == FLAG_SURFACE[name], name
+
+    def test_beta_flags_are_exclusive(self):
+        for name, command in self.commands().items():
+            groups = [[a.option_strings for a in g._group_actions] for g in command._mutually_exclusive_groups]
+            assert groups == ([[["--beta"], ["--beta-sq"]]] if PARAMS[2] in FLAG_SURFACE[name] else []), name
+
+    def test_default_grids_are_read_once_per_parse(self):
+        args = build_parser().parse_args(["optimize", "--state", "s.json"])
+        assert (args.alpha_grid, args.beta_grid, args.m_range) == (TENTHS, TENTHS, [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "flags, parsed",
+        [
+            (["--beta-sq", "2/11"], {"beta": math.sqrt(2 / 11)}),
+            (["--beta-sq", "0.25"], {"beta": 0.5}),
+            (["--alphas", "1,,0.5,"], {"alphas": [1.0, 0.5]}),
+            (["--alphas", ""], {"alphas": []}),
+            (["--partition", "3,1"], {"partitions": [[3, 1]]}),
+            (["--partition", ""], {"partitions": None}),  # every bipartition
+            (["--partition", ","], {"partitions": [[]]}),  # an empty subset: a validation error when bound
+            (["--rescaled"], {"normalization": "rescaled"}),
+            (["--criteria", "vb,,ppt"], {"criteria": ["vb", "ppt"]}),
+        ],
+    )
+    def test_each_flag_is_parsed_into_its_parameter(self, flags, parsed):
+        args = vars(build_parser().parse_args(["compare", "--state", "s.json", *flags]))
+        assert {key: args[key] for key in parsed} == parsed
 
 
 def outcome(capsys, argv):

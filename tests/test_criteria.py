@@ -12,10 +12,12 @@ from hwsep import (
     check_ppt,
     check_theorem1,
     check_theorem2,
+    compare,
     decompose_bipartite,
     decompose_single,
     make_check,
     matricize,
+    optimize_params,
     partial_trace,
     partial_transpose,
     theorem2_bound,
@@ -478,11 +480,22 @@ class TestPartyCount:
             (lambda rho: partial_transpose(rho), "partial_transpose", 2),
             (lambda rho: partial_trace(rho, 1), "partial_trace", 2),
             (lambda rho: build_W(rho, (1.0, 1.0)), "build_W", 2),
+            pytest.param(lambda rho: make_check("vb")(rho), "criterion vb", 2, id="Check"),
+            pytest.param(lambda rho: make_check("ppt").linear(rho), "criterion ppt", 2, id="Check.linear"),
+            pytest.param(lambda rho: check_theorem1(rho, 0.5, 0.4, 1), "criterion hw", 2, id="check_theorem1"),
+            pytest.param(lambda rho: check_theorem2(rho, (1.0, 1.0), 1), "criterion thm2", 2, id="check_theorem2"),
+            pytest.param(lambda rho: check_ppt(rho), "criterion ppt", 2, id="check_ppt"),
+            pytest.param(lambda rho: optimize_params(rho, [0.5], [0.5], [1]), "decompose_bipartite", 2, id="optimize"),
+            pytest.param(lambda rho: compare(rho, [{"criterion": "lb"}]), "criterion lb", 2, id="compare"),
         ],
     )
     def test_every_reader_raises_the_one_message(self, call, what, n):
         with pytest.raises(ValidationError, match=rf"^{what} needs a state of {n} parties, got dims \(2, 2, 2\)$"):
             call(ghz(3))
+        # a subject that is not a state is refused before its parties are counted
+        for subject, kind in ((np.eye(4) / 4, "ndarray"), ("x", "str"), (None, "NoneType")):
+            with pytest.raises(ValidationError, match=rf"^{what} needs a DensityMatrix, got {kind}$"):
+                call(subject)
 
 
 class TestOneSlotKernel:

@@ -42,8 +42,14 @@ class TestHorodecki:
 
     def test_rejects_bad_b(self):
         for b in (0.0, 1.0, -0.3, 1.7):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=r"b must lie in \(0, 1\)"):
                 horodecki_2x4(b)
+
+    @pytest.mark.parametrize("b", ["0.5", None, True, math.nan, math.inf, 0.5j])
+    def test_b_is_a_finite_real_number(self, b):
+        for make in (horodecki_2x4, horodecki_mix_family):
+            with pytest.raises(ValidationError, match="b must be a finite real number"):
+                make(b)
 
 
 class TestXiState:
@@ -71,7 +77,7 @@ class TestMix:
         assert isinstance(rho, DensityMatrix)  # constructor re-validates
 
     def test_errors(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"mixing weight must lie in \[0, 1\]"):
             mix(1.2, xi_state(), horodecki_2x4(0.5))
         with pytest.raises(ValidationError):
             mix(0.5, ghz(2), horodecki_2x4(0.5))
@@ -126,6 +132,18 @@ class TestAffineFamily:
     def test_rejects_mixing_weight_outside_the_unit_interval(self):
         with pytest.raises(ValidationError):
             horodecki_mix_family(0.9).state(1.5)
+
+    @pytest.mark.parametrize("x", ["0.3", None, True, np.bool_(False), math.nan])  # True == 1, but not a weight
+    def test_mixing_weight_is_a_finite_real_number(self, x):
+        fam = horodecki_mix_family(0.9)
+        for call in (fam.state, lambda x: mix(x, *fam.endpoints)):
+            with pytest.raises(ValidationError, match="mixing weight must be a finite real number"):
+                call(x)
+
+    def test_real_numbers_of_any_type_are_read(self):
+        fam = horodecki_mix_family(0.9)
+        for x in (1, np.float32(0.5), np.int64(0)):
+            np.testing.assert_array_equal(fam.state(x).matrix, fam.state(float(x)).matrix)
 
 
 class TestGHZ:
