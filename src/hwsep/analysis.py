@@ -10,9 +10,11 @@ states.  An affine family (``StateFamily`` with endpoints rho0, rho1) makes
 them from the images L0, L1 of its endpoints: the state at x has the image
 (1-x) L0 + x L1, so no state is built or validated per point.  Its
 values are convex in x, so it judges about sqrt(n) of its n grid points,
-decides from them the points away from an onset and judges the rest
-(``_coarse_grid``): the verdicts of judging every point.  A generator-only
-family judges the images of all its states.  The two give the same values
+decides from them the points away from an onset and judges the rest; the
+bisection's midpoints are decided from every point judged so far by the
+same rule, and only those it cannot decide are judged (``_coarse_grid``):
+the verdicts of judging every point.  A generator-only family judges the
+images of all its states and every midpoint.  The two give the same values
 up to rounding, so they make the same verdicts, evaluations and sign
 changes unless a point lies within rounding of the margin.
 
@@ -24,7 +26,9 @@ stacks of at most _STACK_ELEMS elements; the best cell is the first maximum.
 
 from __future__ import annotations
 
+import bisect
 import csv
+import functools
 import io
 import math
 from collections.abc import Iterable, Mapping
@@ -100,45 +104,72 @@ def _image_source(family: StateFamily, check: criteria.Check):
     return images, bound, image0.shape
 
 
+def _certified(x, k, at, v, bound, n, margin_n, maximum=np.maximum):
+    """(ENTANGLED, INCONCLUSIVE) certified at x, between the judged points at[k - 1] < x < at[k], by
+    ``_coarse_grid``'s rule, with the margin for n = margin_n; x and k are numbers (with ``max``) or arrays."""
+    delta = 64 * n * criteria._EPS_MACH * max(1.0, abs(bound), *map(abs, v[1:-1]))
+    a0, a, b, b1 = at[k - 2], at[k - 1], at[k], at[k + 1]
+    v0, va, vb, v1 = v[k - 2], v[k - 1], v[k], v[k + 1]
+    t, u = (x - a) / (a - a0), (b - x) / (b1 - b)  # the neighbouring segments extended to x, over their bases
+    lower = maximum(va + (va - v0 - 3 * delta) * t, vb - (v1 - vb + 3 * delta) * u) - 3 * delta
+    upper = va + (vb - va) * ((x - a) / (b - a)) + 3 * delta
+    return criteria._violates(lower, bound, margin_n, maximum), upper < bound + criteria.VIOLATION_EPS
+
+
 def _coarse_grid(check, images, bound, shape, xs, affine):
-    """The verdict at xs[0] (it reports the criterion and its parameters) and the flag at every x in xs.
+    """The verdict at xs[0] (it reports the criterion and its parameters), the flag at every x in xs, and ``decide``.
 
     A generator-only family's points are all judged.  An affine family's
-    samples, every isqrt(len(xs))-th point and the last, are judged first:
-    their worst-column values v are convex in x, so between samples a and b
-    a value lies in [L - 2 delta, max(v_a, v_b) + 2 delta], L the larger of
-    the neighbouring sample segments' secants at x, each less 2t delta for
-    an extension of t times its base.  A point is INCONCLUSIVE when that
-    upper end is under the margin's floor and ENTANGLED when its lower end
-    passes the largest margin there; the rest are judged in one more stack.
+    samples, every isqrt(len(xs))-th point and the last, are judged first;
+    their worst-column values v (in ``at``, ``v``, padded at x = -1 and 2 by
+    infinite values, whose secants bound nothing) are convex in x.  Each
+    value is within delta of the exact one, so at x between judged a < x < b
+    the value is at most the chord of v between a and b plus 2 delta, and at
+    least either neighbouring segment's secant extended to x less (2 + 2t)
+    delta, t the extension over its base.  The rule's own rounding, a few
+    flops on numbers under 2 scale (1 + t), is under delta (1 + t): the chord
+    takes 3 delta and the secants (3 + 3t).  x is INCONCLUSIVE when the upper
+    end is under the margin's floor and ENTANGLED when the lower end passes
+    the largest margin there; the rest are judged in one more stack.
     delta = 64 N eps_mach scale, N the largest sum of a judged matrix's
-    dimensions (ppt's matrix dimension), scale = max(1, |bound|, |v|).  It
-    covers forming (1-x) L0 + x L1 (under 3 N eps_mach scale) and an SVD or
-    eigvalsh error of p(N) eps_mach times the matrix norm (at most scale)
-    for p(N) up to 61 N; values on the bound came out within N eps_mach / 2.
+    dimensions (ppt's matrix dimension), scale = max(1, |bound|, |v|) over
+    every judged value.  It covers forming (1-x) L0 + x L1 (under 3 N
+    eps_mach scale) and an SVD or eigvalsh error of p(N) eps_mach times the
+    matrix norm (at most scale) for p(N) up to 61 N; values on the bound came
+    out within N eps_mach / 2.  ``decide(x)``, for a bisection midpoint, uses
+    the same rule on every point judged so far (affine families only), and
+    otherwise judges x as a stack of one and keeps its value.
     """
     size, n = math.prod(shape), len(xs)
     stride = math.isqrt(n) if affine else 1
     picked = [*range(0, n - 1, stride), n - 1]
+    at, v = [-1.0, 2.0], [math.inf, math.inf]
 
     def judge(points):
-        return [check.judge(images([xs[i] for i in points[b]]), bound) for b in _batches(len(points), size)]
+        stacks = [check.judge(images(points[b]), bound) for b in _batches(len(points), size)]
+        for x, value in zip(points, [value for stack in stacks for value in stack.values.max(axis=1).tolist()]):
+            k = bisect.bisect(at, x)
+            at.insert(k, x)
+            v.insert(k, value)
+        return stacks
 
-    stacks, flags = judge(picked), np.zeros(n, dtype=bool)
+    stacks, flags = judge([xs[i] for i in picked]), np.zeros(n, dtype=bool)
     flags[picked] = [flag for stack in stacks for flag in stack.entangled.tolist()]
+    certify = functools.partial(_certified, bound=bound, n=max(*stacks[0].sizes, *shape), margin_n=max(stacks[0].sizes))
     rest = [i for a, b in zip(picked, picked[1:]) for i in range(a + 1, b)]
     if rest:
-        v, sizes = np.concatenate([stack.values.max(axis=1) for stack in stacks]), stacks[0].sizes
-        delta = 64 * max(*sizes, *shape) * criteria._EPS_MACH * max(1.0, abs(bound), float(np.abs(v).max()))
-        at, x, j = np.array(xs)[picked], np.array(xs)[rest], np.array(rest) // stride  # segment j: samples j, j + 1
-        rise, base = (np.concatenate(([np.nan], np.diff(a), [np.nan])) for a in (v, at))  # segment j's at j + 1
-        t, u = (x - at[j]) / base[j], (at[j + 1] - x) / base[j + 2]  # segments j - 1 and j + 1 extended to x
-        lower = np.fmax(v[j] + (rise[j] - 2 * delta) * t, v[j + 1] - (rise[j + 2] + 2 * delta) * u) - 2 * delta
-        flags[rest] = entangled = criteria._violates(lower, bound, max(sizes), np.maximum)
-        inconclusive = np.maximum(v[j], v[j + 1]) + 2 * delta < bound + criteria.VIOLATION_EPS
+        x = np.array(xs)[rest]
+        entangled, inconclusive = certify(x, np.searchsorted(at, x), np.array(at), np.array(v))
+        flags[rest] = entangled
         todo = np.array(rest)[entangled == inconclusive].tolist()  # neither, or (never) both
-        flags[todo] = [flag for stack in judge(todo) for flag in stack.entangled.tolist()]
-    return stacks[0].verdict(0), flags.tolist()
+        flags[todo] = [flag for stack in judge([xs[i] for i in todo]) for flag in stack.entangled.tolist()]
+
+    def decide(x: float) -> bool:
+        k = bisect.bisect(at, x)
+        entangled, inconclusive = certify(x, k, at, v, maximum=max) if affine else (False, False)
+        return entangled if entangled != inconclusive else judge([x])[0].entangled[0]
+
+    return stacks[0].verdict(0), flags.tolist(), decide
 
 
 def scan_threshold(
@@ -159,8 +190,9 @@ def scan_threshold(
 
     ``check`` is a ``criteria.Check``, as ``make_check`` returns.  Its images
     along the family (see the module docstring) are judged in stacks of at
-    most _STACK_ELEMS elements, each bisection step as a stack of one.
-    ``evaluations`` counts the grid points decided plus the bisection steps.
+    most _STACK_ELEMS elements, and each bisection midpoint that the
+    convexity certificate does not decide as a stack of one.  ``evaluations``
+    counts the grid points and bisection steps, each decided or judged.
     """
     grid_points = check_whole(grid_points, 16, "grid_points")
     if check_real(tol, "tol") < 1e-8:
@@ -172,7 +204,7 @@ def scan_threshold(
 
     images, bound, shape = _image_source(family, check)
     xs = [i / (grid_points - 1) for i in range(grid_points)]
-    first, flags = _coarse_grid(check, images, bound, shape, xs, family.endpoints is not None)
+    first, flags, decide = _coarse_grid(check, images, bound, shape, xs, family.endpoints is not None)
     evaluations = len(xs)
     changes = [i for i in range(1, len(xs)) if flags[i] != flags[i - 1]]
 
@@ -192,10 +224,7 @@ def scan_threshold(
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         evaluations += 1
-        if check.judge(images([mid]), bound).entangled[0]:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if decide(mid) else (mid, hi)
     return result(0.5 * (lo + hi), 0.5 * (hi - lo))
 
 

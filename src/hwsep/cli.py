@@ -309,6 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, params=True)
     p.set_defaults(func=cmd_compare)
 
+    for p in sub.choices.values():  # a handler's usage errors print its command's usage, as argparse's own do
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -320,7 +322,7 @@ def run(argv) -> int:
     parser = _PARSER = _PARSER or build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 3

@@ -288,6 +288,7 @@ def exhaustive_scan(family, check, grid_points=256, tol=1e-6):
 
 
 ORACLE_GRIDS = (16, 17, 100, 256, 257)
+ORACLE_TOLS = (1e-6, 1e-8)
 
 
 def bell_family(noise=0.0, weight=1.0):
@@ -310,7 +311,8 @@ class TestCertifiedGrid:
         check = make_check(criterion, **params)
         for fam in [fam for fam, _ in SCAN_FAMILIES] + [bell_family(0.0273, 0.6)]:
             for grid in ORACLE_GRIDS:
-                assert repr(scan_threshold(fam, check, grid)) == repr(exhaustive_scan(fam, check, grid))
+                for tol in ORACLE_TOLS:
+                    assert repr(scan_threshold(fam, check, grid, tol)) == repr(exhaustive_scan(fam, check, grid, tol))
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -325,7 +327,8 @@ class TestCertifiedGrid:
             criterion, params = "thm2", dict(alphas=alphas, m=m)
         check = make_check(criterion, **params)
         for grid in ORACLE_GRIDS:
-            assert repr(scan_threshold(fam, check, grid)) == repr(exhaustive_scan(fam, check, grid))
+            for tol in ORACLE_TOLS:
+                assert repr(scan_threshold(fam, check, grid, tol)) == repr(exhaustive_scan(fam, check, grid, tol))
 
     def test_the_one_inconclusive_point_of_a_bell_mixture_is_judged(self, monkeypatch):
         fam, check = bell_family(), make_check("ppt")
@@ -377,7 +380,31 @@ class TestCertifiedGrid:
         monkeypatch.setattr(criteria, "trace_norm", lambda stack: judged.append(len(stack)) or trace_norm(stack))
         res = scan_threshold(FAMILY, HW_CHECK)
         assert res.evaluations == 256 + 12  # grid points decided plus bisection steps, as when all were judged
-        assert sum(judged) <= 50
+        assert sum(judged) <= 20 and len(judged) <= 3
+
+    def test_ppt_crossing_the_margin_floor_is_bisected_by_judging(self, monkeypatch):
+        # Werner states with -lambda_min(rho^PT) = (3p - 1)/4 from 0 to 2.7e-9: the floor of 1e-9 is crossed at
+        # x = 0.37, inside grid cell 94 of 256; within 3 delta of the floor the bisection's midpoints must be judged
+        phi = np.zeros(4)
+        phi[[0, 3]] = 1 / np.sqrt(2)
+        ends = [(1 + 4 * top) / 3 * np.outer(phi, phi) + (2 - 4 * top) / 3 * np.eye(4) / 4 for top in (0.0, 2.7e-9)]
+        fam, check = StateFamily("werner", endpoints=[DensityMatrix(e, (2, 2)) for e in ends]), make_check("ppt")
+        judged = []
+        monkeypatch.setattr(criteria, "eig_hermitian", lambda stack: judged.append(len(stack)) or eig_hermitian(stack))
+        res = scan_threshold(fam, check, tol=1e-8)
+        monkeypatch.undo()
+        assert judged.count(1) >= 5  # midpoints at the floor, judged as stacks of one
+        assert 94 / 255 < res.threshold < 95 / 255 and res.evaluations > 256 + 16
+        for grid in ORACLE_GRIDS:
+            assert repr(scan_threshold(fam, check, grid, 1e-8)) == repr(exhaustive_scan(fam, check, grid, 1e-8))
+
+    def test_generator_only_family_judges_every_midpoint(self, monkeypatch):
+        judged = []
+        monkeypatch.setattr(criteria, "trace_norm", lambda stack: judged.append(len(stack)) or trace_norm(stack))
+        res = scan_threshold(generator_copy(FAMILY), HW_CHECK, tol=1e-8)
+        monkeypatch.undo()
+        assert judged == [256] + [1] * (res.evaluations - 256)  # the whole grid, then one image per bisection step
+        assert res == scan_threshold(FAMILY, HW_CHECK, tol=1e-8)
 
 
 class TestOptimizeParams:

@@ -286,6 +286,21 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "--criterion", "hw"], "criterion hw requires --alpha, --beta (or --beta-sq) and --m"),
+            (["compare", "--criteria", "vb,bogus"], "unknown criterion 'bogus' in --criteria"),
+            (["compare", "--criteria", "vb", "--family", "horodecki-mix"], "exactly one of --family or --state"),
+        ],
+    )
+    def test_handler_usage_error_names_its_command(self, tmp_path, capsys, argv, message):
+        # raised by the handler after parsing, and printed with the command's usage, as argparse's own errors are
+        code, out, err = outcome(capsys, [*argv, "--state", write_state(tmp_path, ghz(2))])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: hwsep {argv[0]} [-h]")
+        assert f"\nhwsep {argv[0]}: error: " in err and message in err
+
     def test_empty_partition_is_every_bipartition(self, tmp_path, capsys):
         thm2 = ["tensor-check", "--state", write_state(tmp_path, ghz(3)), "--alphas", "1,1,1", "--m", "1"]
         assert run_json(capsys, [*thm2, "--partition", ""]) == run_json(capsys, thm2)
