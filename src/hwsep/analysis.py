@@ -12,7 +12,7 @@ them from the images L0, L1 of its endpoints: the state at x has the image
 values are convex in x, so it judges about sqrt(n) of its n grid points,
 decides from them the points away from an onset and judges the rest; the
 bisection's midpoints are decided from every point judged so far by the
-same rule, and only those it cannot decide are judged (``_coarse_grid``):
+same rule, and only those it cannot decide are judged (``scan_threshold``):
 the verdicts of judging every point.  A generator-only family judges the
 images of all its states and every midpoint.  The two give the same values
 up to rounding, so they make the same verdicts, evaluations and sign
@@ -106,7 +106,7 @@ def _image_source(family: StateFamily, check: criteria.Check):
 
 def _certified(x, k, at, v, bound, n, margin_n, maximum=np.maximum):
     """(ENTANGLED, INCONCLUSIVE) certified at x, between the judged points at[k - 1] < x < at[k], by
-    ``_coarse_grid``'s rule, with the margin for n = margin_n; x and k are numbers (with ``max``) or arrays."""
+    ``scan_threshold``'s rule, with the margin for n = margin_n; x and k are numbers (with ``max``) or arrays."""
     delta = 64 * n * criteria._EPS_MACH * max(1.0, abs(bound), *map(abs, v[1:-1]))
     a0, a, b, b1 = at[k - 2], at[k - 1], at[k], at[k + 1]
     v0, va, vb, v1 = v[k - 2], v[k - 1], v[k], v[k + 1]
@@ -114,62 +114,6 @@ def _certified(x, k, at, v, bound, n, margin_n, maximum=np.maximum):
     lower = maximum(va + (va - v0 - 3 * delta) * t, vb - (v1 - vb + 3 * delta) * u) - 3 * delta
     upper = va + (vb - va) * ((x - a) / (b - a)) + 3 * delta
     return criteria._violates(lower, bound, margin_n, maximum), upper < bound + criteria.VIOLATION_EPS
-
-
-def _coarse_grid(check, images, bound, shape, xs, affine):
-    """The verdict at xs[0] (it reports the criterion and its parameters), the flag at every x in xs, and ``decide``.
-
-    A generator-only family's points are all judged.  An affine family's
-    samples, every isqrt(len(xs))-th point and the last, are judged first;
-    their worst-column values v (in ``at``, ``v``, padded at x = -1 and 2 by
-    infinite values, whose secants bound nothing) are convex in x.  Each
-    value is within delta of the exact one, so at x between judged a < x < b
-    the value is at most the chord of v between a and b plus 2 delta, and at
-    least either neighbouring segment's secant extended to x less (2 + 2t)
-    delta, t the extension over its base.  The rule's own rounding, a few
-    flops on numbers under 2 scale (1 + t), is under delta (1 + t): the chord
-    takes 3 delta and the secants (3 + 3t).  x is INCONCLUSIVE when the upper
-    end is under the margin's floor and ENTANGLED when the lower end passes
-    the largest margin there; the rest are judged in one more stack.
-    delta = 64 N eps_mach scale, N the largest sum of a judged matrix's
-    dimensions (ppt's matrix dimension), scale = max(1, |bound|, |v|) over
-    every judged value.  It covers forming (1-x) L0 + x L1 (under 3 N
-    eps_mach scale) and an SVD or eigvalsh error of p(N) eps_mach times the
-    matrix norm (at most scale) for p(N) up to 61 N; values on the bound came
-    out within N eps_mach / 2.  ``decide(x)``, for a bisection midpoint, uses
-    the same rule on every point judged so far (affine families only), and
-    otherwise judges x as a stack of one and keeps its value.
-    """
-    size, n = math.prod(shape), len(xs)
-    stride = math.isqrt(n) if affine else 1
-    picked = [*range(0, n - 1, stride), n - 1]
-    at, v = [-1.0, 2.0], [math.inf, math.inf]
-
-    def judge(points):
-        stacks = [check.judge(images(points[b]), bound) for b in _batches(len(points), size)]
-        for x, value in zip(points, [value for stack in stacks for value in stack.values.max(axis=1).tolist()]):
-            k = bisect.bisect(at, x)
-            at.insert(k, x)
-            v.insert(k, value)
-        return stacks
-
-    stacks, flags = judge([xs[i] for i in picked]), np.zeros(n, dtype=bool)
-    flags[picked] = [flag for stack in stacks for flag in stack.entangled.tolist()]
-    certify = functools.partial(_certified, bound=bound, n=max(*stacks[0].sizes, *shape), margin_n=max(stacks[0].sizes))
-    rest = [i for a, b in zip(picked, picked[1:]) for i in range(a + 1, b)]
-    if rest:
-        x = np.array(xs)[rest]
-        entangled, inconclusive = certify(x, np.searchsorted(at, x), np.array(at), np.array(v))
-        flags[rest] = entangled
-        todo = np.array(rest)[entangled == inconclusive].tolist()  # neither, or (never) both
-        flags[todo] = [flag for stack in judge([xs[i] for i in todo]) for flag in stack.entangled.tolist()]
-
-    def decide(x: float) -> bool:
-        k = bisect.bisect(at, x)
-        entangled, inconclusive = certify(x, k, at, v, maximum=max) if affine else (False, False)
-        return entangled if entangled != inconclusive else judge([x])[0].entangled[0]
-
-    return stacks[0].verdict(0), flags.tolist(), decide
 
 
 def scan_threshold(
@@ -190,9 +134,28 @@ def scan_threshold(
 
     ``check`` is a ``criteria.Check``, as ``make_check`` returns.  Its images
     along the family (see the module docstring) are judged in stacks of at
-    most _STACK_ELEMS elements, and each bisection midpoint that the
-    convexity certificate does not decide as a stack of one.  ``evaluations``
-    counts the grid points and bisection steps, each decided or judged.
+    most _STACK_ELEMS elements.  ``evaluations`` counts the grid points and
+    bisection steps, each decided or judged.
+
+    An affine family's samples, every isqrt(grid_points)-th point and the
+    last, are judged first; their worst-column values v (in ``at``, ``v``,
+    padded at x = -1 and 2 by infinite values, whose secants bound nothing)
+    are convex in x.  Each value is within delta of the exact one, so at x
+    between judged a < x < b the value is at most the chord of v between a
+    and b plus 2 delta, and at least either neighbouring segment's secant
+    extended to x less (2 + 2t) delta, t the extension over its base.  The
+    rule's own rounding, a few flops on numbers under 2 scale (1 + t), is
+    under delta (1 + t): the chord takes 3 delta and the secants (3 + 3t).
+    x is INCONCLUSIVE when the upper end is under the margin's floor and
+    ENTANGLED when the lower end passes the largest margin there.  The grid
+    points it leaves open are judged in one more stack.  A bisection midpoint
+    is decided by the same rule from every point judged so far, and judged
+    as a stack of one when the rule leaves it open.  delta = 64 N eps_mach
+    scale, N the largest sum of a judged matrix's dimensions (ppt's matrix
+    dimension), scale = max(1, |bound|, |v|) over every judged value.  It
+    covers forming (1-x) L0 + x L1 (under 3 N eps_mach scale) and an SVD or
+    eigvalsh error of p(N) eps_mach times the matrix norm (at most scale)
+    for p(N) up to 61 N; values on the bound came out within N eps_mach / 2.
     """
     grid_points = check_whole(grid_points, 16, "grid_points")
     if check_real(tol, "tol") < 1e-8:
@@ -203,29 +166,48 @@ def scan_threshold(
         raise ValidationError(f"check must be a criteria.Check, as make_check returns, got {check!r}")
 
     images, bound, shape = _image_source(family, check)
-    xs = [i / (grid_points - 1) for i in range(grid_points)]
-    first, flags, decide = _coarse_grid(check, images, bound, shape, xs, family.endpoints is not None)
-    evaluations = len(xs)
-    changes = [i for i in range(1, len(xs)) if flags[i] != flags[i - 1]]
+    n, affine = grid_points, family.endpoints is not None
+    xs = [i / (n - 1) for i in range(n)]
+    at, v, stacks = [-1.0, 2.0], [math.inf, math.inf], []
 
-    def result(threshold: float | None, width: float) -> ThresholdResult:
-        return ThresholdResult(
-            first.criterion, first.params, family.describe(), threshold, width, evaluations, len(changes)
-        )
+    def judge(points: list) -> list:
+        """The flags of ``points``, judged in stacks; each point joins ``at`` with its worst-column value in ``v``."""
+        judged = [check.judge(images(points[b]), bound) for b in _batches(len(points), math.prod(shape))]
+        for x, value in zip(points, [value for stack in judged for value in stack.values.max(axis=1).tolist()]):
+            k = bisect.bisect(at, x)
+            at.insert(k, x)
+            v.insert(k, value)
+        stacks.extend(judged)
+        return [flag for stack in judged for flag in stack.entangled.tolist()]
 
-    if flags[0]:
-        # violated from the start of the family
-        return result(0.0, 0.0)
-    onset = next((i for i in changes if flags[i]), None)
-    if onset is None:
-        return result(None, 0.0)
-
-    lo, hi = xs[onset - 1], xs[onset]
+    picked, flags = [*range(0, n - 1, math.isqrt(n) if affine else 1), n - 1], np.zeros(n, dtype=bool)
+    flags[picked] = judge([xs[i] for i in picked])
+    sizes = stacks[0].sizes
+    certify = functools.partial(_certified, bound=bound, n=max(*sizes, *shape), margin_n=max(sizes))
+    rest = [i for a, b in zip(picked, picked[1:]) for i in range(a + 1, b)]
+    if rest:
+        x = np.array(xs)[rest]
+        entangled, inconclusive = certify(x, np.searchsorted(at, x), np.array(at), np.array(v))
+        flags[rest] = entangled
+        todo = np.array(rest)[entangled == inconclusive].tolist()  # neither, or (never) both
+        flags[todo] = judge([xs[i] for i in todo])
+    flags, evaluations = flags.tolist(), n
+    changes = [i for i in range(1, n) if flags[i] != flags[i - 1]]
+    # the bracket of the first change to ENTANGLED; [0, 0] when violated from the start of the family
+    onset = None if flags[0] else next((i for i in changes if flags[i]), None)
+    lo, hi = (0.0, 0.0) if onset is None else (xs[onset - 1], xs[onset])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         evaluations += 1
-        lo, hi = (lo, mid) if decide(mid) else (mid, hi)
-    return result(0.5 * (lo + hi), 0.5 * (hi - lo))
+        entangled, inconclusive = certify(mid, bisect.bisect(at, mid), at, v, maximum=max) if affine else (False, False)
+        if entangled == inconclusive:  # neither, or (never) both; a generator-only family's midpoint
+            (entangled,) = judge([mid])
+        lo, hi = (lo, mid) if entangled else (mid, hi)
+    threshold = None if onset is None and not flags[0] else 0.5 * (lo + hi)
+    first = stacks[0].verdict(0)  # it reports the criterion and its parameters
+    return ThresholdResult(
+        first.criterion, first.params, family.describe(), threshold, 0.5 * (hi - lo), evaluations, len(changes)
+    )
 
 
 @dataclass(frozen=True)
@@ -272,9 +254,10 @@ def optimize_params(
     if not alphas or not betas or not ms:
         raise ValidationError("optimize_params requires nonempty grids")
     dec = bloch.decompose_bipartite(rho, normalization)
-    # the weights of cell (alpha_a, beta_b) of one m, in C order, and of every cell scaled by its sqrt(m)
-    col_w = np.repeat(alphas, len(betas))
-    row_w = np.tile(betas, len(alphas))
+    # the weights of cell (alpha_a, beta_b) of one m, in C order, and the bounds: they refuse weights that overflow
+    col_w, row_w = np.repeat(alphas, len(betas)), np.tile(betas, len(alphas))
+    bounds = criteria.theorem2_bound(dec.dims, (row_w, col_w), np.array(ms, dtype=float)[:, None], normalization)
+    # the weights of every cell, scaled by its sqrt(m)
     roots = np.array([math.sqrt(m) for m in ms])[:, None]
     scaled = np.stack((roots * row_w, roots * col_w), axis=-1).reshape(-1, 2)
     # equal scaled pairs give equal tensors: one per distinct complex key, -0.0 (other bits than 0.0) keyed as -1
@@ -286,7 +269,6 @@ def optimize_params(
         stack = np.broadcast_to(dec.tensor, (len(rows), *dec.tensor.shape))
         values[batch] = trace_norm(bloch.weighted(stack, (rows[:, None], cols[:, None])))
     values = values[inverse].reshape(len(ms), cells)
-    bounds = criteria.theorem2_bound(dec.dims, (row_w, col_w), np.array(ms, dtype=float)[:, None], normalization)
     i, cell = divmod(int(np.argmax(values - bounds)), cells)
     a, b = divmod(cell, len(betas))
     return OptimizeResult(alphas[a], betas[b], ms[i], float(values[i, cell]), float(bounds[i, cell]), normalization)

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import analysis, bloch, criteria, hw_basis, states
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_real
 from .linalg import DensityMatrix
 
 
@@ -36,15 +36,21 @@ def state_to_json(rho: DensityMatrix) -> dict:
 
 
 def parse_state_json(doc: dict) -> DensityMatrix:
+    """The state of a state file's JSON document; each matrix entry is exactly two finite real numbers, not bools."""
     try:
         dims = doc["dims"]
         if not isinstance(dims, list) or not all(type(d) is int for d in dims):
             raise ValidationError(f"dims must be a JSON list of integers, got {dims!r}")
         rows = doc["matrix"]
-        mat = np.array([[complex(e[0], e[1]) for e in row] for row in rows])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed state file: {exc}") from exc
-    return DensityMatrix(mat, tuple(dims))
+    if not (isinstance(rows, list) and all(isinstance(row, list) and len(row) == len(rows) for row in rows)):
+        raise ValidationError("matrix must be a square JSON list of rows")
+    if not all(isinstance(pair, list) and len(pair) == 2 for row in rows for pair in row):
+        raise ValidationError("each matrix entry must be an [re, im] pair")
+    what = "each of a matrix entry's [re, im]"
+    mat = [[complex(check_real(re, what), check_real(im, what)) for re, im in row] for row in rows]
+    return DensityMatrix(np.array(mat), tuple(dims))
 
 
 def load_state(path: str) -> DensityMatrix:

@@ -170,7 +170,7 @@ class Check:
     Judgement; ``params(column)`` is what a verdict on one of its columns
     reports.  ``bind`` makes a Check from a row and its parsed parameters.
     A judge's values must be convex in the image (a trace norm, or -lambda_min):
-    scans decide points between judged ones from that (``analysis._coarse_grid``).
+    scans decide points between judged ones from that (``analysis.scan_threshold``).
     """
 
     row: Criterion
@@ -229,13 +229,13 @@ class TensorCheck(Check):
         """The tensor with identity slot k scaled by sqrt(m) weights[k], and its separable bound."""
         n = len(self.weights)
         require_parties(rho, n, self.row)
+        bound = theorem2_bound(rho.dims, self.weights, self.m, self.normalization)  # first: it refuses an overflow
         if n == 2:  # through the public decomposition, which perfbench counts
             tensor = bloch.decompose_bipartite(rho, self.normalization).tensor
         else:
             tensor = bloch._coefficients(rho, self.normalization)
         root = math.sqrt(self.m)
-        scaled = bloch.weighted(tensor, [root * w for w in self.weights])
-        return scaled, float(theorem2_bound(rho.dims, self.weights, self.m, self.normalization))
+        return bloch.weighted(tensor, [root * w for w in self.weights]), bound
 
     def judge(self, images: np.ndarray, bound: float) -> Judgement:
         columns, shapes, sizes = _plan(images.shape[1:], self.partitions)
@@ -290,13 +290,24 @@ def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> flo
     c_k^2 is 1 in the standard normalization and d_k/2 in the rescaled one.
     Two parties with alphas (beta, alpha) give the bound on ||S^m_{alpha,beta}||_tr.
     m and each alpha_k may be arrays; the bound is then taken elementwise over
-    their broadcast.
+    their broadcast.  A negative m, or a bound past float range, is a ValidationError.
     """
     rescaled = _PARSERS["normalization"](normalization) == "rescaled"
     if len(dims) != len(alphas):
         raise ValidationError(f"theorem2_bound needs one weight per party, got {len(alphas)} for dims {tuple(dims)}")
-    # c_k^2 is a float, so whole-number m and weights past int64 reach np.sqrt as a float
-    return math.prod(np.sqrt(m * a * a + (d / 2 if rescaled else 1.0) * (d - 1)) for d, a in zip(dims, alphas))
+    # Python numbers (a single verdict's bound) overflow to inf without a warning; numpy arrays and scalars warn
+    python = {type(m), *map(type, alphas)} <= {int, float}
+    if (m if python else np.min(m)) < 0:
+        raise ValidationError(f"theorem2_bound needs m >= 0, got {m!r}")
+    terms = (m * a * a + (d / 2 if rescaled else 1.0) * (d - 1) for d, a in zip(dims, alphas))
+    if python:
+        bound = math.prod(map(math.sqrt, terms))
+    else:
+        with np.errstate(over="ignore"):  # refused below
+            bound = math.prod(map(np.sqrt, terms))
+    if not (math.isfinite(bound) if python else np.isfinite(bound).all()):
+        raise ValidationError("the separable bound is past float range: the weights or m are too large")
+    return bound
 
 
 def all_bipartitions(n: int) -> list[tuple[int, ...]]:

@@ -392,6 +392,39 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--criterion", "hw", "--alpha", "1e160", "--beta", "1e160", "--m", "1"],
+            ["optimize", "--alpha-grid", "1e200", "--beta-grid", "1e200", "--m-range", "1"],
+            ["tensor-check", "--alphas", "1e300,1", "--m", "4"],
+        ],
+    )
+    def test_validation_error_bound_past_float_range(self, tmp_path, capsys, argv):
+        # these printed NaN values or an Infinity bound (not JSON) with exit 0, after an overflow warning
+        assert run([*argv, "--state", write_state(tmp_path, ghz(2))]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "validation error: the separable bound is past float range" in err
+
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            ([[[1, 0], [0, 0]], [[0, 0]]], "matrix must be a square JSON list of rows"),  # ragged
+            ([[[1, 0], [0, 0]]], "matrix must be a square JSON list of rows"),
+            ([[[0.5, 0, 7], [0, 0]], [[0, 0], [0.5, 0]]], "each matrix entry must be an [re, im] pair"),
+            ([[[0.5], [0, 0]], [[0, 0], [0.5, 0]]], "each matrix entry must be an [re, im] pair"),
+            ([[0.5, [0, 0]], [[0, 0], [0.5, 0]]], "each matrix entry must be an [re, im] pair"),
+            ([[[True, False], [0, 0]], [[0, 0], [0, 0]]], "must be a finite real number, got True"),
+            ([[[0.5, 0], [0, 0]], [[0, 0], [0.5, "0"]]], "must be a finite real number, got '0'"),
+        ],
+    )
+    def test_validation_error_malformed_matrix(self, tmp_path, capsys, matrix, message):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"dims": [2], "matrix": matrix}))
+        # a ragged matrix ended in a numpy traceback (exit 1); [re, im, 7] and [true, false] were read as re + im j
+        assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3
+        assert message in capsys.readouterr().err
+
 
 # each flag of each command: (option, dest, metavar, default, required, choices); what --help shows of it
 RESCALED = ("--rescaled", "normalization", None, "standard", False, None)

@@ -135,6 +135,22 @@ class TestTheorem1Bound:
             for j, a in enumerate(alphas.tolist()):
                 assert got[i, j] == theorem2_bound((3, 5), (a, 2 * a), m, "rescaled")
 
+    @pytest.mark.parametrize(
+        "alphas,m,message",
+        [
+            ((1.0, 1.0), -1, "m >= 0"),  # was 0.0
+            ((np.array([1.0, 2.0]), 1.0), np.array([[1.0], [-1.0]]), "m >= 0"),
+            ((1e160, 1e160), 1, "past float range"),
+            ((1e300, 1.0), 4, "past float range"),
+            ((np.float64(1e160), 1.0), 1, "past float range"),  # a numpy scalar, which warns on overflow
+            ((np.array([1.0, 1e200]), 1e200), np.array([[1.0]]), "past float range"),
+            ((np.array([1.0, 1.3e154]), 1.3e154), np.array([[1.0], [2.0]]), "past float range"),  # m = 2 overflows
+        ],
+    )
+    def test_refuses_negative_m_and_a_bound_past_float_range(self, alphas, m, message):
+        with pytest.raises(ValidationError, match=message):
+            theorem2_bound((2, 2), alphas, m)  # pytest turns an overflow warning into an error
+
 
 class TestCheckTheorem1:
     def test_detects_mixed_family_at_x03(self):
@@ -568,6 +584,14 @@ class TestScaleAwareMargin:
         alphas = [math.exp(a) for a in log_alphas[: len(dims)]]
         for v in check_theorem2(rho, alphas, m, normalization=normalization):
             assert not v.entangled, v
+
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    def test_separable_states_at_the_largest_finite_bound(self, normalization):
+        # alpha = beta = 1.3e154 puts the bound just under float range; pytest turns any overflow warning into an error
+        check = make_check("hw", alpha=1.3e154, beta=1.3e154, m=1, normalization=normalization)
+        for rho in (product([random_pure(2, 1), random_pure(2, 2)]), random_separable((2, 2), 5, 3)[1]):
+            v = check(rho)
+            assert v.verdict == "INCONCLUSIVE" and math.isfinite(v.value) and v.bound < math.inf, v
 
 
 class TestStackedJudgement:
