@@ -38,7 +38,7 @@ import numpy as np
 
 from . import bloch, criteria
 from .criteria import make_check
-from .errors import ValidationError, check_real, check_weights, check_whole
+from .errors import ValidationError, check_m, check_real, check_weights, check_whole
 from .linalg import DensityMatrix, trace_norm
 from .states import StateFamily
 
@@ -168,29 +168,27 @@ def scan_threshold(
     images, bound, shape = _image_source(family, check)
     n, affine = grid_points, family.endpoints is not None
     xs = [i / (n - 1) for i in range(n)]
-    at, v, stacks = [-1.0, 2.0], [math.inf, math.inf], []
+    at, v = [-1.0, 2.0], [math.inf, math.inf]
 
-    def judge(points: list) -> list:
-        """The flags of ``points``, judged in stacks; each point joins ``at`` with its worst-column value in ``v``."""
+    def judge(points: list) -> tuple[list, list]:
+        """The flags of ``points`` and their stacks; each point joins ``at`` with its worst-column value in ``v``."""
         judged = [check.judge(images(points[b]), bound) for b in _batches(len(points), math.prod(shape))]
         for x, value in zip(points, [value for stack in judged for value in stack.values.max(axis=1).tolist()]):
             k = bisect.bisect(at, x)
             at.insert(k, x)
             v.insert(k, value)
-        stacks.extend(judged)
-        return [flag for stack in judged for flag in stack.entangled.tolist()]
+        return [flag for stack in judged for flag in stack.entangled.tolist()], judged
 
     picked, flags = [*range(0, n - 1, math.isqrt(n) if affine else 1), n - 1], np.zeros(n, dtype=bool)
-    flags[picked] = judge([xs[i] for i in picked])
-    sizes = stacks[0].sizes
-    certify = functools.partial(_certified, bound=bound, n=max(*sizes, *shape), margin_n=max(sizes))
+    flags[picked], (head, *_) = judge([xs[i] for i in picked])  # head: the first stack, read for its sizes and verdict
+    certify = functools.partial(_certified, bound=bound, n=max(*head.sizes, *shape), margin_n=max(head.sizes))
     rest = [i for a, b in zip(picked, picked[1:]) for i in range(a + 1, b)]
     if rest:
         x = np.array(xs)[rest]
         entangled, inconclusive = certify(x, np.searchsorted(at, x), np.array(at), np.array(v))
         flags[rest] = entangled
         todo = np.array(rest)[entangled == inconclusive].tolist()  # neither, or (never) both
-        flags[todo] = judge([xs[i] for i in todo])
+        flags[todo], _ = judge([xs[i] for i in todo])
     flags, evaluations = flags.tolist(), n
     changes = [i for i in range(1, n) if flags[i] != flags[i - 1]]
     # the bracket of the first change to ENTANGLED; [0, 0] when violated from the start of the family
@@ -201,10 +199,10 @@ def scan_threshold(
         evaluations += 1
         entangled, inconclusive = certify(mid, bisect.bisect(at, mid), at, v, maximum=max) if affine else (False, False)
         if entangled == inconclusive:  # neither, or (never) both; a generator-only family's midpoint
-            (entangled,) = judge([mid])
+            (entangled,), _ = judge([mid])
         lo, hi = (lo, mid) if entangled else (mid, hi)
     threshold = None if onset is None and not flags[0] else 0.5 * (lo + hi)
-    first = stacks[0].verdict(0)  # it reports the criterion and its parameters
+    first = head.verdict(0)  # it reports the criterion and its parameters
     return ThresholdResult(
         first.criterion, first.params, family.describe(), threshold, 0.5 * (hi - lo), evaluations, len(changes)
     )
@@ -250,7 +248,7 @@ def optimize_params(
     betas = sorted(check_weights(beta_grid))
     if not isinstance(m_range, Iterable):
         raise ValidationError(f"m_range must be a sequence of whole numbers, got {m_range!r}")
-    ms = sorted(check_whole(m) for m in m_range)
+    ms = sorted(check_m(m) for m in m_range)
     if not alphas or not betas or not ms:
         raise ValidationError("optimize_params requires nonempty grids")
     dec = bloch.decompose_bipartite(rho, normalization)

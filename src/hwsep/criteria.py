@@ -82,7 +82,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import bloch, hw_basis
-from .errors import ValidationError, check_choice, check_parties, check_weight, check_weights, check_whole
+from .errors import ValidationError, check_choice, check_parties, check_m, check_weight, check_weights
 from .linalg import DensityMatrix, eig_hermitian, partial_transpose, require_parties, trace_norm
 
 # Absolute floor of the violation margin (see the module docstring).
@@ -235,7 +235,7 @@ class TensorCheck(Check):
         else:
             tensor = bloch._coefficients(rho, self.normalization)
         root = math.sqrt(self.m)
-        return bloch.weighted(tensor, [root * w for w in self.weights]), bound
+        return bloch.weighted(tensor, [root * w for w in self.weights]), float(bound)
 
     def judge(self, images: np.ndarray, bound: float) -> Judgement:
         columns, shapes, sizes = _plan(images.shape[1:], self.partitions)
@@ -289,22 +289,17 @@ def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> flo
 
     c_k^2 is 1 in the standard normalization and d_k/2 in the rescaled one.
     Two parties with alphas (beta, alpha) give the bound on ||S^m_{alpha,beta}||_tr.
-    m and each alpha_k may be arrays; the bound is then taken elementwise over
-    their broadcast.  A negative m, or a bound past float range, is a ValidationError.
+    m and each alpha_k may be arrays; the bound is then taken elementwise over their broadcast.  A whole-number
+    m is one that ``check_m`` takes, past int64 too.  A negative m or a bound past float range is a ValidationError.
     """
     rescaled = _PARSERS["normalization"](normalization) == "rescaled"
     if len(dims) != len(alphas):
         raise ValidationError(f"theorem2_bound needs one weight per party, got {len(alphas)} for dims {tuple(dims)}")
-    # Python numbers (a single verdict's bound) overflow to inf without a warning; numpy arrays and scalars warn
-    python = {type(m), *map(type, alphas)} <= {int, float}
+    python = {type(m), *map(type, alphas)} <= {int, float}  # a verdict's numbers skip np.min and np.isfinite (7 us)
     if (m if python else np.min(m)) < 0:
         raise ValidationError(f"theorem2_bound needs m >= 0, got {m!r}")
-    terms = (m * a * a + (d / 2 if rescaled else 1.0) * (d - 1) for d, a in zip(dims, alphas))
-    if python:
-        bound = math.prod(map(math.sqrt, terms))
-    else:
-        with np.errstate(over="ignore"):  # refused below
-            bound = math.prod(map(np.sqrt, terms))
+    with np.errstate(over="ignore"):  # refused below
+        bound = math.prod(np.sqrt(m * a * a + (d / 2 if rescaled else 1.0) * (d - 1)) for d, a in zip(dims, alphas))
     if not (math.isfinite(bound) if python else np.isfinite(bound).all()):
         raise ValidationError("the separable bound is past float range: the weights or m are too large")
     return bound
@@ -395,7 +390,7 @@ def make_check(criterion: str, **params) -> Check:
         raise ValidationError(f"criterion {criterion}: missing parameters {missing}, unknown {unknown}")
     values = dict(row.defaults)
     for key, value in params.items():
-        values[key] = check_whole(value, row.min_m) if key == "m" else _PARSERS[key](value)
+        values[key] = check_m(value, row.min_m) if key == "m" else _PARSERS[key](value)
     return row.check.bind(row, {key: values.get(key) for key in row.reported}, values)
 
 

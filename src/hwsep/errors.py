@@ -1,9 +1,10 @@
 """Exception types, and the one parser of each kind of input: every count, index and dimension
-(``check_whole``), list of dims, party subset, choice, real number and weight.  A bool is none of them,
-although ``True == 1``."""
+(``check_whole``), m within float range (``check_m``), list of dims, party subset, choice, real number
+and weight.  A bool is none of them, although ``True == 1``."""
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -25,6 +26,13 @@ def check_whole(value, minimum: int = 0, name: str = "m") -> int:
     if whole is None or whole != value or whole < minimum:
         raise ValidationError(f"{name} must be a whole number >= {minimum}, got {value!r}")
     return whole
+
+
+def check_m(value, minimum: int = 0) -> int:
+    """``value`` as ``check_whole`` reads it, refused also past float range: every separable bound is a float in m."""
+    if (m := check_whole(value, minimum)) > sys.float_info.max:
+        raise ValidationError(f"m must lie within float range, got a whole number of {m.bit_length()} bits")
+    return m
 
 
 def check_dims(dims, minimum: int) -> tuple[int, ...]:

@@ -443,7 +443,7 @@ class TestOptimizeParams:
             optimize_params(ghz(2), [], [1.0], [1])
 
     def test_m_range_takes_whole_numbers_only(self):
-        for m in (1.5, -1, np.nan, np.inf, True):
+        for m in (1.5, -1, np.nan, np.inf, True, 10**400):
             with pytest.raises(ValidationError):
                 optimize_params(ghz(2), [0.5], [0.5], [1, m])
         for m_range in (3, None, 2.0):
@@ -698,7 +698,7 @@ def test_make_check_accepts_every_optional_parameter():
     assert v.params["normalization"] == "rescaled"
 
 
-@pytest.mark.parametrize("m", [1.5, 0.5, np.nan, np.inf, -np.inf, -1, "1", True, np.True_])
+@pytest.mark.parametrize("m", [1.5, 0.5, np.nan, np.inf, -np.inf, -1, "1", True, np.True_, 10**400])
 def test_m_must_be_a_finite_whole_number(m):
     from hwsep import check_theorem1, check_theorem2
 

@@ -20,6 +20,9 @@ from hwsep.states import (
 
 from reference_data import PRINTED_D3
 
+BOUND_PAST = "the separable bound is past float range"
+M_PAST = "1" + "0" * 400  # a whole-number m that no float holds
+
 
 def run_json(capsys, argv):
     code = run(argv)
@@ -393,18 +396,23 @@ class TestExitCodes:
         assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
-            ["check", "--criterion", "hw", "--alpha", "1e160", "--beta", "1e160", "--m", "1"],
-            ["optimize", "--alpha-grid", "1e200", "--beta-grid", "1e200", "--m-range", "1"],
-            ["tensor-check", "--alphas", "1e300,1", "--m", "4"],
+            # these printed NaN values or an Infinity bound (not JSON) with exit 0, after an overflow warning
+            (["check", "--criterion", "hw", "--alpha", "1e160", "--beta", "1e160", "--m", "1"], BOUND_PAST),
+            (["optimize", "--alpha-grid", "1e200", "--beta-grid", "1e200", "--m-range", "1"], BOUND_PAST),
+            (["tensor-check", "--alphas", "1e300,1", "--m", "4"], BOUND_PAST),
+            # these ended in an OverflowError traceback with exit 1
+            (["check", "--criterion", "hw", "--alpha", "1", "--beta", "1", "--m", M_PAST], "m must lie within float"),
+            (["optimize", "--m-range", f"1,{M_PAST}"], "m must lie within float range"),
+            (["tensor-check", "--alphas", "1,1", "--m", M_PAST], "m must lie within float range"),
+            (["compare", "--criteria", "isc", "--alpha", "1", "--beta", "1", "--m", M_PAST], "m must lie within float"),
         ],
     )
-    def test_validation_error_bound_past_float_range(self, tmp_path, capsys, argv):
-        # these printed NaN values or an Infinity bound (not JSON) with exit 0, after an overflow warning
+    def test_validation_error_bound_past_float_range(self, tmp_path, capsys, argv, message):
         assert run([*argv, "--state", write_state(tmp_path, ghz(2))]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and "validation error: the separable bound is past float range" in err
+        assert out == "" and f"validation error: {message}" in err
 
     @pytest.mark.parametrize(
         "matrix,message",
