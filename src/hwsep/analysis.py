@@ -18,10 +18,11 @@ images of all its states and every midpoint.  The two give the same values
 up to rounding, so they make the same verdicts, evaluations and sign
 changes unless a point lies within rounding of the margin.
 
-``optimize_params`` judges its whole (m, alpha, beta) grid the same way:
-the state is decomposed once, and a cell's tensor depends only on its pair
-(sqrt(m) beta, sqrt(m) alpha), so one tensor per distinct pair is judged in
-stacks of at most _STACK_ELEMS elements; the best cell is the first maximum.
+``optimize_params`` searches its (m, alpha, beta) grid the same way: the
+state is decomposed once, a cell's tensor depends only on its pair (sqrt(m)
+beta, sqrt(m) alpha), and a closed-form upper bound on its trace norm, from
+one SVD per state, leaves open the pairs that can still hold the first
+maximum; only those are judged, once each, in stacks of at most _STACK_ELEMS.
 """
 
 from __future__ import annotations
@@ -228,6 +229,14 @@ class OptimizeResult:
         return {**doc, "violation": self.violation, "normalization": normalization}
 
 
+def _upper_bound(dec: bloch.BlochDecomposition, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, upper + slack) per scaled pair (rows, cols): ``optimize_params``' bound on the weighted tensor's
+    trace norm, and the ceiling that its computed trace norm does not pass."""
+    with np.errstate(over="ignore"):  # a bound past float range only leaves its pair open
+        upper = np.hypot(rows * cols, rows * dec.s.norm + cols * dec.r.norm) + trace_norm(dec.t)
+        return upper, upper + 128 * sum(dec.tensor.shape) * criteria._EPS_MACH * upper
+
+
 def optimize_params(
     rho: DensityMatrix,
     alpha_grid,
@@ -235,14 +244,23 @@ def optimize_params(
     m_range,
     normalization: str = "standard",
 ) -> OptimizeResult:
-    """Exhaustive grid search maximizing value - bound.
+    """Grid search maximizing value - bound, pruned by an upper bound on the trace norm.
 
     Ties are broken toward smaller m, then smaller alpha, then smaller beta:
     the grids are sorted ascending and the first maximum over the cells in C
     order (m, alpha, beta) is kept.  The grid values are read as weights
-    before anything is built.  One tensor per distinct scaled pair, bit-identical
-    to the image the cell's ``hw`` TensorCheck makes, is judged; each cell keeps its own bound.
-    The tensors are judged in stacks of at most _STACK_ELEMS elements.
+    before anything is built.  A cell's tensor S depends only on its pair (beta', alpha') = sqrt(m) (beta, alpha);
+    a judged pair's S is bit-identical to the cell's ``hw`` image, judged once in stacks of at most _STACK_ELEMS.
+
+    S = X + (0 (+) T): X holds S's row 0, (beta' alpha', beta' s) (Tr rho = 1), and the rest of its column 0,
+    alpha' r.  X has rank 2, so ||S||_tr <= upper = hypot(beta' alpha', beta' ||s|| + alpha' ||r||) + ||T||_tr,
+    with equality when r = s = 0.  The isqrt(cells) pairs highest on upper - bound (their cells' least bound) are
+    judged first, and best is the largest value - bound among them; then every pair with upper + slack - bound
+    >= best is judged, and the rest read -inf.  A computed value is at most upper + slack and rounding is
+    monotone, so an unjudged cell's computed value - bound is under best: the first maximum is the exhaustive
+    search's, to the last bit.  slack = 128 N eps_mach upper, N the sum of S's dimensions, covers the SVDs of S
+    and T (each off by p(N) eps_mach times its norm, at most upper, for p(N) up to 60 N as in
+    ``scan_threshold``), the weighting's rounding (2 N) and the bound's own (two norms and four flops, 6 N).
     """
     alphas = sorted(check_weights(alpha_grid))
     betas = sorted(check_weights(beta_grid))
@@ -261,15 +279,27 @@ def optimize_params(
     # equal scaled pairs give equal tensors: one per distinct complex key, -0.0 (other bits than 0.0) keyed as -1
     keys = np.where(np.signbit(scaled), -1.0, scaled).view(complex).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    cells, values = len(row_w), np.empty(len(first))
-    for batch in _batches(len(first), dec.tensor.size):
-        rows, cols = scaled[first[batch]].T
-        stack = np.broadcast_to(dec.tensor, (len(rows), *dec.tensor.shape))
-        values[batch] = trace_norm(bloch.weighted(stack, (rows[:, None], cols[:, None])))
-    values = values[inverse].reshape(len(ms), cells)
-    i, cell = divmod(int(np.argmax(values - bounds)), cells)
+    rows, cols = scaled[first].T
+    upper, ceiling = _upper_bound(dec, rows, cols)
+    # each pair's least bound over its cells, and its trace norm once judged (-inf until then)
+    low, values = np.full(len(first), np.inf), np.full(len(first), -np.inf)
+    np.minimum.at(low, inverse, bounds.ravel())
+
+    def judge(pairs: np.ndarray) -> np.ndarray:
+        """value - bound of every cell, once ``pairs`` are judged too."""
+        for batch in _batches(len(pairs), dec.tensor.size):
+            at = pairs[batch]
+            stack = np.broadcast_to(dec.tensor, (len(at), *dec.tensor.shape))
+            values[at] = trace_norm(bloch.weighted(stack, (rows[at, None], cols[at, None])))
+        return values[inverse].reshape(bounds.shape) - bounds
+
+    top = min(math.isqrt(bounds.size), len(first))
+    best = judge(np.argpartition(low - upper, top - 1)[:top]).max()
+    flat = int(np.argmax(judge(np.flatnonzero((ceiling - low >= best) & (values == -np.inf)))))
+    i, cell = divmod(flat, len(row_w))
     a, b = divmod(cell, len(betas))
-    return OptimizeResult(alphas[a], betas[b], ms[i], float(values[i, cell]), float(bounds[i, cell]), normalization)
+    value = float(values[inverse[flat]])
+    return OptimizeResult(alphas[a], betas[b], ms[i], value, float(bounds[i, cell]), normalization)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hwsep import DensityMatrix, ValidationError, analysis, compare, make_check, optimize_params, scan_threshold
-from hwsep import check_theorem1, cli, criteria, states
+from hwsep import bloch, check_theorem1, cli, criteria, states
 from hwsep.linalg import eig_hermitian, trace_norm
 from hwsep.states import (
     StateFamily,
@@ -520,24 +520,138 @@ class TestStackedOptimize:
                 optimize_params(ghz(2), alphas, betas, [1])
 
 
-class TestDistinctPairs:
-    """optimize_params judges one tensor per distinct scaled pair (sqrt(m) beta, sqrt(m) alpha)."""
+WEIGHTED = bloch.weighted
 
-    @pytest.mark.parametrize("m_range,matrices", [("1,2,4,8,16,32", 1279), ("1,2,3", 766)])
-    def test_default_grids_judge_each_distinct_pair_once(self, tmp_path, capsys, monkeypatch, m_range, matrices):
-        judged = []
-        monkeypatch.setattr(analysis, "trace_norm", lambda stack: judged.append(len(stack)) or trace_norm(stack))
+
+def record_pairs(monkeypatch) -> list:
+    """Per stack that optimize_params weights, its scaled pairs (beta', alpha') by repr, so -0.0 and 0.0 differ."""
+    stacks = []
+
+    def record(stack, weights):
+        stacks.append([(repr(float(b)), repr(float(a))) for b, a in zip(*map(np.ravel, weights))])
+        return WEIGHTED(stack, weights)
+
+    monkeypatch.setattr(bloch, "weighted", record)
+    return stacks
+
+
+def judged_once(stacks) -> bool:
+    """No scaled pair is judged twice: not in two stacks, not twice in one."""
+    return len({pair for stack in stacks for pair in stack}) == sum(map(len, stacks))
+
+
+class TestDistinctPairs:
+    """optimize_params judges each distinct scaled pair (sqrt(m) beta, sqrt(m) alpha) at most once, and only the
+    pairs its upper bound cannot rule out."""
+
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    @pytest.mark.parametrize("rho,alphas,betas", list(optimize_cases()))
+    def test_no_pair_is_judged_twice(self, monkeypatch, rho, alphas, betas, normalization):
+        for m_range in M_RANGES:
+            stacks = record_pairs(monkeypatch)
+            optimize_params(rho, alphas, betas, m_range, normalization)
+            assert stacks and judged_once(stacks)
+
+    # the default 16x16 grids have 1279 and 766 distinct pairs, each of which the exhaustive search judged
+    @pytest.mark.parametrize("m_range,pairs", [("1,2,4,8,16,32", 57), ("1,2,3", 42)])
+    def test_default_grids_judge_few_pairs(self, tmp_path, capsys, monkeypatch, m_range, pairs):
+        stacks = record_pairs(monkeypatch)
         path = tmp_path / "state.json"
         path.write_text(json.dumps(cli.state_to_json(FAMILY.state(0.25))))
-        assert cli.run(["optimize", "--state", str(path), "--m-range", m_range]) == 0  # the default 16x16 grids
-        assert sum(judged) == matrices
+        assert cli.run(["optimize", "--state", str(path), "--m-range", m_range]) == 0
+        assert judged_once(stacks) and sum(map(len, stacks)) == pairs
         assert json.loads(capsys.readouterr().out)["m"] in (1, 2, 3, 4, 8, 16, 32)
 
     def test_signed_zeros_are_judged_apart(self, monkeypatch):
-        judged = []
-        monkeypatch.setattr(analysis, "trace_norm", lambda stack: judged.append(len(stack)) or trace_norm(stack))
-        optimize_params(ghz(2), [0.0, -0.0, 0.0], [0.5, 0.5], [1, 4])
-        assert sum(judged) == 4  # (0.5, 0.0), (0.5, -0.0), (1.0, 0.0) and (1.0, -0.0)
+        # on a Bell state (x, 0.0) and (x, -0.0) tie, so the first maximum, alphas[0], needs both judged: with m = 1
+        # alone the first stack holds one and the bound leaves the other open; with m = 16 the first stack holds
+        # both (the isqrt(4) best) and the bound rules m = 16's pairs out
+        for alphas in ([-0.0, 0.0], [0.0, -0.0]):
+            for m_range, count in (([1], 2), ([1, 16], 1)):
+                stacks = record_pairs(monkeypatch)
+                res = optimize_params(ghz(2), alphas, [0.5], m_range)
+                assert judged_once(stacks) and len(stacks) == count
+                assert sorted(pair for stack in stacks for pair in stack) == [("0.5", "-0.0"), ("0.5", "0.0")]
+                assert repr(res.alpha) == repr(alphas[0])
+                assert bitwise(res) == bitwise(reference_optimize(ghz(2), alphas, [0.5], m_range))
+
+
+def isotropic(d, p):
+    """p |phi+><phi+| + (1 - p) I / d^2 on d x d: both marginals are maximally mixed, so r = s = 0."""
+    phi = np.eye(d).ravel() / np.sqrt(d)
+    return DensityMatrix(p * np.outer(phi, phi) + (1 - p) * np.eye(d * d) / d**2, (d, d))
+
+
+def werner(d, p):
+    """p times the normalized antisymmetric projector plus (1 - p) I / d^2 on d x d, with r = s = 0."""
+    swap = np.eye(d * d).reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+    return DensityMatrix(p * (np.eye(d * d) - swap) / (d * (d - 1)) + (1 - p) * np.eye(d * d) / d**2, (d, d))
+
+
+SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4))
+# weights with repeats and signed zeros
+WEIGHTS = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0, 3)
+
+
+@st.composite
+def bounded_search_cases(draw):
+    """(rho, alphas, betas, m_range, normalization); Bell, isotropic and Werner states have r = s = 0, where the
+    upper bound is the trace norm and only its slack tells cells apart."""
+    kind = draw(st.sampled_from(["bell", "isotropic", "werner", "pure-product", "separable", "full-rank"]))
+    dims, seed, p = draw(st.sampled_from(SHAPES)), draw(st.integers(0, 2**16)), draw(st.floats(0, 1))
+    rho = {
+        "bell": lambda: ghz(2),
+        "isotropic": lambda: isotropic(dims[0], p),
+        "werner": lambda: werner(dims[0], p),
+        "pure-product": lambda: product([random_pure(dims[0], seed), random_pure(dims[1], seed + 1)]),
+        "separable": lambda: random_separable(dims, draw(st.integers(1, 3)), seed)[1],  # rank-deficient
+        "full-rank": lambda: DensityMatrix(random_density(math.prod(dims), seed).matrix, dims),
+    }[kind]()
+    grids = [draw(st.lists(WEIGHTS, min_size=1, max_size=4)) for _ in range(2)]
+    m_range = draw(st.just((0,)) | st.lists(st.integers(1, 32) | st.just(10**20), min_size=1, max_size=3))
+    normalization = draw(st.sampled_from(["standard", "rescaled"]))
+    return rho, *grids, m_range, normalization
+
+
+EDGE_CASES = [  # weights near the bound's refusal edge, and m past int64
+    (ghz(2), [1e150, 1e-300, 0.0], [1e-300, -0.0], [1]),
+    (random_separable((2, 3), 2, 5)[1], [1e-300], [1e150, 1e-300], [1, 4]),
+    (random_separable((2, 3), 2, 5)[1], [1e140, 1e-300, 0.0], [1e140, 0.0], [1, 2**64 + 1]),
+    (ghz(2), [math.sqrt(np.finfo(float).max), 0.0], [math.sqrt(np.finfo(float).max), 1.0], [1]),
+]
+
+
+class TestBoundedSearch:
+    """optimize_params' pruned search against the per-cell search, and its upper bound against the trace norm."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(bounded_search_cases())
+    def test_matches_the_per_cell_search(self, case):
+        rho, alphas, betas, m_range, normalization = case
+        got = optimize_params(rho, alphas, betas, m_range, normalization)
+        assert bitwise(got) == bitwise(reference_optimize(rho, alphas, betas, m_range, normalization))
+
+    @settings(max_examples=60, deadline=None)
+    @given(bounded_search_cases())
+    def test_trace_norm_within_the_ceiling(self, case):
+        rho, alphas, betas, m_range, normalization = case
+        dec = bloch.decompose_bipartite(rho, normalization)
+        for m in m_range:
+            for alpha in alphas:
+                for beta in betas:
+                    s, _ = make_check("hw", alpha=alpha, beta=beta, m=m, normalization=normalization).linear(rho)
+                    root = math.sqrt(m)
+                    (upper,), (ceiling,) = analysis._upper_bound(dec, np.array([root * beta]), np.array([root * alpha]))
+                    # the trace norm passes |S_00| + ||T||_tr, so upper is within the cross term, 0 when r = s = 0
+                    cross = root * beta * dec.s.norm + root * alpha * dec.r.norm
+                    assert upper - (ceiling - upper) - cross <= trace_norm(s) <= ceiling
+
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    @pytest.mark.parametrize("rho,alphas,betas,m_range", EDGE_CASES)
+    def test_no_warning_near_float_range(self, rho, alphas, betas, m_range, normalization):
+        # pytest turns warnings into errors, so an overflow or invalid value in the bound fails here
+        got = optimize_params(rho, alphas, betas, m_range, normalization)
+        assert bitwise(got) == bitwise(reference_optimize(rho, alphas, betas, m_range, normalization))
 
 
 # Pure products of 5x7 at (alpha, beta) = (2, 3), m = 1, sit exactly on the bound (the S matrix has rank
