@@ -31,9 +31,7 @@ on one kernel, ``bloch``'s coefficient tensor.  The m identity slots are
 copies of one another: the one-slot tensor with weights sqrt(m) alpha_k
 has the same trace norms, so m enters only through that rescaling and the
 bound.  ``TensorCheck.linear`` scales a copy's identity slots that way and
-returns it with ``theorem2_bound``; ``analysis.optimize_params`` bounds its
-grid with one ``theorem2_bound`` and scales a stack of copies, one per
-distinct scaled pair it cannot rule out.
+returns it with ``theorem2_bound``.
 
 Every criterion is a row of ``REGISTRY``; ``make_check`` binds a name and
 parameters into its row's Check, reading each parameter with its one

@@ -563,11 +563,11 @@ class TestDistinctPairs:
         assert json.loads(capsys.readouterr().out)["m"] in (1, 2, 3, 4, 8, 16, 32)
 
     def test_signed_zeros_are_judged_apart(self, monkeypatch):
-        # on a Bell state (x, 0.0) and (x, -0.0) tie, so the first maximum, alphas[0], needs both judged: with m = 1
-        # alone the first stack holds one and the bound leaves the other open; with m = 16 the first stack holds
-        # both (the isqrt(4) best) and the bound rules m = 16's pairs out
+        # on a Bell state (x, 0.0) and (x, -0.0) tie, so the first maximum, alphas[0], needs both judged: the first
+        # stack holds one pair and the bound leaves the other open, so each signed zero takes a stack of its own;
+        # with m = 16 as well, the bound rules m = 16's pairs out
         for alphas in ([-0.0, 0.0], [0.0, -0.0]):
-            for m_range, count in (([1], 2), ([1, 16], 1)):
+            for m_range, count in (([1], 2), ([1, 16], 2)):
                 stacks = record_pairs(monkeypatch)
                 res = optimize_params(ghz(2), alphas, [0.5], m_range)
                 assert judged_once(stacks) and len(stacks) == count
@@ -751,6 +751,7 @@ def test_make_check_unknown_name():
         ("isc", dict(alpha=0.5, beta=0.4, m=1, normalization="rescaled"), "'normalization'"),
         ("ppt", dict(alpha=1), "'alpha'"),
         ("thm2", dict(alphas=(1, 1), m=1, partition=[1]), "'partition'"),
+        ("thm2", dict(alphas=(1, 1), m=1, partitions=5), "partitions must be a list of party-index lists"),
     ],
 )
 def test_make_check_names_missing_or_unknown_parameters(criterion, params, named):

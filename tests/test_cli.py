@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import math
 
@@ -189,6 +191,25 @@ def test_compare_csv(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("criterion,alpha,beta,m")
+
+
+@pytest.mark.parametrize("kind", ["family", "state"])
+def test_compare_json_rows_are_the_csv_rows(tmp_path, capsys, kind):
+    # the default format: each JSON row, its parameters among its fields, is the CSV row field by field
+    subject, described = {
+        "family": (["--family", "horodecki-mix", "--b", "0.9"], {"family": "horodecki-mix", "b": 0.9}),
+        "state": (["--state", write_state(tmp_path, horodecki_2x4(0.9))], {"state": "inline", "dims": [2, 4]}),
+    }[kind]
+    argv = ["compare", *subject, "--alpha", "0.5", "--beta-sq", "2/11", "--m", "1", "--grid", "32"]
+    doc = run_json(capsys, argv)
+    assert run([*argv, "--format", "csv"]) == 0
+    table = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert doc["subject"] == described
+    assert [row["criterion"] for row in doc["rows"]] == ["hw", "isc", "vb", "lb"]
+    rows = [{**row["params"], **row} for row in doc["rows"]]
+    assert len(table) == len(rows)
+    for row, line in zip(rows, table):
+        assert {key: "" if row.get(key) is None else str(row[key]) for key in line} == line
 
 
 def compare_rows(capsys, argv):
@@ -432,6 +453,16 @@ class TestExitCodes:
         # a ragged matrix ended in a numpy traceback (exit 1); [re, im, 7] and [true, false] were read as re + im j
         assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3
         assert message in capsys.readouterr().err
+
+    def test_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        path = write_state(tmp_path, ghz(2))
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert run(["check", "--state", path, "--criterion", "hw", "--alpha", "1", "--beta", "1", "--m", "1"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "numerical failure: singular value computation failed" in err
 
 
 # each flag of each command: (option, dest, metavar, default, required, choices); what --help shows of it

@@ -184,6 +184,10 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError, match="dims must name at least one subsystem"):
             DensityMatrix(np.eye(1), ())  # a state of no parties
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValidationError, match="density matrix must be square"):
+            DensityMatrix(np.eye(4)[:2] / 2, (2,))
+
     def test_rejects_non_finite(self):
         m = np.eye(2, dtype=complex) / 2
         m[1, 1] = np.nan
