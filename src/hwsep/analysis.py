@@ -40,11 +40,13 @@ import numpy as np
 from . import bloch, criteria
 from .criteria import make_check
 from .errors import ValidationError, check_m, check_real, check_weights, check_whole
-from .linalg import DensityMatrix, trace_norm
+from .linalg import DensityMatrix, require_parties, require_state, trace_norm
 from .states import StateFamily
 
 # Largest number of array elements a scan or a grid search stacks into one batch of images.
 _STACK_ELEMS = 2**20
+# The default scan resolution: a scan's grid points, and the bracket width its bisection stops under.
+GRID_POINTS, TOL = 256, 1e-6
 
 
 def _batches(count: int, size: int) -> list[slice]:
@@ -95,6 +97,7 @@ def _image_source(family: StateFamily, check: criteria.Check):
             if x == 0.0:  # built above, to learn the bound and the image size
                 return image0
             rho = family.state(x)
+            require_state(rho, f"family {family.name!r} at x = {x}")
             if rho.dims != rho0.dims:
                 raise ValidationError(f"family {family.name!r}: states change dims from {rho0.dims} at x = 0")
             return check.linear(rho)[0]
@@ -120,8 +123,8 @@ def _certified(x, k, at, v, bound, n, margin_n, maximum=np.maximum):
 def scan_threshold(
     family: StateFamily,
     check: criteria.Check,
-    grid_points: int = 256,
-    tol: float = 1e-6,
+    grid_points: int = GRID_POINTS,
+    tol: float = TOL,
 ) -> ThresholdResult:
     """Locate the smallest x in [0, 1] at which ``check`` starts violating.
 
@@ -273,6 +276,7 @@ def optimize_params(
     ms = sorted(check_m(m) for m in m_range)
     if not alphas or not betas or not ms:
         raise ValidationError("optimize_params requires nonempty grids")
+    require_parties(rho, 2, "optimize_params")
     dec = bloch.decompose_bipartite(rho, normalization)
     # the cells (m, alpha, beta) on one broadcast: their bounds, which refuse weights that overflow, and scaled pairs
     m_col, col_w, row_w = np.array(ms, dtype=float)[:, None, None], np.array(alphas)[:, None], np.array(betas)
@@ -313,8 +317,8 @@ class ComparisonRow:
     verdict: str | None = None
 
 
-# A report's CSV columns: a row's criterion, the parameters the S rows report, and its outcome.
-_CSV_COLUMNS = ("criterion", "alpha", "beta", "m", "normalization", "threshold", "value", "bound", "verdict")
+# A report's CSV columns: a row's criterion, the keys the S rows report, and its outcome.
+_CSV_COLUMNS = ("criterion", *criteria.S_REPORTED, "threshold", "value", "bound", "verdict")
 
 
 @dataclass(frozen=True)
@@ -341,7 +345,7 @@ def _bind(spec) -> criteria.Check:
     return make_check(**spec)
 
 
-def compare(subject, specs, grid_points: int = 256, tol: float = 1e-6) -> ComparisonReport:
+def compare(subject, specs, grid_points: int = GRID_POINTS, tol: float = TOL) -> ComparisonReport:
     """Run several criteria against one family or one state.
 
     ``specs`` is a list of dicts, each with a "criterion" key plus that

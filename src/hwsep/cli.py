@@ -205,8 +205,8 @@ def cmd_compare(args, parser) -> int:
         parser.error("compare requires exactly one of --family or --state")
     if args.criteria is not None:
         names = args.criteria
-    elif any(flag is not None for flag in (args.alpha, args.beta, args.m)):
-        names = ["hw", "isc", "vb", "lb"]
+    elif any(getattr(args, key) is not None for key in criteria.S_PARAMS):  # a weight given: the S rows
+        names = criteria.S_ROWS
     else:  # no weights given: the rows that take no parameters
         names = [name for name, row in criteria.REGISTRY.items() if not row.required]
     specs = [_criterion_spec(args, parser, name) for name in names]
@@ -228,16 +228,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     floats, ints = _list(float), _list(int)
 
-    def add_common(p, *, rescaled=True, params=False, state=False):
-        if rescaled:
-            p.add_argument(
-                "--rescaled",
-                dest="normalization",
-                action="store_const",
-                const="rescaled",
-                default="standard",
-                help="use the rescaled normalization",
-            )
+    def add_common(p, *, params=False, state=False):
+        p.add_argument(
+            "--rescaled",
+            dest="normalization",
+            action="store_const",
+            const="rescaled",
+            default="standard",
+            help="use the rescaled normalization",
+        )
         if params:
             p.add_argument("--alpha", type=float)
             beta = p.add_mutually_exclusive_group()
@@ -292,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--b", type=float)
     p.add_argument("--criterion", required=True, choices=list(criteria.REGISTRY))
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--grid", type=int, default=analysis.GRID_POINTS)
+    p.add_argument("--tol", type=float, default=analysis.TOL)
     add_common(p, params=True)
     p.set_defaults(func=cmd_scan)
 
@@ -309,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float)
     p.add_argument("--state")
     p.add_argument("--criteria", type=_list(str))
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--grid", type=int, default=analysis.GRID_POINTS)
+    p.add_argument("--tol", type=float, default=analysis.TOL)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     add_common(p, params=True)
     p.set_defaults(func=cmd_compare)

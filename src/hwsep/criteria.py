@@ -80,7 +80,7 @@ from operator import itemgetter
 import numpy as np
 
 from . import bloch, hw_basis
-from .errors import ValidationError, check_choice, check_parties, check_m, check_weight, check_weights
+from .errors import ValidationError, check_choice, check_dims, check_m, check_parties, check_weight, check_weights
 from .linalg import DensityMatrix, eig_hermitian, partial_transpose, require_parties, trace_norm
 
 # Absolute floor of the violation margin (see the module docstring).
@@ -255,7 +255,7 @@ class PPTCheck(Check):
         return Judgement(self, -eig_hermitian(images)[:, :1], bound, (1,))
 
 
-@lru_cache(maxsize=256)
+@lru_cache  # 128 plans: a few shapes and partition lists per process
 def _plan(shape: tuple, partitions: tuple | None) -> tuple[tuple, tuple, tuple]:
     """How a stack (axis 0) of tensors of ``shape`` is matricized for ``partitions`` (None: every bipartition).
 
@@ -287,17 +287,23 @@ def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> flo
 
     c_k^2 is 1 in the standard normalization and d_k/2 in the rescaled one.
     Two parties with alphas (beta, alpha) give the bound on ||S^m_{alpha,beta}||_tr.
-    m and each alpha_k may be arrays; the bound is then taken elementwise over their broadcast.  A whole-number
-    m is one that ``check_m`` takes, past int64 too.  A negative m or a bound past float range is a ValidationError.
+    m and each alpha_k may be arrays, the bound then taken elementwise over their broadcast.  ``check_m``,
+    ``check_weight`` and ``check_dims`` read them (arrays element by element); a bound past float range is refused.
     """
     rescaled = _PARSERS["normalization"](normalization) == "rescaled"
+    dims = check_dims(dims, 1)
     if len(dims) != len(alphas):
-        raise ValidationError(f"theorem2_bound needs one weight per party, got {len(alphas)} for dims {tuple(dims)}")
-    python = {type(m), *map(type, alphas)} <= {int, float}  # a verdict's numbers skip np.min and np.isfinite (7 us)
-    if (m if python else np.min(m)) < 0:
-        raise ValidationError(f"theorem2_bound needs m >= 0, got {m!r}")
-    with np.errstate(over="ignore"):  # refused below
-        bound = math.prod(np.sqrt(m * a * a + (d / 2 if rescaled else 1.0) * (d - 1)) for d, a in zip(dims, alphas))
+        raise ValidationError(f"theorem2_bound needs one weight per party, got {len(alphas)} for dims {dims}")
+    python = {type(m), *map(type, alphas)} <= {int, float}  # a verdict's numbers: parsed as they are, no np (7 us)
+    ms, weights = ((m,), alphas) if python else (np.ravel(m).tolist(), [w for a in alphas for w in np.ravel(a).tolist()])
+    check_weights(weights)
+    for element in ms:
+        check_m(element)
+    try:
+        with np.errstate(over="ignore"):  # refused below
+            bound = math.prod(np.sqrt(m * a * a + (d / 2 if rescaled else 1.0) * (d - 1)) for d, a in zip(dims, alphas))
+    except OverflowError:  # a product of Python ints past float range (or past a numpy integer's range)
+        bound = math.inf
     if not (math.isfinite(bound) if python else np.isfinite(bound).all()):
         raise ValidationError("the separable bound is past float range: the weights or m are too large")
     return bound
@@ -342,8 +348,8 @@ _PARSERS = {
 }
 
 # An S row is the two-party tensor with weights (beta, alpha), judged on every bipartition: its one.
-_S_PARAMS = ("alpha", "beta", "m")
-_S_REPORTED = (*_S_PARAMS, "normalization")
+S_PARAMS = ("alpha", "beta", "m")
+S_REPORTED = (*S_PARAMS, "normalization")
 _S_WEIGHTS = itemgetter("beta", "alpha")
 _STANDARD = {"partitions": None, "normalization": "standard"}
 _RESCALED = dict(_STANDARD, normalization="rescaled")
@@ -351,12 +357,12 @@ _RESCALED = dict(_STANDARD, normalization="rescaled")
 REGISTRY = {
     row.name: row
     for row in (
-        Criterion("hw", TensorCheck, _S_WEIGHTS, _S_REPORTED, _S_PARAMS, ("normalization",), _STANDARD),
-        Criterion("isc", TensorCheck, _S_WEIGHTS, _S_REPORTED, _S_PARAMS, defaults=_RESCALED, min_m=1),
+        Criterion("hw", TensorCheck, _S_WEIGHTS, S_REPORTED, S_PARAMS, ("normalization",), _STANDARD),
+        Criterion("isc", TensorCheck, _S_WEIGHTS, S_REPORTED, S_PARAMS, defaults=_RESCALED, min_m=1),
         Criterion(
             "vb", TensorCheck, _S_WEIGHTS, ("m", "normalization"), defaults=dict(_RESCALED, alpha=0.0, beta=0.0, m=0)
         ),
-        Criterion("lb", TensorCheck, _S_WEIGHTS, _S_REPORTED, defaults=dict(_RESCALED, alpha=1.0, beta=1.0, m=1)),
+        Criterion("lb", TensorCheck, _S_WEIGHTS, S_REPORTED, defaults=dict(_RESCALED, alpha=1.0, beta=1.0, m=1)),
         Criterion("ppt", PPTCheck, None, ("subsystem",), optional=("subsystem",), defaults={"subsystem": 2}),
         Criterion(
             "thm2",
@@ -370,6 +376,9 @@ REGISTRY = {
         ),
     )
 }
+
+# The S rows, those weighted like hw, in REGISTRY order: compare's default rows when a weight is given.
+S_ROWS = tuple(name for name, row in REGISTRY.items() if row.weights is _S_WEIGHTS)
 
 
 def make_check(criterion: str, **params) -> Check:

@@ -19,6 +19,8 @@ class NumericalError(RuntimeError):
 
 def check_whole(value, minimum: int = 0, name: str = "m") -> int:
     """``value`` as an int; raises ValidationError unless it is a finite whole number >= ``minimum`` (not a bool)."""
+    if type(value) is int and value >= minimum:  # the common case, without int() (every separable bound reads dims)
+        return value
     try:
         whole = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):  # None, text, NaN, infinities
@@ -69,22 +71,27 @@ def check_choice(value, allowed: tuple, what: str):
     raise ValidationError(f"unknown {what} {value!r}, expected one of {allowed}")
 
 
-def _real(value) -> bool:
-    """A real number, not a bool."""
+def _finite(value) -> bool:
+    """A finite real number, not a bool."""
     # isinstance(value, float) first: the numbers.Real check is slower, and most values are floats
-    return isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    if not (isinstance(value, float) or (isinstance(value, numbers.Real) and not isinstance(value, bool))):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past float range
+        return False
 
 
 def check_real(value, what: str) -> float:
     """``value`` as a float; raises ValidationError naming ``what`` unless it is a finite real number, not a bool."""
-    if not (_real(value) and math.isfinite(value)):
+    if not _finite(value):
         raise ValidationError(f"{what} must be a finite real number, got {value!r}")
     return float(value)
 
 
 def check_weight(weight) -> float:
     """``weight`` as a float; raises ValidationError unless it is a finite, nonnegative real number, not a bool."""
-    if not (_real(weight) and weight >= 0 and math.isfinite(weight)):
+    if not (_finite(weight) and weight >= 0):
         raise ValidationError(f"weights must be finite, nonnegative real numbers, got {weight!r}")
     return float(weight)
 

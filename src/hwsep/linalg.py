@@ -5,8 +5,8 @@ are dense, from 2x2 up to about a million entries (GHZ-10 is 1024x1024), so
 dense routines from ``numpy.linalg`` are used throughout.  Quantum states
 are wrapped in :class:`DensityMatrix`, which validates the usual contracts
 (Hermitian, unit trace, positive semidefinite) at construction time and
-records how the total space factors into subsystems.  ``require_parties``
-is the one check that a subject is a state of a given number of parties.
+records how the total space factors into subsystems.  ``require_state`` is
+the one check that a subject is a state; ``require_parties`` adds its parties.
 """
 
 from __future__ import annotations
@@ -76,10 +76,15 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
 
-def require_parties(rho: DensityMatrix, n: int, what) -> None:
-    """Raises ValidationError, naming ``what`` (formatted only then), unless rho is a DensityMatrix of n parties."""
+def require_state(rho, what) -> None:
+    """Raises ValidationError, naming ``what`` (formatted only then), unless rho is a DensityMatrix."""
     if not isinstance(rho, DensityMatrix):
         raise ValidationError(f"{what} needs a DensityMatrix, got {type(rho).__name__}")
+
+
+def require_parties(rho: DensityMatrix, n: int, what) -> None:
+    """Raises ValidationError, naming ``what`` (formatted only then), unless rho is a DensityMatrix of n parties."""
+    require_state(rho, what)
     if len(rho.dims) != n:
         raise ValidationError(f"{what} needs a state of {n} parties, got dims {rho.dims}")
 

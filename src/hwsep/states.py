@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError, check_dims, check_real, check_whole
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, require_state
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,10 @@ class StateFamily:
             raise ValidationError(f"family {self.name!r}: generator must be callable")
         if self.endpoints is not None:
             ends = tuple(self.endpoints) if isinstance(self.endpoints, (tuple, list)) else ()
-            if len(ends) != 2 or not all(isinstance(e, DensityMatrix) for e in ends):
+            if len(ends) != 2:
                 raise ValidationError(f"family {self.name!r}: endpoints must be two DensityMatrix")
+            for end in ends:
+                require_state(end, f"family {self.name!r}: each endpoint")
             if ends[0].dims != ends[1].dims:
                 dims = f"{ends[0].dims} and {ends[1].dims}"
                 raise ValidationError(f"family {self.name!r}: endpoint dims {dims} differ")
@@ -117,6 +119,8 @@ def mix(x: float, sigma: DensityMatrix, rho: DensityMatrix) -> DensityMatrix:
     x = check_real(x, "mixing weight")
     if not 0 <= x <= 1:
         raise ValidationError(f"mixing weight must lie in [0, 1], got {x}")
+    require_state(sigma, "mix")
+    require_state(rho, "mix")
     if sigma.dims != rho.dims:
         raise ValidationError(f"dimension mismatch: {sigma.dims} vs {rho.dims}")
     return DensityMatrix(x * sigma.matrix + (1 - x) * rho.matrix, rho.dims)
@@ -141,6 +145,8 @@ def product(factors) -> DensityMatrix:
     factors = list(factors)
     if not factors:
         raise ValidationError("product requires at least one factor")
+    for f in factors:
+        require_state(f, "product")
     mat = factors[0].matrix
     dims: tuple[int, ...] = factors[0].dims
     for f in factors[1:]:

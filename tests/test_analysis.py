@@ -200,6 +200,12 @@ class TestAffineScan:
         with pytest.raises(ValidationError):
             scan_threshold(StateFamily("x"), HW_CHECK)
 
+    def test_generator_state_that_is_not_a_state_is_a_validation_error(self):
+        # a bare matrix from x = 0.5 on ended in an AttributeError
+        fam = StateFamily("bare", generator=lambda x: FAMILY.state(x).matrix if x >= 0.5 else FAMILY.state(x))
+        with pytest.raises(ValidationError, match=r"^family 'bare' at x = 0\.50.* needs a DensityMatrix, got ndarray$"):
+            scan_threshold(fam, HW_CHECK)
+
     @pytest.mark.parametrize("criterion,params", SCAN_SPECS)
     def test_generator_builds_each_point_once(self, criterion, params):
         calls = []

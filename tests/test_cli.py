@@ -401,6 +401,11 @@ class TestExitCodes:
         assert run(["check", "--state", path, *argv]) == 3
         assert f"criterion {argv[1]} needs a state of 2 parties" in capsys.readouterr().err
 
+    def test_validation_error_optimize_on_three_parties(self, tmp_path, capsys):
+        assert run(["optimize", "--state", write_state(tmp_path, ghz(3))]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "validation error: optimize_params needs a state of 2 parties, got dims (2, 2, 2)\n"
+
     def test_validation_error_partition_out_of_range(self, tmp_path, capsys):
         path = write_state(tmp_path, ghz(2))
         assert run(["tensor-check", "--state", path, "--alphas", "1,1", "--m", "1", "--partition", "3"]) == 3

@@ -138,8 +138,8 @@ class TestTheorem1Bound:
     @pytest.mark.parametrize(
         "alphas,m,message",
         [
-            ((1.0, 1.0), -1, "m >= 0"),  # was 0.0
-            ((np.array([1.0, 2.0]), 1.0), np.array([[1.0], [-1.0]]), "m >= 0"),
+            ((1.0, 1.0), -1, "m must be a whole number >= 0"),  # was 0.0
+            ((np.array([1.0, 2.0]), 1.0), np.array([[1.0], [-1.0]]), "m must be a whole number >= 0"),
             ((1e160, 1e160), 1, "past float range"),
             ((1e300, 1.0), 4, "past float range"),
             ((np.float64(1e160), 1.0), 1, "past float range"),  # a numpy scalar, which warns on overflow
@@ -150,6 +150,62 @@ class TestTheorem1Bound:
     def test_refuses_negative_m_and_a_bound_past_float_range(self, alphas, m, message):
         with pytest.raises(ValidationError, match=message):
             theorem2_bound((2, 2), alphas, m)  # pytest turns an overflow warning into an error
+
+    _M, _WEIGHT, _DIM = "m must be a whole number >= 0", "weights must be finite, nonnegative", "subsystem dimension"
+
+    @pytest.mark.parametrize(
+        "dims,alphas,m,message",
+        [
+            ((2, 2), (1.0, 1.0), True, _M),
+            ((2, 2), (1.0, 1.0), np.True_, _M),
+            ((2, 2), (1.0, 1.0), np.array([[True], [False]]), _M),
+            ((2, 2), (True, 1.0), 1, _WEIGHT),
+            ((2, 2), (np.True_, 1.0), 1, _WEIGHT),
+            ((2, 2), (np.array([True, False]), 1.0), np.array([[1.0]]), _WEIGHT),
+            ((2, 2), (1.0, 1.0), "1", _M),
+            ((2, 2), (1.0, 1.0), np.array(["1"]), _M),
+            ((2, 2), ("0.5", 1.0), 1, _WEIGHT),
+            ((2, 2), (np.array(["0.5"]), 1.0), np.array([1.0]), _WEIGHT),
+            ((2, 2), (1.0, 1.0), math.nan, _M),
+            ((2, 2), (1.0, 1.0), np.array([[1.0], [math.nan]]), _M),
+            ((2, 2), (math.nan, 1.0), 1, _WEIGHT),
+            ((2, 2), (np.array([0.5, math.nan]), 1.0), np.array([[1.0]]), _WEIGHT),
+            ((2, 2), (-1.0, 1.0), 1, _WEIGHT),
+            ((2, 2), (np.array([0.5, -0.5]), 1.0), np.array([[1.0]]), _WEIGHT),
+            ((2, 2), (1.0, 1.0), 1.5, _M),
+            ((2, 2), (1.0, 1.0), np.array([[1.0], [1.5]]), _M),
+            pytest.param((2, 2), (1.0, 1.0), 10**400, "m must lie within float range", id="m=10**400"),
+            pytest.param((2, 2), (1.0, 1.0), np.array([1, 10**400], dtype=object), "m must lie", id="[1, 10**400]"),
+            ((2.5, 2), (1.0, 1.0), 1, _DIM),
+            (np.array([2.5, 2.0]), (np.array([1.0, 2.0]), 1.0), np.array([[1.0]]), _DIM),
+        ],
+    )
+    def test_reads_its_inputs_with_the_parsers(self, dims, alphas, m, message):
+        with pytest.raises(ValidationError, match=message):
+            theorem2_bound(dims, alphas, m)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(),
+            st.booleans(),
+            st.text(max_size=4),
+        )
+    )
+    def test_refuses_a_weight_exactly_when_make_check_does(self, v):
+        """Apart from a bound past float range, which only the bound refuses."""
+        try:
+            make_check("hw", alpha=v, beta=1.0, m=1)
+            made = True
+        except ValidationError:
+            made = False
+        try:
+            theorem2_bound((2, 2), (1.0, v), 1)
+            bounded = True
+        except ValidationError as exc:
+            bounded = "past float range" in str(exc)
+        assert made == bounded
 
 
 class TestCheckTheorem1:
@@ -501,7 +557,7 @@ class TestPartyCount:
             pytest.param(lambda rho: check_theorem1(rho, 0.5, 0.4, 1), "criterion hw", 2, id="check_theorem1"),
             pytest.param(lambda rho: check_theorem2(rho, (1.0, 1.0), 1), "criterion thm2", 2, id="check_theorem2"),
             pytest.param(lambda rho: check_ppt(rho), "criterion ppt", 2, id="check_ppt"),
-            pytest.param(lambda rho: optimize_params(rho, [0.5], [0.5], [1]), "decompose_bipartite", 2, id="optimize"),
+            pytest.param(lambda rho: optimize_params(rho, [0.5], [0.5], [1]), "optimize_params", 2, id="optimize"),
             pytest.param(lambda rho: compare(rho, [{"criterion": "lb"}]), "criterion lb", 2, id="compare"),
         ],
     )

@@ -268,3 +268,18 @@ def test_product_concatenates_dims():
     assert rho.matrix.shape == (12, 12)
     with pytest.raises(ValidationError):
         product([])
+
+
+@pytest.mark.parametrize(
+    "call,what,kind",
+    [
+        (lambda rho: mix(0.5, "a", rho), "mix", "str"),  # mix and product ended in an AttributeError
+        (lambda rho: mix(0.5, rho, rho.matrix), "mix", "ndarray"),
+        (lambda rho: product([np.eye(2) / 2]), "product", "ndarray"),
+        (lambda rho: product([rho, None]), "product", "NoneType"),
+        (lambda rho: StateFamily("f", endpoints=(rho, rho.matrix)), "family 'f': each endpoint", "ndarray"),
+    ],
+)
+def test_a_subject_that_is_not_a_state_is_refused(call, what, kind):
+    with pytest.raises(ValidationError, match=rf"^{what} needs a DensityMatrix, got {kind}$"):
+        call(ghz(2))
