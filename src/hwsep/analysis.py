@@ -40,7 +40,7 @@ import numpy as np
 from . import bloch, criteria
 from .criteria import make_check
 from .errors import ValidationError, check_m, check_real, check_weights, check_whole
-from .linalg import DensityMatrix, require_parties, require_state, trace_norm
+from .linalg import DensityMatrix, require_parties, trace_norm
 from .states import StateFamily
 
 # Largest number of array elements a scan or a grid search stacks into one batch of images.
@@ -97,7 +97,6 @@ def _image_source(family: StateFamily, check: criteria.Check):
             if x == 0.0:  # built above, to learn the bound and the image size
                 return image0
             rho = family.state(x)
-            require_state(rho, f"family {family.name!r} at x = {x}")
             if rho.dims != rho0.dims:
                 raise ValidationError(f"family {family.name!r}: states change dims from {rho0.dims} at x = 0")
             return check.linear(rho)[0]

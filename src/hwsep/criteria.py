@@ -255,7 +255,7 @@ class PPTCheck(Check):
         return Judgement(self, -eig_hermitian(images)[:, :1], bound, (1,))
 
 
-@lru_cache  # 128 plans: a few shapes and partition lists per process
+@lru_cache(maxsize=256)
 def _plan(shape: tuple, partitions: tuple | None) -> tuple[tuple, tuple, tuple]:
     """How a stack (axis 0) of tensors of ``shape`` is matricized for ``partitions`` (None: every bipartition).
 
@@ -299,10 +299,12 @@ def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> flo
     check_weights(weights)
     for element in ms:
         check_m(element)
+    if not python:  # a Python int as a float: numpy would read it as an integer type, refusing one past int64 range
+        m, *alphas = [float(x) if type(x) is int else x for x in (m, *alphas)]
     try:
         with np.errstate(over="ignore"):  # refused below
             bound = math.prod(np.sqrt(m * a * a + (d / 2 if rescaled else 1.0) * (d - 1)) for d, a in zip(dims, alphas))
-    except OverflowError:  # a product of Python ints past float range (or past a numpy integer's range)
+    except OverflowError:  # a product of Python ints past float range
         bound = math.inf
     if not (math.isfinite(bound) if python else np.isfinite(bound).all()):
         raise ValidationError("the separable bound is past float range: the weights or m are too large")

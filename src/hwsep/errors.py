@@ -19,8 +19,6 @@ class NumericalError(RuntimeError):
 
 def check_whole(value, minimum: int = 0, name: str = "m") -> int:
     """``value`` as an int; raises ValidationError unless it is a finite whole number >= ``minimum`` (not a bool)."""
-    if type(value) is int and value >= minimum:  # the common case, without int() (every separable bound reads dims)
-        return value
     try:
         whole = None if isinstance(value, (bool, np.bool_)) else int(value)
     except (TypeError, ValueError, OverflowError):  # None, text, NaN, infinities

@@ -79,7 +79,9 @@ class StateFamily:
 
     def state(self, x: float) -> DensityMatrix:
         if self.generator is not None:
-            return self.generator(x)
+            rho = self.generator(x)
+            require_state(rho, f"family {self.name!r} at x = {x}")
+            return rho
         rho0, rho1 = self.endpoints
         return mix(x, rho1, rho0)
 

@@ -200,10 +200,11 @@ class TestAffineScan:
         with pytest.raises(ValidationError):
             scan_threshold(StateFamily("x"), HW_CHECK)
 
-    def test_generator_state_that_is_not_a_state_is_a_validation_error(self):
-        # a bare matrix from x = 0.5 on ended in an AttributeError
-        fam = StateFamily("bare", generator=lambda x: FAMILY.state(x).matrix if x >= 0.5 else FAMILY.state(x))
-        with pytest.raises(ValidationError, match=r"^family 'bare' at x = 0\.50.* needs a DensityMatrix, got ndarray$"):
+    @pytest.mark.parametrize("start,x", [(0.5, r"0\.50.*"), (0.0, r"0\.0")], ids=["from 0.5", "from 0"])
+    def test_generator_state_that_is_not_a_state_is_a_validation_error(self, start, x):
+        # a bare matrix from x = start on ended in an AttributeError
+        fam = StateFamily("bare", generator=lambda x: FAMILY.state(x).matrix if x >= start else FAMILY.state(x))
+        with pytest.raises(ValidationError, match=rf"^family 'bare' at x = {x} needs a DensityMatrix, got ndarray$"):
             scan_threshold(fam, HW_CHECK)
 
     @pytest.mark.parametrize("criterion,params", SCAN_SPECS)

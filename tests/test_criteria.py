@@ -128,6 +128,18 @@ class TestTheorem1Bound:
     def test_whole_numbers_past_int64(self):
         assert theorem2_bound((2, 2), (1, 1), 2**70) == math.sqrt(2**70 + 1) ** 2
 
+    @pytest.mark.parametrize(
+        "alphas,m",
+        [
+            ((np.int64(2), 1.0), 2**70),  # was refused as past float range: numpy reads 2**70 as an int64
+            ((np.array([2]), 1.0), 2**70),
+            ((2**70, 1.0), np.array([1])),
+        ],
+    )
+    def test_a_python_int_meets_numpy_integers(self, alphas, m):
+        a, k = float(np.ravel(alphas[0])[0]), float(np.ravel(m)[0])
+        assert np.ravel(theorem2_bound((2, 2), alphas, m)).tolist() == [math.sqrt(k * a * a + 1) * math.sqrt(k + 1)]
+
     def test_arrays_give_the_scalar_bounds(self):
         ms, alphas = np.array([[0.0], [3.0], [1e20]]), np.array([0.0, 0.5, 7.0])
         got = theorem2_bound((3, 5), (alphas, 2 * alphas), ms, "rescaled")
