@@ -32,14 +32,14 @@ import csv
 import functools
 import io
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import bloch, criteria
 from .criteria import make_check
-from .errors import ValidationError, check_m, check_real, check_weights, check_whole
+from .errors import ValidationError, check_collection, check_m, check_real, check_weights, check_whole
 from .linalg import DensityMatrix, require_parties, trace_norm
 from .states import StateFamily
 
@@ -270,16 +270,14 @@ def optimize_params(
     """
     alphas = sorted(check_weights(alpha_grid))
     betas = sorted(check_weights(beta_grid))
-    if not isinstance(m_range, Iterable):
-        raise ValidationError(f"m_range must be a sequence of whole numbers, got {m_range!r}")
-    ms = sorted(check_m(m) for m in m_range)
+    ms = sorted(map(check_m, check_collection(m_range, "m_range must be a sequence of whole numbers")))
     if not alphas or not betas or not ms:
         raise ValidationError("optimize_params requires nonempty grids")
     require_parties(rho, 2, "optimize_params")
     dec = bloch.decompose_bipartite(rho, normalization)
     # the cells (m, alpha, beta) on one broadcast: their bounds, which refuse weights that overflow, and scaled pairs
     m_col, col_w, row_w = np.array(ms, dtype=float)[:, None, None], np.array(alphas)[:, None], np.array(betas)
-    bounds = criteria.theorem2_bound(dec.dims, (row_w, col_w), m_col, normalization)
+    bounds = criteria._bound(dec.dims, (row_w, col_w), m_col, normalization == "rescaled")
     roots = np.sqrt(m_col)
     scaled = np.stack(np.broadcast_arrays(roots * row_w, roots * col_w), axis=-1).reshape(-1, 2)
     # equal scaled pairs give equal tensors: one per distinct complex key, -0.0 (other bits than 0.0) keyed as -1
@@ -352,7 +350,7 @@ def compare(subject, specs, grid_points: int = GRID_POINTS, tol: float = TOL) ->
     bound before any is run.  Families are scanned for thresholds; single
     states are checked directly.
     """
-    checks = [_bind(spec) for spec in specs]
+    checks = [_bind(spec) for spec in check_collection(specs, "specs must be a collection of criterion specs")]
     if not checks:
         raise ValidationError("compare requires at least one criterion spec")
     rows = []

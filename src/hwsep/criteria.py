@@ -31,7 +31,7 @@ on one kernel, ``bloch``'s coefficient tensor.  The m identity slots are
 copies of one another: the one-slot tensor with weights sqrt(m) alpha_k
 has the same trace norms, so m enters only through that rescaling and the
 bound.  ``TensorCheck.linear`` scales a copy's identity slots that way and
-returns it with ``theorem2_bound``.
+returns it with the bound's one core, ``_bound``, on its parsed weights and m.
 
 Every criterion is a row of ``REGISTRY``; ``make_check`` binds a name and
 parameters into its row's Check, reading each parameter with its one
@@ -80,7 +80,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import bloch, hw_basis
-from .errors import ValidationError, check_choice, check_dims, check_m, check_parties, check_weight, check_weights
+from .errors import ValidationError, check_choice, check_collection, check_dims, check_elements, check_m
+from .errors import check_parties, check_weight, check_weights
 from .linalg import DensityMatrix, eig_hermitian, partial_transpose, require_parties, trace_norm
 
 # Absolute floor of the violation margin (see the module docstring).
@@ -215,10 +216,8 @@ class TensorCheck(Check):
             raise ValidationError(f"criterion {row.name} needs one weight per party, two or more, got {weights}")
         partitions = values["partitions"]
         if partitions is not None:  # the caller's: the S rows and thm2 default to every bipartition
-            try:
-                partitions = tuple(check_parties(part, len(weights)) for part in partitions)
-            except TypeError:  # not a collection
-                raise ValidationError(f"partitions must be a list of party-index lists, got {partitions!r}") from None
+            partitions = check_collection(partitions, "partitions must be a list of party-index lists")
+            partitions = tuple(check_parties(part, len(weights)) for part in partitions)
             if not partitions:
                 raise ValidationError("partitions must name at least one bipartition")
         return cls(row, reported, weights, values["m"], partitions, values["normalization"])
@@ -227,7 +226,7 @@ class TensorCheck(Check):
         """The tensor with identity slot k scaled by sqrt(m) weights[k], and its separable bound."""
         n = len(self.weights)
         require_parties(rho, n, self.row)
-        bound = theorem2_bound(rho.dims, self.weights, self.m, self.normalization)  # first: it refuses an overflow
+        bound = _bound(rho.dims, self.weights, self.m, self.normalization == "rescaled")  # first: it refuses overflow
         if n == 2:  # through the public decomposition, which perfbench counts
             tensor = bloch.decompose_bipartite(rho, self.normalization).tensor
         else:
@@ -278,6 +277,7 @@ def matricize(tensor: np.ndarray, parties) -> np.ndarray:
     and column multi-indices are composed in row-major order over ascending
     party index.
     """
+    tensor = np.asarray(tensor)
     _, ((order, shape),), _ = _plan(tensor.shape, (check_parties(parties, tensor.ndim),))
     return tensor[None].transpose(order).reshape(shape)
 
@@ -287,26 +287,23 @@ def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> flo
 
     c_k^2 is 1 in the standard normalization and d_k/2 in the rescaled one.
     Two parties with alphas (beta, alpha) give the bound on ||S^m_{alpha,beta}||_tr.
-    m and each alpha_k may be arrays, the bound then taken elementwise over their broadcast.  ``check_m``,
-    ``check_weight`` and ``check_dims`` read them (arrays element by element); a bound past float range is refused.
+    m and each alpha_k may be numbers or arrays, the bound then taken elementwise over their broadcast.
+    ``check_dims`` reads the dims, and ``check_m`` and ``check_weight`` every element of m and of each
+    weight, as float64; a bound past float range is refused.
     """
     rescaled = _PARSERS["normalization"](normalization) == "rescaled"
     dims = check_dims(dims, 1)
+    alphas = check_collection(alphas, "alphas must be a collection of weights, one per party")
     if len(dims) != len(alphas):
         raise ValidationError(f"theorem2_bound needs one weight per party, got {len(alphas)} for dims {dims}")
-    python = {type(m), *map(type, alphas)} <= {int, float}  # a verdict's numbers: parsed as they are, no np (7 us)
-    ms, weights = ((m,), alphas) if python else (np.ravel(m).tolist(), [w for a in alphas for w in np.ravel(a).tolist()])
-    check_weights(weights)
-    for element in ms:
-        check_m(element)
-    if not python:  # a Python int as a float: numpy would read it as an integer type, refusing one past int64 range
-        m, *alphas = [float(x) if type(x) is int else x for x in (m, *alphas)]
-    try:
-        with np.errstate(over="ignore"):  # refused below
-            bound = math.prod(np.sqrt(m * a * a + (d / 2 if rescaled else 1.0) * (d - 1)) for d, a in zip(dims, alphas))
-    except OverflowError:  # a product of Python ints past float range
-        bound = math.inf
-    if not (math.isfinite(bound) if python else np.isfinite(bound).all()):
+    return _bound(dims, [check_elements(a, check_weight) for a in alphas], check_elements(m, check_m), rescaled)
+
+
+def _bound(dims, weights, m, rescaled: bool) -> float | np.ndarray:
+    """``theorem2_bound`` on parsed inputs, for every caller; a bound past float range is refused."""
+    with np.errstate(over="ignore"):  # refused below
+        bound = math.prod(np.sqrt(m * a * a + (d / 2 if rescaled else 1.0) * (d - 1)) for d, a in zip(dims, weights))
+    if not np.isfinite(bound).all():
         raise ValidationError("the separable bound is past float range: the weights or m are too large")
     return bound
 

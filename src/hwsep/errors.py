@@ -1,6 +1,6 @@
-"""Exception types, and the one parser of each kind of input: every count, index and dimension
-(``check_whole``), m within float range (``check_m``), list of dims, party subset, choice, real number
-and weight.  A bool is none of them, although ``True == 1``."""
+"""Exception types, and the one parser of each kind of input: every count, index and dimension (``check_whole``),
+m within float range (``check_m``), collection, list of dims, party subset, choice, real number and weight, and
+the elements of a number or array (``check_elements``).  A bool is none of them, although ``True == 1``."""
 
 import math
 import numbers
@@ -35,12 +35,24 @@ def check_m(value, minimum: int = 0) -> int:
     return m
 
 
+def check_collection(values, what: str) -> tuple:
+    """``values`` as a tuple; raises ValidationError "<what>, got <values>" unless it is a collection (iterable)."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what}, got {values!r}") from None
+
+
+def check_elements(value, parse) -> np.ndarray:
+    """Each element of ``value``, a number or a (nested) array, read by ``parse``: float64, in ``value``'s shape."""
+    elements = np.asarray(value, dtype=object)
+    return np.array([parse(x) for x in elements.ravel().tolist()], dtype=float).reshape(elements.shape)
+
+
 def check_dims(dims, minimum: int) -> tuple[int, ...]:
     """``dims`` as a tuple of ints; raises ValidationError unless a nonempty collection of whole numbers >= minimum."""
-    try:  # a plain loop: every DensityMatrix reads its dims here
-        whole = tuple([check_whole(d, minimum, "subsystem dimension") for d in dims])
-    except TypeError:  # not a collection
-        raise ValidationError(f"dims must be a collection of subsystem dimensions, got {dims!r}") from None
+    dims = check_collection(dims, "dims must be a collection of subsystem dimensions")
+    whole = tuple([check_whole(d, minimum, "subsystem dimension") for d in dims])  # a plain loop: every state's dims
     if not whole:
         raise ValidationError("dims must name at least one subsystem, got none")
     return whole
@@ -48,10 +60,8 @@ def check_dims(dims, minimum: int) -> tuple[int, ...]:
 
 def check_parties(parties, n: int) -> tuple[int, ...]:
     """``parties`` sorted and without repeats; raises ValidationError unless it is a nonempty proper subset of 1..n."""
-    try:
-        subset = sorted({check_whole(p, 1, "party index") for p in parties})
-    except TypeError:  # not a collection
-        raise ValidationError(f"parties must be a collection of party indices, got {parties!r}") from None
+    parties = check_collection(parties, "parties must be a collection of party indices")
+    subset = sorted({check_whole(p, 1, "party index") for p in parties})
     if not subset or len(subset) == n:
         raise ValidationError(f"parties must be a nonempty proper subset of 1..{n}, got {subset}")
     if subset[-1] > n:
@@ -96,8 +106,4 @@ def check_weight(weight) -> float:
 
 def check_weights(weights) -> tuple[float, ...]:
     """Each of the weights through ``check_weight``."""
-    try:
-        weights = tuple(weights)
-    except TypeError:
-        raise ValidationError(f"weights must be a sequence of numbers, got {weights!r}") from None
-    return tuple(map(check_weight, weights))
+    return tuple(map(check_weight, check_collection(weights, "weights must be a sequence of numbers")))

@@ -90,11 +90,15 @@ def require_parties(rho: DensityMatrix, n: int, what) -> None:
 
 
 def trace_norm(m: np.ndarray) -> float | np.ndarray:
-    """Sum of singular values of ``m``; for a stack of matrices (..., a, b), an array of the sums."""
+    """Sum of singular values of ``m``; for a stack of matrices (..., a, b), an array of the sums (finite m only)."""
     try:
         sums = np.linalg.svd(np.asarray(m), compute_uv=False).sum(axis=-1)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # a NaN fails to converge
+        if not np.isfinite(m).all():
+            raise ValidationError("trace_norm requires finite entries") from None
         raise NumericalError(f"singular value computation failed: {exc}") from exc
+    if not np.isfinite(sums).all():  # an infinite entry gives NaN singular values
+        raise ValidationError("trace_norm requires finite entries and a trace norm within float range")
     return float(sums) if sums.ndim == 0 else sums
 
 
@@ -104,11 +108,11 @@ def eig_hermitian(m: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValidationError
-        If ``m`` is not Hermitian within ``HERMITICITY_TOL``.
+        If ``m`` is not Hermitian within ``HERMITICITY_TOL``, or holds a non-finite entry (a NaN deviation).
     """
     m = np.asarray(m, dtype=complex)
     dev = np.abs(m - m.swapaxes(-1, -2).conj()).max()
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:
         raise ValidationError(f"eig_hermitian requires a Hermitian matrix, deviation {dev:.3e}")
     try:
         return np.linalg.eigvalsh(m)

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError, check_dims, check_real, check_whole
+from .errors import ValidationError, check_collection, check_dims, check_real, check_whole
 from .linalg import DensityMatrix, require_state
 
 
@@ -144,7 +144,7 @@ def ghz(n: int) -> DensityMatrix:
 
 def product(factors) -> DensityMatrix:
     """Tensor product of density matrices."""
-    factors = list(factors)
+    factors = check_collection(factors, "product requires a collection of DensityMatrix factors")
     if not factors:
         raise ValidationError("product requires at least one factor")
     for f in factors:

@@ -733,6 +733,12 @@ class TestCompare:
         with pytest.raises(ValidationError):
             compare(ghz(2), [])
 
+    @pytest.mark.parametrize("specs", [5, None])
+    def test_specs_that_are_not_a_collection_are_refused(self, specs):  # they were a TypeError
+        for subject in (ghz(2), FAMILY):
+            with pytest.raises(ValidationError, match=f"specs must be a collection of criterion specs, got {specs}"):
+                compare(subject, specs)
+
     @pytest.mark.parametrize("spec", [{"alpha": 1}, "vb", None, ["vb"], {"criterion": "vb", 1: 2}])
     def test_malformed_spec_is_a_validation_error(self, spec):
         for subject in (ghz(2), FAMILY):

@@ -23,7 +23,7 @@ from hwsep import (
     theorem2_bound,
     trace_norm,
 )
-from hwsep.criteria import all_bipartitions
+from hwsep.criteria import REGISTRY, S_ROWS, all_bipartitions
 from hwsep.states import ghz, horodecki_2x4, mix, product, random_density, random_pure, random_separable, xi_state
 
 from paper_layout import closed_form_s_bound, reference_s, reference_w
@@ -134,11 +134,17 @@ class TestTheorem1Bound:
             ((np.int64(2), 1.0), 2**70),  # was refused as past float range: numpy reads 2**70 as an int64
             ((np.array([2]), 1.0), 2**70),
             ((2**70, 1.0), np.array([1])),
+            ((np.int64(2**40), 1.0), np.int64(1)),  # was 1.414: the int64 product wrapped past 2**63
+            ((np.uint64(2**63), np.uint64(2**40)), np.uint64(2)),  # was 1.0
+            ((np.float16(60000), 1.0), 1),  # was refused as past float range: float16 arithmetic overflowed
+            ((np.float32(1e30), np.float16(2)), 3),
         ],
     )
     def test_a_python_int_meets_numpy_integers(self, alphas, m):
-        a, k = float(np.ravel(alphas[0])[0]), float(np.ravel(m)[0])
-        assert np.ravel(theorem2_bound((2, 2), alphas, m)).tolist() == [math.sqrt(k * a * a + 1) * math.sqrt(k + 1)]
+        """Every numpy number is read as float64, whatever its dtype, so the bound is that of the same values."""
+        k, weights = float(np.ravel(m)[0]), [float(np.ravel(a)[0]) for a in alphas]
+        expected = math.prod(math.sqrt(k * a * a + 1) for a in weights)
+        assert np.ravel(theorem2_bound((2, 2), alphas, m)).tolist() == [expected]
 
     def test_arrays_give_the_scalar_bounds(self):
         ms, alphas = np.array([[0.0], [3.0], [1e20]]), np.array([0.0, 0.5, 7.0])
@@ -190,6 +196,9 @@ class TestTheorem1Bound:
             pytest.param((2, 2), (1.0, 1.0), np.array([1, 10**400], dtype=object), "m must lie", id="[1, 10**400]"),
             ((2.5, 2), (1.0, 1.0), 1, _DIM),
             (np.array([2.5, 2.0]), (np.array([1.0, 2.0]), 1.0), np.array([[1.0]]), _DIM),
+            ((2, 2), None, 1, "alphas must be a collection of weights, one per party, got None"),  # was a TypeError
+            ((2, 2), ([1.0, [2.0]], 1.0), 1, _WEIGHT),  # a ragged weight; was numpy's ValueError
+            ((2, 2), ([np.True_, 1.0], 1.0), 1, _WEIGHT),  # a bool in a list; was a TypeError
         ],
     )
     def test_reads_its_inputs_with_the_parsers(self, dims, alphas, m, message):
@@ -218,6 +227,22 @@ class TestTheorem1Bound:
         except ValidationError as exc:
             bounded = "past float range" in str(exc)
         assert made == bounded
+
+    @pytest.mark.parametrize("name", [*S_ROWS, "thm2"])
+    def test_a_verdict_bound_is_theorem2_bound(self, name):
+        """A verdict's bound is theorem2_bound at its dims, weights, m and normalization, to the last bit."""
+        row, rng = REGISTRY[name], np.random.default_rng(21)
+        normalizations = ("standard", "rescaled") if "normalization" in row.optional else (None,)
+        for seed in range(6):
+            draws = np.exp(rng.uniform(-3, 8, 3)).tolist()
+            given = {"alpha": draws[0], "beta": draws[1], "alphas": draws, "m": int(rng.integers(row.min_m, 40))}
+            _, rho = random_separable((2, 3) if name != "thm2" else (2, 2, 3), 2, seed)
+            for normalization in normalizations:
+                params = {key: given[key] for key in row.required}
+                check = make_check(name, **params, **({"normalization": normalization} if normalization else {}))
+                bound = check(rho).bound
+                expected = theorem2_bound(rho.dims, check.weights, check.m, check.normalization)
+                assert type(bound) is float and bound.hex() == float(expected).hex()
 
 
 class TestCheckTheorem1:
@@ -415,6 +440,7 @@ class TestMatricize:
     def test_two_axes_is_plain_reshape(self):
         w = np.arange(12.0).reshape(3, 4)
         np.testing.assert_array_equal(matricize(w, [1]), w)
+        np.testing.assert_array_equal(matricize(w.tolist(), [1]), w)  # a nested list was an AttributeError
 
     def test_single_entry_bookkeeping(self):
         arr = np.zeros((2, 2, 2))

@@ -88,6 +88,21 @@ def test_eig_hermitian_rejects_non_hermitian():
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_eig_hermitian_rejects_nan():  # a NaN deviation passed the test; the eigenvalues came out [0, -0]
+    with pytest.raises(ValidationError, match="requires a Hermitian matrix, deviation nan"):
+        eig_hermitian([[np.nan, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_trace_norm_rejects_non_finite_entries(entry):  # NaN was a NumericalError, an infinity gave NaN
+    m = np.eye(2)
+    m[0, 1] = entry
+    with pytest.raises(ValidationError, match="trace_norm requires finite entries"):
+        trace_norm(m)
+    with pytest.raises(ValidationError, match="trace_norm requires finite entries"):
+        trace_norm(np.stack([np.eye(2), m]))
+
+
 def test_partial_transpose_product_state():
     rho_a = random_density(2, 10)
     rho_b = random_density(3, 11)

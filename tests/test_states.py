@@ -270,6 +270,12 @@ def test_product_concatenates_dims():
         product([])
 
 
+@pytest.mark.parametrize("factors", [5, None])
+def test_product_refuses_factors_that_are_not_a_collection(factors):  # they were a TypeError
+    with pytest.raises(ValidationError, match=f"product requires a collection of DensityMatrix factors, got {factors}"):
+        product(factors)
+
+
 @pytest.mark.parametrize(
     "call,what,kind",
     [
