@@ -21,7 +21,7 @@ changes unless a point lies within rounding of the margin.
 ``optimize_params`` searches its (m, alpha, beta) grid the same way: the
 state is decomposed once, a cell's tensor depends only on its pair (sqrt(m)
 beta, sqrt(m) alpha), and a closed-form upper bound on its trace norm, from
-one SVD per state, leaves open the pairs that can still hold the first
+SVDs of T and T - r s^T, leaves open the pairs that can still hold the first
 maximum; only those are judged, once each, in stacks of at most _STACK_ELEMS.
 """
 
@@ -235,11 +235,19 @@ class OptimizeResult:
         return {**doc, "violation": self.violation, "normalization": normalization}
 
 
-def _upper_bound(dec: bloch.BlochDecomposition, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(upper, upper + slack) per scaled pair (rows, cols): ``optimize_params``' bound on the weighted tensor's
-    trace norm, and the ceiling that its computed trace norm does not pass."""
+def _rank_two(dec: bloch.BlochDecomposition, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """hypot(beta' alpha', beta' ||s|| + alpha' ||r||) + ||T||_tr per scaled pair (rows, cols) = (beta', alpha')."""
     with np.errstate(over="ignore"):  # a bound past float range only leaves its pair open
-        upper = np.hypot(rows * cols, rows * dec.s.norm + cols * dec.r.norm) + trace_norm(dec.t)
+        return np.hypot(rows * cols, rows * dec.s.norm + cols * dec.r.norm) + trace_norm(dec.t)
+
+
+def _upper_bound(dec: bloch.BlochDecomposition, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, upper + slack) per scaled pair: ``optimize_params``' bound on the weighted tensor's trace norm, the
+    lesser of ``_rank_two`` and the rank-one split, and the ceiling that its computed trace norm does not pass."""
+    r, s = dec.r, dec.s
+    with np.errstate(over="ignore"):
+        split = np.hypot(rows, r.norm) * np.hypot(cols, s.norm) + trace_norm(dec.t - np.outer(r.coeffs, s.coeffs))
+        upper = np.minimum(_rank_two(dec, rows, cols), split)
         return upper, upper + 128 * sum(dec.tensor.shape) * criteria._EPS_MACH * upper
 
 
@@ -258,15 +266,23 @@ def optimize_params(
     before anything is built.  A cell's tensor S depends only on its pair (beta', alpha') = sqrt(m) (beta, alpha);
     a judged pair's S is bit-identical to the cell's ``hw`` image, judged once in stacks of at most _STACK_ELEMS.
 
-    S = X + (0 (+) T): X holds S's row 0, (beta' alpha', beta' s) (Tr rho = 1), and the rest of its column 0,
-    alpha' r.  X has rank 2, so ||S||_tr <= upper = hypot(beta' alpha', beta' ||s|| + alpha' ||r||) + ||T||_tr,
-    with equality when r = s = 0.  The one pair highest on upper - bound (its cells' least bound) is judged
-    first, and best is the largest value - bound among its cells; then every pair with upper + slack - bound
-    >= best is judged, and the rest read -inf.  A computed value is at most upper + slack and rounding is
-    monotone, so an unjudged cell's computed value - bound is under best: the first maximum is the exhaustive
-    search's, to the last bit.  slack = 128 N eps_mach upper, N the sum of S's dimensions, covers the SVDs of S
-    and T (each off by p(N) eps_mach times its norm, at most upper, for p(N) up to 60 N as in
-    ``scan_threshold``), the weighting's rounding (2 N) and the bound's own (two norms and four flops, 6 N).
+    upper is the lesser of two ceilings on ||S||_tr.  S = X + (0 (+) T): X holds S's row 0, (beta' alpha', beta' s)
+    (Tr rho = 1), and the rest of its column 0, alpha' r; X has rank 2, so ||S||_tr <= ``_rank_two`` = hypot(beta'
+    alpha', beta' ||s|| + alpha' ||r||) + ||T||_tr, with equality when r = s = 0.  And S = u v^T + (0 (+) (T - r
+    s^T)) with u = (beta', r), v = (alpha', s), so ||S||_tr <= ||u|| ||v|| + ||T - r s^T||_tr, with equality on pure
+    products.  ||u||^2 = beta'^2 + ||r||^2 <= m beta^2 + c_1^2 (d_1 - 1), the square of the cell's first bound
+    factor (a state's ||r||^2 is at most c_1^2 (d_1 - 1)), and ||v|| is at most the second: both are finite, as
+    every bound is, so upper is never NaN (inf * 0).  The one pair highest on _rank_two - bound (its cells' least
+    bound) is judged first, and best is the largest value - bound among its cells: the looser ceiling points nearer
+    the best pair (on full-rank 2x4 states the lesser one's pick left about four times as many pairs open).  Then
+    every pair with upper + slack - bound >= best is judged, and the rest read -inf.  A computed value is at most
+    upper + slack and rounding is monotone, so an unjudged cell's computed value - bound is under best: the first
+    maximum is the exhaustive search's, to the last bit.  slack = 128 N eps_mach upper, N the sum of S's dimensions,
+    covers each ceiling against itself, so the lesser: the SVD of S (off by p(N) eps_mach ||S|| <= p(N) eps_mach
+    upper, for p(N) up to 60 N as in ``scan_threshold``), the weighting's rounding (2 N), and the ceiling's own.
+    The first's is the SVD of T (60 N), two norms and four flops (6 N).  The split's is the SVD of T - r s^T (60 N),
+    forming it (entry (i, j) off by eps_mach (|r_i s_j| + |T_ij - r_i s_j|): eps_mach upper in Frobenius norm,
+    sqrt(N) times that in trace norm), two norms (N) and four flops.
     """
     alphas = sorted(check_weights(alpha_grid))
     betas = sorted(check_weights(beta_grid))
@@ -284,7 +300,7 @@ def optimize_params(
     keys = np.where(np.signbit(scaled), -1.0, scaled).view(complex).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rows, cols = scaled[first].T
-    upper, ceiling = _upper_bound(dec, rows, cols)
+    _, ceiling = _upper_bound(dec, rows, cols)
     # each pair's least bound over its cells, and its trace norm once judged (-inf until then)
     low, values = np.full(len(first), np.inf), np.full(len(first), -np.inf)
     np.minimum.at(low, inverse, bounds.ravel())
@@ -297,7 +313,7 @@ def optimize_params(
             values[at] = trace_norm(bloch.weighted(stack, (rows[at, None], cols[at, None])))
         return values[inverse].reshape(bounds.shape) - bounds
 
-    best = judge(np.argmax(upper - low, keepdims=True)).max()
+    best = judge(np.argmax(_rank_two(dec, rows, cols) - low, keepdims=True)).max()
     flat = int(np.argmax(judge(np.flatnonzero((ceiling - low >= best) & (values == -np.inf)))))
     i, a, b = np.unravel_index(flat, bounds.shape)
     value = float(values[inverse[flat]])

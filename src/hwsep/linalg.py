@@ -111,7 +111,8 @@ def eig_hermitian(m: np.ndarray) -> np.ndarray:
         If ``m`` is not Hermitian within ``HERMITICITY_TOL``, or holds a non-finite entry (a NaN deviation).
     """
     m = np.asarray(m, dtype=complex)
-    dev = np.abs(m - m.swapaxes(-1, -2).conj()).max()
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN deviation, an overflow an infinite one
+        dev = np.abs(m - m.swapaxes(-1, -2).conj()).max()
     if not dev <= HERMITICITY_TOL:
         raise ValidationError(f"eig_hermitian requires a Hermitian matrix, deviation {dev:.3e}")
     try:

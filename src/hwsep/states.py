@@ -67,14 +67,16 @@ class StateFamily:
         if self.generator is not None and not callable(self.generator):
             raise ValidationError(f"family {self.name!r}: generator must be callable")
         if self.endpoints is not None:
-            ends = tuple(self.endpoints) if isinstance(self.endpoints, (tuple, list)) else ()
+            try:
+                ends = check_collection(self.endpoints, "endpoints")
+            except ValidationError:  # refused below, with the family's message
+                ends = ()
             if len(ends) != 2:
                 raise ValidationError(f"family {self.name!r}: endpoints must be two DensityMatrix")
             for end in ends:
                 require_state(end, f"family {self.name!r}: each endpoint")
             if ends[0].dims != ends[1].dims:
-                dims = f"{ends[0].dims} and {ends[1].dims}"
-                raise ValidationError(f"family {self.name!r}: endpoint dims {dims} differ")
+                raise ValidationError(f"family {self.name!r}: endpoint dims {ends[0].dims} and {ends[1].dims} differ")
             object.__setattr__(self, "endpoints", ends)
 
     def state(self, x: float) -> DensityMatrix:

@@ -560,7 +560,7 @@ class TestDistinctPairs:
             assert stacks and judged_once(stacks)
 
     # the default 16x16 grids have 1279 and 766 distinct pairs, each of which the exhaustive search judged
-    @pytest.mark.parametrize("m_range,pairs", [("1,2,4,8,16,32", 57), ("1,2,3", 42)])
+    @pytest.mark.parametrize("m_range,pairs", [("1,2,4,8,16,32", 1), ("1,2,3", 5)])
     def test_default_grids_judge_few_pairs(self, tmp_path, capsys, monkeypatch, m_range, pairs):
         stacks = record_pairs(monkeypatch)
         path = tmp_path / "state.json"
@@ -657,6 +657,43 @@ class TestBoundedSearch:
     @pytest.mark.parametrize("rho,alphas,betas,m_range", EDGE_CASES)
     def test_no_warning_near_float_range(self, rho, alphas, betas, m_range, normalization):
         # pytest turns warnings into errors, so an overflow or invalid value in the bound fails here
+        got = optimize_params(rho, alphas, betas, m_range, normalization)
+        assert bitwise(got) == bitwise(reference_optimize(rho, alphas, betas, m_range, normalization))
+
+
+PURE_PRODUCTS = [product([random_pure(d1, seed), random_pure(d2, seed + 1)]) for d1, d2 in SHAPES for seed in (1, 5)]
+SPLIT_WEIGHTS = np.array([1e-300, 1e-150, 1e-8, 0.3, 1.0, 7.0, 1e8, 1e150])
+
+
+class TestRankOneSplit:
+    """S = u v^T + (0 (+) (T - r s^T)), u = (beta', r), v = (alpha', s): the split ceiling ||u|| ||v|| +
+    ||T - r s^T||_tr is the trace norm on pure products, and no ceiling is NaN where inf * 0 could make one."""
+
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    def test_equality_on_pure_products(self, normalization):
+        rows, cols = (grid.ravel() for grid in np.meshgrid(SPLIT_WEIGHTS, SPLIT_WEIGHTS))
+        for rho in PURE_PRODUCTS:
+            dec = bloch.decompose_bipartite(rho, normalization)
+            upper, ceiling = analysis._upper_bound(dec, rows, cols)
+            stack = np.broadcast_to(dec.tensor, (len(rows), *dec.tensor.shape))
+            values = trace_norm(bloch.weighted(stack, (rows[:, None], cols[:, None])))
+            assert (np.abs(values - upper) <= ceiling - upper).all(), np.max(np.abs(values - upper) / upper)
+
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    @pytest.mark.parametrize("alphas,betas,m_range", [case[1:] for case in EDGE_CASES])
+    def test_no_ceiling_is_nan(self, alphas, betas, m_range, normalization):
+        # a pure state times I/2 has s = 0 (up to rounding, set to 0 here) and r != 0: at alpha' = 0 the split's
+        # second factor is 0, and its first the largest the weights give
+        rho = product([random_pure(2, 0), DensityMatrix(np.eye(2) / 2, (2,))])
+        tensor = np.array(bloch.decompose_bipartite(rho, normalization).tensor)
+        tensor[0, 1:] = 0.0
+        dec = bloch.BlochDecomposition(rho.dims, normalization, tensor)
+        assert dec.s.norm == 0.0 and dec.r.norm > 0.0
+        for m in m_range:  # and, past the bound's range, first factors that a sum of squares would overflow
+            betas_past = [*np.sqrt(float(m)) * np.array(betas), 1e200, np.finfo(float).max]
+            rows, cols = (grid.ravel() for grid in np.meshgrid(betas_past, [0.0, *alphas]))
+            upper, ceiling = analysis._upper_bound(dec, rows, cols)
+            assert not np.isnan(upper).any() and not np.isnan(ceiling).any()
         got = optimize_params(rho, alphas, betas, m_range, normalization)
         assert bitwise(got) == bitwise(reference_optimize(rho, alphas, betas, m_range, normalization))
 

@@ -93,6 +93,16 @@ def test_eig_hermitian_rejects_nan():  # a NaN deviation passed the test; the ei
         eig_hermitian([[np.nan, 0.0], [0.0, 1.0]])
 
 
+@pytest.mark.parametrize(
+    "m,dev",
+    [([[np.inf, 0.0], [0.0, 1.0]], "nan"), ([[1.0, np.inf], [np.inf, 1.0]], "nan"), ([[0, 1e308], [-1e308, 0]], "inf")],
+)
+def test_eig_hermitian_refuses_infinities_without_a_warning(m, dev):
+    # pytest turns warnings into errors: inf - inf warned of an invalid value, which surfaced instead of the refusal
+    with pytest.raises(ValidationError, match=f"requires a Hermitian matrix, deviation {dev}"):
+        eig_hermitian(m)
+
+
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
 def test_trace_norm_rejects_non_finite_entries(entry):  # NaN was a NumericalError, an infinity gave NaN
     m = np.eye(2)

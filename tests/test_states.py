@@ -107,6 +107,17 @@ class TestAffineFamily:
         assert fam.generator is None
         np.testing.assert_array_equal(fam.state(0.25).matrix, mix(0.25, b, a).matrix)
 
+    def test_endpoints_may_be_any_collection(self):
+        a, b = random_density(4, 1), random_density(4, 2)
+        assert StateFamily("pair", endpoints=(rho for rho in (a, b))).endpoints == (a, b)
+        assert StateFamily("pair", endpoints=iter([a, b])).endpoints == (a, b)
+
+    @pytest.mark.parametrize("endpoints", [5, ghz(2), (), (ghz(2),), iter([ghz(2)] * 3)])
+    def test_endpoints_not_two_are_refused_with_the_family_message(self, endpoints):
+        with pytest.raises(ValidationError) as info:
+            StateFamily("x", endpoints=endpoints)
+        assert str(info.value) == "family 'x': endpoints must be two DensityMatrix"
+
     def test_generator_only_family(self):
         fam = StateFamily("gen", generator=lambda x: mix(x, ghz(2), ghz(2)))
         assert fam.endpoints is None
