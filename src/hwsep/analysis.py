@@ -22,7 +22,7 @@ changes unless a point lies within rounding of the margin.
 state is decomposed once, a cell's tensor depends only on its pair (sqrt(m)
 beta, sqrt(m) alpha), and a closed-form upper bound on its trace norm, from
 SVDs of T and T - r s^T, leaves open the pairs that can still hold the first
-maximum; only those are judged, once each, in stacks of at most _STACK_ELEMS.
+maximum; only those are judged, once each, in stacks of at most criteria._STACK_ELEMS.
 """
 
 from __future__ import annotations
@@ -43,16 +43,8 @@ from .errors import ValidationError, check_collection, check_m, check_real, chec
 from .linalg import DensityMatrix, require_parties, trace_norm
 from .states import StateFamily
 
-# Largest number of array elements a scan or a grid search stacks into one batch of images.
-_STACK_ELEMS = 2**20
 # The default scan resolution: a scan's grid points, and the bracket width its bisection stops under.
 GRID_POINTS, TOL = 256, 1e-6
-
-
-def _batches(count: int, size: int) -> list[slice]:
-    """Slices of range(count) whose images of ``size`` elements make batches of at most _STACK_ELEMS elements."""
-    step = max(1, _STACK_ELEMS // size)
-    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 @dataclass(frozen=True)
@@ -137,7 +129,7 @@ def scan_threshold(
 
     ``check`` is a ``criteria.Check``, as ``make_check`` returns.  Its images
     along the family (see the module docstring) are judged in stacks of at
-    most _STACK_ELEMS elements.  ``evaluations`` counts the grid points and
+    most criteria._STACK_ELEMS elements.  ``evaluations`` counts the grid points and
     bisection steps, each decided or judged.
 
     An affine family's samples, every isqrt(grid_points)-th point and the
@@ -175,7 +167,7 @@ def scan_threshold(
 
     def judge(points: list) -> tuple[list, list]:
         """The flags of ``points`` and their stacks; each point joins ``at`` with its worst-column value in ``v``."""
-        judged = [check.judge(images(points[b]), bound) for b in _batches(len(points), math.prod(shape))]
+        judged = [check.judge(images(points[b]), bound) for b in criteria._batches(len(points), math.prod(shape))]
         for x, value in zip(points, [value for stack in judged for value in stack.values.max(axis=1).tolist()]):
             k = bisect.bisect(at, x)
             at.insert(k, x)
@@ -264,7 +256,7 @@ def optimize_params(
     the grids are sorted ascending and the first maximum over the cells in C
     order (m, alpha, beta) is kept.  The grid values are read as weights
     before anything is built.  A cell's tensor S depends only on its pair (beta', alpha') = sqrt(m) (beta, alpha);
-    a judged pair's S is bit-identical to the cell's ``hw`` image, judged once in stacks of at most _STACK_ELEMS.
+    a judged pair's S is bit-identical to the cell's ``hw`` image, judged once in stacks within criteria._STACK_ELEMS.
 
     upper is the lesser of two ceilings on ||S||_tr.  S = X + (0 (+) T): X holds S's row 0, (beta' alpha', beta' s)
     (Tr rho = 1), and the rest of its column 0, alpha' r; X has rank 2, so ||S||_tr <= ``_rank_two`` = hypot(beta'
@@ -307,7 +299,7 @@ def optimize_params(
 
     def judge(pairs: np.ndarray) -> np.ndarray:
         """value - bound of every cell, once ``pairs`` are judged too."""
-        for batch in _batches(len(pairs), dec.tensor.size):
+        for batch in criteria._batches(len(pairs), dec.tensor.size):
             at = pairs[batch]
             stack = np.broadcast_to(dec.tensor, (len(at), *dec.tensor.shape))
             values[at] = trace_norm(bloch.weighted(stack, (rows[at, None], cols[at, None])))

@@ -40,7 +40,9 @@ the row binds).  A Check maps a state to an image that is linear in rho
 (``linear``) and decides a stack of images in one batch (``judge``) under
 the margin rule below; a single verdict judges a stack of one.  Every
 trace-norm row is one ``TensorCheck``: the weighted tensor of a state with
-one party per weight, judged by one stacked SVD per bipartition.  The rows
+one party per weight, judged per bipartition, each matricized tall (its
+larger side, A or its complement, on the rows, as ``trace_norm`` takes any
+matrix), by one stacked SVD per tall shape within ``_STACK_ELEMS``.  The rows
 differ only in data (which parameters become the weights, which
 bipartitions are judged, which keys a verdict reports).  A state with
 another party count, or a subject that is not a ``DensityMatrix``, is
@@ -86,6 +88,8 @@ from .linalg import DensityMatrix, eig_hermitian, partial_transpose, require_par
 
 # Absolute floor of the violation margin (see the module docstring).
 VIOLATION_EPS = 1e-9
+# Largest number of array elements in one stack of images or of their matricizations (unless one alone is larger).
+_STACK_ELEMS = 2**20
 _EPS_MACH = float(np.finfo(float).eps)
 
 ENTANGLED = "ENTANGLED"
@@ -235,10 +239,18 @@ class TensorCheck(Check):
         return bloch.weighted(tensor, [root * w for w in self.weights]), float(bound)
 
     def judge(self, images: np.ndarray, bound: float) -> Judgement:
-        columns, shapes, sizes = _plan(images.shape[1:], self.partitions)
+        columns, stacks, sizes = _plan(images.shape[1:], self.partitions, _STACK_ELEMS)
         values = np.empty((len(images), len(columns)))
-        for j, (order, shape) in enumerate(shapes):
-            values[:, j] = trace_norm(images.transpose(order).reshape(-1, *shape))
+        for js, orders, shape in stacks:
+            if len(js) == 1:  # the images, matricized (a view for every S row): no larger than the caller's stack
+                values[:, js[0]] = trace_norm(images.transpose(orders[0]).reshape(-1, *shape))
+                continue
+            for batch in _batches(len(images), len(js) * math.prod(shape)):
+                part = images[batch]
+                stack = np.empty((len(js), len(part), *shape))  # column-major: each slot's reshape is a view
+                for slot, order in zip(stack, orders):
+                    slot.reshape(part.transpose(order).shape)[...] = part.transpose(order)
+                values[batch, js] = trace_norm(stack.swapaxes(0, 1))
         return Judgement(self, values, bound, sizes, columns)
 
 
@@ -254,20 +266,32 @@ class PPTCheck(Check):
         return Judgement(self, -eig_hermitian(images)[:, :1], bound, (1,))
 
 
-@lru_cache(maxsize=256)
-def _plan(shape: tuple, partitions: tuple | None) -> tuple[tuple, tuple, tuple]:
-    """How a stack (axis 0) of tensors of ``shape`` is matricized for ``partitions`` (None: every bipartition).
+def _batches(count: int, size: int, elems: int | None = None) -> list[slice]:
+    """Slices of range(count): batches of items of ``size`` elements, within ``elems`` (None: _STACK_ELEMS) or one."""
+    step = max(1, (elems or _STACK_ELEMS) // size)
+    return [slice(start, start + step) for start in range(0, count, step)]
 
-    Returns the bipartitions (parsed ones are trusted); for each, the axis
-    order that puts the stack axis and then its row parties first, and the
-    matrix shape; and the sum of each matrix's two dimensions.
+
+@lru_cache(maxsize=256)
+def _plan(shape: tuple, partitions: tuple | None, elems: int) -> tuple[tuple, tuple, tuple]:
+    """How a stack (axis 0) of tensors of ``shape`` is judged for ``partitions`` (None: every bipartition).
+
+    Returns the bipartitions (parsed ones are trusted); the stacks to judge, one SVD each, as (column numbers,
+    axis orders, matrix shape): a column's order puts the stack axis first and then its larger side's parties (A's
+    on a tie), so that its matrix is tall, and a stack holds columns of one shape, as many as ``elems`` elements of
+    an image allow (one at least); and the sum of each column's two matrix dimensions.
     """
-    n = len(shape)
-    columns, shapes = partitions or tuple(all_bipartitions(n)), []
-    for part in columns:
-        rows = math.prod(shape[p - 1] for p in part)
-        shapes.append(((0, *part, *(k for k in range(1, n + 1) if k not in part)), (rows, math.prod(shape) // rows)))
-    return columns, tuple(shapes), tuple(sum(matrix) for _, matrix in shapes)
+    n, classes, sizes = len(shape), {}, []
+    columns = partitions or tuple(all_bipartitions(n))
+    for j, part in enumerate(columns):
+        rest = tuple(k for k in range(1, n + 1) if k not in part)
+        rows, cols = (math.prod(shape[p - 1] for p in side) for side in (part, rest))
+        order, matrix = ((0, *part, *rest), (rows, cols)) if rows >= cols else ((0, *rest, *part), (cols, rows))
+        classes.setdefault(matrix, []).append((j, order))
+        sizes.append(rows + cols)
+    size = math.prod(shape)  # every matrix holds an image's elements
+    stacks = tuple((*zip(*group[b]), mat) for mat, group in classes.items() for b in _batches(len(group), size, elems))
+    return columns, stacks, tuple(sizes)
 
 
 def matricize(tensor: np.ndarray, parties) -> np.ndarray:
@@ -278,8 +302,8 @@ def matricize(tensor: np.ndarray, parties) -> np.ndarray:
     party index.
     """
     tensor = np.asarray(tensor)
-    _, ((order, shape),), _ = _plan(tensor.shape, (check_parties(parties, tensor.ndim),))
-    return tensor[None].transpose(order).reshape(shape)
+    rows = [p - 1 for p in check_parties(parties, tensor.ndim)]
+    return np.moveaxis(tensor, rows, range(len(rows))).reshape(math.prod(tensor.shape[p] for p in rows), -1)
 
 
 def theorem2_bound(dims, alphas, m: int, normalization: str = "standard") -> float | np.ndarray:

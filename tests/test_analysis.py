@@ -161,14 +161,14 @@ class TestAffineScan:
         res = scan_threshold(fam, check, grid_points=64)
         assert 0 < res.threshold < 1
         assert res == scan_threshold(generator_copy(fam), check, grid_points=64)
-        monkeypatch.setattr(analysis, "_STACK_ELEMS", 200)  # three 4x4x4 images per batch
+        monkeypatch.setattr(criteria, "_STACK_ELEMS", 200)  # three 4x4x4 images per batch
         assert scan_threshold(fam, check, grid_points=64) == res
 
     def test_chunked_grid_gives_the_same_result(self, monkeypatch):
         whole = scan_threshold(FAMILY, HW_CHECK)
         thm2 = make_check("thm2", alphas=(0.6, 0.9), m=1)
         whole_thm2 = scan_threshold(FAMILY, thm2)
-        monkeypatch.setattr(analysis, "_STACK_ELEMS", 300)  # five 2x4 images per batch
+        monkeypatch.setattr(criteria, "_STACK_ELEMS", 300)  # five 2x4 images per batch
         assert scan_threshold(FAMILY, HW_CHECK) == whole
         assert scan_threshold(FAMILY, thm2) == whole_thm2
 
@@ -514,7 +514,7 @@ class TestStackedOptimize:
     def test_chunked_stacks_give_the_same_result(self, monkeypatch, elems):
         cases = [(*case.values, range(33), norm) for case in optimize_cases() for norm in ("standard", "rescaled")]
         whole = [optimize_params(*case) for case in cases]
-        monkeypatch.setattr(analysis, "_STACK_ELEMS", elems)  # one, three or five 2x4 cells per stack
+        monkeypatch.setattr(criteria, "_STACK_ELEMS", elems)  # one, three or five 2x4 cells per stack
         for case, res in zip(cases, whole):
             assert bitwise(optimize_params(*case)) == bitwise(res)
 

@@ -13,6 +13,7 @@ from hwsep import (
     check_theorem1,
     check_theorem2,
     compare,
+    criteria,
     decompose_bipartite,
     decompose_single,
     make_check,
@@ -716,6 +717,44 @@ class TestStackedJudgement:
         singles = [check(rho) for rho in states]
         assert [judged.verdict(i) for i in range(len(states))] == singles
         assert judged.entangled.tolist() == [v.entangled for v in singles]
+
+    @pytest.mark.parametrize("budget", [None, 1, 2.5, 7])  # None: the default; else images' elements per stack
+    @pytest.mark.parametrize(
+        "dims,partitions",
+        [
+            ((2, 2, 2), None),
+            ((2, 3, 2), None),
+            ((2, 3, 2), [(1,), (2, 3), (2,), (1, 3), (1, 3), (3,), (1, 2)]),  # complements, a repeat, one shape each
+            ((3, 2, 2, 2), None),
+            ((3, 2, 2, 2), [(2, 3), (1, 4), (1,), (2, 3, 4), (4,)]),
+            ((2,) * 5, None),
+            ((2,) * 5, [(1,), (2, 3, 4, 5), (1, 2), (3, 4, 5), (2, 5), (1, 3, 4)]),
+        ],
+    )
+    def test_stacked_values_are_the_matricizations_trace_norms(self, monkeypatch, dims, partitions, budget):
+        # the judge groups the bipartitions by tall shape, one SVD per stack, split across stacks by the budget
+        states = [as_dm(random_density(math.prod(dims), seed).matrix, dims) for seed in range(3)]
+        check = make_check("thm2", alphas=np.linspace(0.4, 1.3, len(dims)), m=2, partitions=partitions)
+        images = np.stack([check.linear(rho)[0] for rho in states])
+        if budget is not None:
+            monkeypatch.setattr(criteria, "_STACK_ELEMS", int(budget * images[0].size))
+        stacks = []
+        monkeypatch.setattr(criteria, "trace_norm", lambda stack: stacks.append(stack.shape) or trace_norm(stack))
+        judged = check.judge(images, 1.0)
+        expected = [[trace_norm(matricize(image, part)) for part in judged.columns] for image in images]
+        assert judged.values.tobytes() == np.array(expected).tobytes()
+        # a stack of several columns keeps within the budget; a one-column stack is the images themselves, matricized
+        for shape in stacks:
+            assert math.prod(shape) <= criteria._STACK_ELEMS if len(shape) == 4 else shape[0] == len(images)
+            assert shape[-2] >= shape[-1]  # tall
+
+    def test_a_bipartition_and_its_complement_give_the_same_bits(self):
+        parts = all_bipartitions(5)
+        complements = [tuple(k for k in range(1, 6) if k not in part) for part in parts]
+        for seed in range(3):
+            rho = as_dm(random_density(32, seed).matrix, (2,) * 5)
+            verdicts = check_theorem2(rho, (1.0, 0.5, 0.8, 1.2, 0.3), 1, partitions=parts + complements)
+            assert [v.value for v in verdicts[:15]] == [v.value for v in verdicts[15:]]
 
     def test_theorem2_lists_every_partition_of_one_image(self):
         check = make_check("thm2", alphas=(1.0, 1.0, 1.0), m=1)

@@ -55,6 +55,16 @@ def test_trace_norm_of_a_stack_is_per_matrix():
     assert type(trace_norm(stack[0])) is float
 
 
+@pytest.mark.parametrize("shape", [(2, 7), (7, 2), (4, 256), (3, 5, 9)])
+def test_trace_norm_is_taken_in_the_tall_orientation(shape):
+    # a wide matrix goes to the SVD as its transposed view, so M and M^T give the same sums, bit for bit
+    m = np.random.default_rng(sum(shape)).standard_normal(shape)
+    tall = m if shape[-2] >= shape[-1] else m.swapaxes(-1, -2)
+    expected = np.linalg.svd(np.ascontiguousarray(tall), compute_uv=False).sum(axis=-1)
+    for matrix in (m, m.swapaxes(-1, -2), np.ascontiguousarray(m.swapaxes(-1, -2))):
+        assert np.asarray(trace_norm(matrix)).tobytes() == expected.tobytes()
+
+
 def test_eig_hermitian_of_a_stack_is_per_matrix():
     rng = np.random.default_rng(9)
     g = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
