@@ -20,9 +20,10 @@ changes unless a point lies within rounding of the margin.
 
 ``optimize_params`` searches its (m, alpha, beta) grid the same way: the
 state is decomposed once, a cell's tensor depends only on its pair (sqrt(m)
-beta, sqrt(m) alpha), and a closed-form upper bound on its trace norm, from
-SVDs of T and T - r s^T, leaves open the pairs that can still hold the first
-maximum; only those are judged, once each, in stacks of at most criteria._STACK_ELEMS.
+beta, sqrt(m) alpha), and a closed-form upper bound on each cell's trace norm,
+from one stacked SVD of T and T - r s^T, leaves open the cells that can still
+hold the first maximum; only their distinct pairs are judged, once each, in
+stacks of at most criteria._STACK_ELEMS.
 """
 
 from __future__ import annotations
@@ -227,20 +228,16 @@ class OptimizeResult:
         return {**doc, "violation": self.violation, "normalization": normalization}
 
 
-def _rank_two(dec: bloch.BlochDecomposition, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """hypot(beta' alpha', beta' ||s|| + alpha' ||r||) + ||T||_tr per scaled pair (rows, cols) = (beta', alpha')."""
-    with np.errstate(over="ignore"):  # a bound past float range only leaves its pair open
-        return np.hypot(rows * cols, rows * dec.s.norm + cols * dec.r.norm) + trace_norm(dec.t)
-
-
-def _upper_bound(dec: bloch.BlochDecomposition, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(upper, upper + slack) per scaled pair: ``optimize_params``' bound on the weighted tensor's trace norm, the
-    lesser of ``_rank_two`` and the rank-one split, and the ceiling that its computed trace norm does not pass."""
+def _upper_bound(dec: bloch.BlochDecomposition, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(upper, upper + slack, rank_two) on the broadcast of rows = beta' and cols = alpha': ``optimize_params``'
+    ceilings on the weighted tensor's trace norm, with ||T||_tr and ||T - r s^T||_tr from one stacked SVD."""
     r, s = dec.r, dec.s
-    with np.errstate(over="ignore"):
-        split = np.hypot(rows, r.norm) * np.hypot(cols, s.norm) + trace_norm(dec.t - np.outer(r.coeffs, s.coeffs))
-        upper = np.minimum(_rank_two(dec, rows, cols), split)
-        return upper, upper + 128 * sum(dec.tensor.shape) * criteria._EPS_MACH * upper
+    r_norm, s_norm = r.norm, s.norm
+    t_norm, split_norm = trace_norm(np.array([dec.t, dec.t - np.outer(r.coeffs, s.coeffs)]))
+    with np.errstate(over="ignore"):  # a bound past float range only leaves its cell open
+        rank_two = np.hypot(rows * cols, rows * s_norm + cols * r_norm) + t_norm
+        upper = np.minimum(rank_two, np.hypot(rows, r_norm) * np.hypot(cols, s_norm) + split_norm)
+        return upper, upper + 128 * sum(dec.tensor.shape) * criteria._EPS_MACH * upper, rank_two
 
 
 def optimize_params(
@@ -258,22 +255,23 @@ def optimize_params(
     before anything is built.  A cell's tensor S depends only on its pair (beta', alpha') = sqrt(m) (beta, alpha);
     a judged pair's S is bit-identical to the cell's ``hw`` image, judged once in stacks within criteria._STACK_ELEMS.
 
-    upper is the lesser of two ceilings on ||S||_tr.  S = X + (0 (+) T): X holds S's row 0, (beta' alpha', beta' s)
-    (Tr rho = 1), and the rest of its column 0, alpha' r; X has rank 2, so ||S||_tr <= ``_rank_two`` = hypot(beta'
-    alpha', beta' ||s|| + alpha' ||r||) + ||T||_tr, with equality when r = s = 0.  And S = u v^T + (0 (+) (T - r
-    s^T)) with u = (beta', r), v = (alpha', s), so ||S||_tr <= ||u|| ||v|| + ||T - r s^T||_tr, with equality on pure
-    products.  ||u||^2 = beta'^2 + ||r||^2 <= m beta^2 + c_1^2 (d_1 - 1), the square of the cell's first bound
-    factor (a state's ||r||^2 is at most c_1^2 (d_1 - 1)), and ||v|| is at most the second: both are finite, as
-    every bound is, so upper is never NaN (inf * 0).  The one pair highest on _rank_two - bound (its cells' least
-    bound) is judged first, and best is the largest value - bound among its cells: the looser ceiling points nearer
-    the best pair (on full-rank 2x4 states the lesser one's pick left about four times as many pairs open).  Then
-    every pair with upper + slack - bound >= best is judged, and the rest read -inf.  A computed value is at most
-    upper + slack and rounding is monotone, so an unjudged cell's computed value - bound is under best: the first
-    maximum is the exhaustive search's, to the last bit.  slack = 128 N eps_mach upper, N the sum of S's dimensions,
-    covers each ceiling against itself, so the lesser: the SVD of S (off by p(N) eps_mach ||S|| <= p(N) eps_mach
-    upper, for p(N) up to 60 N as in ``scan_threshold``), the weighting's rounding (2 N), and the ceiling's own.
-    The first's is the SVD of T (60 N), two norms and four flops (6 N).  The split's is the SVD of T - r s^T (60 N),
-    forming it (entry (i, j) off by eps_mach (|r_i s_j| + |T_ij - r_i s_j|): eps_mach upper in Frobenius norm,
+    upper is the lesser of two ceilings on ||S||_tr.  S = X + (0 (+) T): X holds S's row 0, (beta' alpha', beta' s) (Tr
+    rho = 1), and the rest of its column 0, alpha' r; X has rank 2, so ||S||_tr <= rank_two = hypot(beta' alpha', beta'
+    ||s|| + alpha' ||r||) + ||T||_tr, with equality when r = s = 0.  And S = u v^T + (0 (+) (T - r s^T)) with u =
+    (beta', r), v = (alpha', s), so ||S||_tr <= ||u|| ||v|| + ||T - r s^T||_tr, with equality on pure products.  ||u||^2
+    = beta'^2 + ||r||^2 <= m beta^2 + c_1^2 (d_1 - 1), the square of the cell's first bound factor (a state's ||r||^2 is
+    at most c_1^2 (d_1 - 1)), and ||v|| is at most the second: both are finite, as every bound is, so upper is never NaN
+    (inf * 0).  Both are taken per cell, from one SVD of T and one of T - r s^T.  The first pair judged is that of the
+    cell highest on rank_two - bound (of those, the least pair in np.unique's order), and best is the largest value -
+    bound among its cells: the looser ceiling points nearer the best pair (on full-rank 2x4 states the lesser one's pick
+    left about four times as many pairs open).  Then the distinct pairs of the unjudged cells with upper + slack - bound
+    >= best are judged, once each: a pair holds such a cell iff its least bound passes the test.  The other cells read
+    -inf.  A computed value is at most upper + slack and rounding is monotone, so their computed value - bound is under
+    best: the first maximum is the exhaustive search's, to the last bit.  slack = 128 N eps_mach upper, N the sum of S's
+    dimensions, covers each ceiling against itself, so the lesser: the SVD of S (off by p(N) eps_mach ||S|| <= p(N)
+    eps_mach upper, for p(N) up to 60 N as in ``scan_threshold``), the weighting's rounding (2 N), and the ceiling's
+    own.  The first's is the SVD of T (60 N), two norms and four flops (6 N).  The split's is the SVD of T - r s^T (60
+    N), forming it (entry (i, j) off by eps_mach (|r_i s_j| + |T_ij - r_i s_j|): eps_mach upper in Frobenius norm,
     sqrt(N) times that in trace norm), two norms (N) and four flops.
     """
     alphas = sorted(check_weights(alpha_grid))
@@ -283,33 +281,32 @@ def optimize_params(
         raise ValidationError("optimize_params requires nonempty grids")
     require_parties(rho, 2, "optimize_params")
     dec = bloch.decompose_bipartite(rho, normalization)
-    # the cells (m, alpha, beta) on one broadcast: their bounds, which refuse weights that overflow, and scaled pairs
+    # the cells (m, alpha, beta) on one broadcast: their bounds, which refuse weights that overflow, and ceilings
     m_col, col_w, row_w = np.array(ms, dtype=float)[:, None, None], np.array(alphas)[:, None], np.array(betas)
     bounds = criteria._bound(dec.dims, (row_w, col_w), m_col, normalization == "rescaled")
-    roots = np.sqrt(m_col)
-    scaled = np.stack(np.broadcast_arrays(roots * row_w, roots * col_w), axis=-1).reshape(-1, 2)
-    # equal scaled pairs give equal tensors: one per distinct complex key, -0.0 (other bits than 0.0) keyed as -1
+    rows, cols = np.sqrt(m_col) * row_w, np.sqrt(m_col) * col_w  # on the faces (m, 1, beta), (m, alpha, 1)
+    _, ceiling, rank_two = _upper_bound(dec, rows, cols)
+    # equal scaled pairs give equal tensors: one complex key per cell, -0.0 (other bits than 0.0) keyed as -1
+    scaled = np.empty((*bounds.shape, 2))
+    scaled[..., 0], scaled[..., 1] = rows, cols
     keys = np.where(np.signbit(scaled), -1.0, scaled).view(complex).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rows, cols = scaled[first].T
-    _, ceiling = _upper_bound(dec, rows, cols)
-    # each pair's least bound over its cells, and its trace norm once judged (-inf until then)
-    low, values = np.full(len(first), np.inf), np.full(len(first), -np.inf)
-    np.minimum.at(low, inverse, bounds.ravel())
+    values = np.full(keys.shape, -np.inf)  # each cell's trace norm once its pair is judged
 
-    def judge(pairs: np.ndarray) -> np.ndarray:
-        """value - bound of every cell, once ``pairs`` are judged too."""
+    def judge(cells: np.ndarray) -> np.ndarray:
+        """value - bound of every cell, once the distinct pairs of ``cells`` are judged, in key order, too."""
+        _, first, inverse = np.unique(keys[cells], return_index=True, return_inverse=True)
+        pairs, judged = scaled.reshape(-1, 2)[cells[first]], np.empty(len(first))
         for batch in criteria._batches(len(pairs), dec.tensor.size):
-            at = pairs[batch]
-            stack = np.broadcast_to(dec.tensor, (len(at), *dec.tensor.shape))
-            values[at] = trace_norm(bloch.weighted(stack, (rows[at, None], cols[at, None])))
-        return values[inverse].reshape(bounds.shape) - bounds
+            stack = np.broadcast_to(dec.tensor, (len(pairs[batch]), *dec.tensor.shape))
+            judged[batch] = trace_norm(bloch.weighted(stack, (pairs[batch, :1], pairs[batch, 1:])))
+        values[cells] = judged[inverse]
+        return values.reshape(bounds.shape) - bounds
 
-    best = judge(np.argmax(_rank_two(dec, rows, cols) - low, keepdims=True)).max()
-    flat = int(np.argmax(judge(np.flatnonzero((ceiling - low >= best) & (values == -np.inf)))))
+    gaps = (rank_two - bounds).ravel()
+    best = judge(np.flatnonzero(keys == keys[gaps == gaps.max()].min())).max()
+    flat = int(np.argmax(judge(np.flatnonzero((ceiling - bounds >= best).ravel() & (values == -np.inf)))))
     i, a, b = np.unravel_index(flat, bounds.shape)
-    value = float(values[inverse[flat]])
-    return OptimizeResult(alphas[a], betas[b], ms[i], value, float(bounds[i, a, b]), normalization)
+    return OptimizeResult(alphas[a], betas[b], ms[i], float(values[flat]), float(bounds[i, a, b]), normalization)
 
 
 @dataclass(frozen=True)

@@ -55,11 +55,11 @@ def parse_state_json(doc: dict) -> DensityMatrix:
 
 def load_state(path: str) -> DensityMatrix:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON is UTF-8 whatever the locale
             doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read state file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested past the stack
         raise ValidationError(f"state file is not valid JSON: {exc}") from exc
     return parse_state_json(doc)
 

@@ -547,6 +547,39 @@ def judged_once(stacks) -> bool:
     return len({pair for stack in stacks for pair in stack}) == sum(map(len, stacks))
 
 
+def record_trace_norms(monkeypatch) -> list:
+    """The shape of each array that analysis passes to trace_norm."""
+    shapes = []
+
+    def record(matrix):
+        shapes.append(np.shape(matrix))
+        return trace_norm(matrix)
+
+    monkeypatch.setattr(analysis, "trace_norm", record)
+    return shapes
+
+
+def pair_keyed_pairs(rho, alphas, betas, m_range, normalization) -> set:
+    """The scaled pairs, by repr, that a search keyed by pair judges: np.unique over every cell's key, each pair's
+    least bound over its cells, the first pick by rank_two - least bound, then every pair with ceiling - least bound
+    >= best, the largest value - bound among the first pick's cells."""
+    dec = bloch.decompose_bipartite(rho, normalization)
+    cells = [(m, a, b) for m in sorted(m_range) for a in sorted(alphas) for b in sorted(betas)]
+    scaled = np.array([(math.sqrt(float(m)) * b, math.sqrt(float(m)) * a) for m, a, b in cells])
+    bounds = np.array([criteria.theorem2_bound(rho.dims, (b, a), m, normalization) for m, a, b in cells])
+    keys = np.where(np.signbit(scaled), -1.0, scaled).view(complex).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    low = np.full(len(first), np.inf)
+    np.minimum.at(low, inverse, bounds)
+    rows, cols = scaled[first].T
+    _, ceiling, rank_two = analysis._upper_bound(dec, rows, cols)
+    pick = np.argmax(rank_two - low)
+    best = (trace_norm(WEIGHTED(dec.tensor, (rows[pick], cols[pick]))) - bounds[inverse == pick]).max()
+    judged = ceiling - low >= best
+    judged[pick] = True
+    return {(repr(float(b)), repr(float(a))) for b, a in scaled[first][judged]}
+
+
 class TestDistinctPairs:
     """optimize_params judges each distinct scaled pair (sqrt(m) beta, sqrt(m) alpha) at most once, and only the
     pairs its upper bound cannot rule out."""
@@ -559,14 +592,33 @@ class TestDistinctPairs:
             optimize_params(rho, alphas, betas, m_range, normalization)
             assert stacks and judged_once(stacks)
 
-    # the default 16x16 grids have 1279 and 766 distinct pairs, each of which the exhaustive search judged
-    @pytest.mark.parametrize("m_range,pairs", [("1,2,4,8,16,32", 1), ("1,2,3", 5)])
-    def test_default_grids_judge_few_pairs(self, tmp_path, capsys, monkeypatch, m_range, pairs):
-        stacks = record_pairs(monkeypatch)
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    @pytest.mark.parametrize("rho,alphas,betas", list(optimize_cases()))
+    def test_judged_pairs_follow_the_pair_keyed_rule(self, monkeypatch, rho, alphas, betas, normalization):
+        # on the Bell state (a, b) and (b, a) tie exactly, so the first pick rests on the order of the keys
+        for m_range in M_RANGES:
+            expected = pair_keyed_pairs(rho, alphas, betas, m_range, normalization)
+            stacks = record_pairs(monkeypatch)
+            optimize_params(rho, alphas, betas, m_range, normalization)
+            assert {pair for stack in stacks for pair in stack} == expected
+
+    @pytest.mark.parametrize("rho,alphas,betas", list(optimize_cases()))
+    def test_one_stacked_svd_for_both_ceilings(self, monkeypatch, rho, alphas, betas):
+        d1, d2 = rho.dims
+        for m_range in M_RANGES:
+            shapes, stacks = record_trace_norms(monkeypatch), record_pairs(monkeypatch)
+            optimize_params(rho, alphas, betas, m_range)
+            assert shapes[0] == (2, d1 * d1 - 1, d2 * d2 - 1) and len(shapes) == 1 + len(stacks)
+
+    # the default 16x16 grids have 1279 and 766 distinct pairs, each of which the exhaustive search judged; with m in
+    # 1,2,4,8,16,32 nothing stays open after the first pair, so the second judge takes no SVD
+    @pytest.mark.parametrize("m_range,pairs,svd_calls", [("1,2,4,8,16,32", 1, 2), ("1,2,3", 5, 3)])
+    def test_default_grids_judge_few_pairs(self, tmp_path, capsys, monkeypatch, m_range, pairs, svd_calls):
+        stacks, shapes = record_pairs(monkeypatch), record_trace_norms(monkeypatch)
         path = tmp_path / "state.json"
         path.write_text(json.dumps(cli.state_to_json(FAMILY.state(0.25))))
         assert cli.run(["optimize", "--state", str(path), "--m-range", m_range]) == 0
-        assert judged_once(stacks) and sum(map(len, stacks)) == pairs
+        assert judged_once(stacks) and sum(map(len, stacks)) == pairs and len(shapes) == svd_calls
         assert json.loads(capsys.readouterr().out)["m"] in (1, 2, 3, 4, 8, 16, 32)
 
     def test_signed_zeros_are_judged_apart(self, monkeypatch):
@@ -640,6 +692,15 @@ class TestBoundedSearch:
 
     @settings(max_examples=60, deadline=None)
     @given(bounded_search_cases())
+    def test_judged_pairs_follow_the_pair_keyed_rule(self, case):
+        expected = pair_keyed_pairs(*case)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            stacks = record_pairs(monkeypatch)
+            optimize_params(*case)
+        assert {pair for stack in stacks for pair in stack} == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(bounded_search_cases())
     def test_trace_norm_within_the_ceiling(self, case):
         rho, alphas, betas, m_range, normalization = case
         dec = bloch.decompose_bipartite(rho, normalization)
@@ -648,7 +709,7 @@ class TestBoundedSearch:
                 for beta in betas:
                     s, _ = make_check("hw", alpha=alpha, beta=beta, m=m, normalization=normalization).linear(rho)
                     root = math.sqrt(m)
-                    (upper,), (ceiling,) = analysis._upper_bound(dec, np.array([root * beta]), np.array([root * alpha]))
+                    (upper,), (ceiling,), _ = analysis._upper_bound(dec, np.array([root * beta]), np.array([root * alpha]))
                     # the trace norm passes |S_00| + ||T||_tr, so upper is within the cross term, 0 when r = s = 0
                     cross = root * beta * dec.s.norm + root * alpha * dec.r.norm
                     assert upper - (ceiling - upper) - cross <= trace_norm(s) <= ceiling
@@ -674,7 +735,7 @@ class TestRankOneSplit:
         rows, cols = (grid.ravel() for grid in np.meshgrid(SPLIT_WEIGHTS, SPLIT_WEIGHTS))
         for rho in PURE_PRODUCTS:
             dec = bloch.decompose_bipartite(rho, normalization)
-            upper, ceiling = analysis._upper_bound(dec, rows, cols)
+            upper, ceiling, _ = analysis._upper_bound(dec, rows, cols)
             stack = np.broadcast_to(dec.tensor, (len(rows), *dec.tensor.shape))
             values = trace_norm(bloch.weighted(stack, (rows[:, None], cols[:, None])))
             assert (np.abs(values - upper) <= ceiling - upper).all(), np.max(np.abs(values - upper) / upper)
@@ -692,7 +753,7 @@ class TestRankOneSplit:
         for m in m_range:  # and, past the bound's range, first factors that a sum of squares would overflow
             betas_past = [*np.sqrt(float(m)) * np.array(betas), 1e200, np.finfo(float).max]
             rows, cols = (grid.ravel() for grid in np.meshgrid(betas_past, [0.0, *alphas]))
-            upper, ceiling = analysis._upper_bound(dec, rows, cols)
+            upper, ceiling, _ = analysis._upper_bound(dec, rows, cols)
             assert not np.isnan(upper).any() and not np.isnan(ceiling).any()
         got = optimize_params(rho, alphas, betas, m_range, normalization)
         assert bitwise(got) == bitwise(reference_optimize(rho, alphas, betas, m_range, normalization))

@@ -330,9 +330,12 @@ class TestExitCodes:
         assert run_json(capsys, [*thm2, "--partition", ""]) == run_json(capsys, thm2)
 
     def test_validation_error_bad_file(self, tmp_path, capsys):
+        # not JSON, not UTF-8 (a UnicodeDecodeError), and nested past the parser's recursion limit (a RecursionError)
         path = tmp_path / "garbage.json"
-        path.write_text("{not json")
-        assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3
+        for content in (b"{not json", b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000):
+            path.write_bytes(content)
+            assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3
+            assert "state file is not valid JSON" in capsys.readouterr().err
 
     def test_validation_error_unphysical_state(self, tmp_path, capsys):
         doc = {"dims": [2], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
