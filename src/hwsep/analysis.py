@@ -19,11 +19,10 @@ up to rounding, so they make the same verdicts, evaluations and sign
 changes unless a point lies within rounding of the margin.
 
 ``optimize_params`` searches its (m, alpha, beta) grid the same way: the
-state is decomposed once, a cell's tensor depends only on its pair (sqrt(m)
-beta, sqrt(m) alpha), and a closed-form upper bound on each cell's trace norm,
-from one stacked SVD of T and T - r s^T, leaves open the cells that can still
-hold the first maximum; only their distinct pairs are judged, once each, in
-stacks of at most criteria._STACK_ELEMS.
+state is decomposed once, and a closed-form upper bound on each cell's trace
+norm, from one stacked SVD of T and T - r s^T, leaves open the cells that can
+still hold the first maximum; only those are judged, each once, in stacks of
+at most criteria._STACK_ELEMS.
 """
 
 from __future__ import annotations
@@ -252,8 +251,8 @@ def optimize_params(
     Ties are broken toward smaller m, then smaller alpha, then smaller beta:
     the grids are sorted ascending and the first maximum over the cells in C
     order (m, alpha, beta) is kept.  The grid values are read as weights
-    before anything is built.  A cell's tensor S depends only on its pair (beta', alpha') = sqrt(m) (beta, alpha);
-    a judged pair's S is bit-identical to the cell's ``hw`` image, judged once in stacks within criteria._STACK_ELEMS.
+    before anything is built.  A judged cell's tensor S, weighted by (beta', alpha') = sqrt(m) (beta, alpha), is
+    bit-identical to its ``hw`` image; each is judged once, in stacks within criteria._STACK_ELEMS.
 
     upper is the lesser of two ceilings on ||S||_tr.  S = X + (0 (+) T): X holds S's row 0, (beta' alpha', beta' s) (Tr
     rho = 1), and the rest of its column 0, alpha' r; X has rank 2, so ||S||_tr <= rank_two = hypot(beta' alpha', beta'
@@ -261,18 +260,17 @@ def optimize_params(
     (beta', r), v = (alpha', s), so ||S||_tr <= ||u|| ||v|| + ||T - r s^T||_tr, with equality on pure products.  ||u||^2
     = beta'^2 + ||r||^2 <= m beta^2 + c_1^2 (d_1 - 1), the square of the cell's first bound factor (a state's ||r||^2 is
     at most c_1^2 (d_1 - 1)), and ||v|| is at most the second: both are finite, as every bound is, so upper is never NaN
-    (inf * 0).  Both are taken per cell, from one SVD of T and one of T - r s^T.  The first pair judged is that of the
-    cell highest on rank_two - bound (of those, the least pair in np.unique's order), and best is the largest value -
-    bound among its cells: the looser ceiling points nearer the best pair (on full-rank 2x4 states the lesser one's pick
-    left about four times as many pairs open).  Then the distinct pairs of the unjudged cells with upper + slack - bound
-    >= best are judged, once each: a pair holds such a cell iff its least bound passes the test.  The other cells read
-    -inf.  A computed value is at most upper + slack and rounding is monotone, so their computed value - bound is under
-    best: the first maximum is the exhaustive search's, to the last bit.  slack = 128 N eps_mach upper, N the sum of S's
-    dimensions, covers each ceiling against itself, so the lesser: the SVD of S (off by p(N) eps_mach ||S|| <= p(N)
-    eps_mach upper, for p(N) up to 60 N as in ``scan_threshold``), the weighting's rounding (2 N), and the ceiling's
-    own.  The first's is the SVD of T (60 N), two norms and four flops (6 N).  The split's is the SVD of T - r s^T (60
-    N), forming it (entry (i, j) off by eps_mach (|r_i s_j| + |T_ij - r_i s_j|): eps_mach upper in Frobenius norm,
-    sqrt(N) times that in trace norm), two norms (N) and four flops.
+    (inf * 0).  Both are taken per cell, from one SVD of T and one of T - r s^T.  The first cells judged are those tied
+    highest on rank_two - bound, and best is the largest value - bound among them: the looser ceiling points nearer the
+    best cell (the lesser one's pick left about three times as many cells open).  Then the unjudged cells with upper +
+    slack - bound >= best are judged.  The other cells read -inf.  A computed value is at most upper + slack and
+    rounding is monotone, so their computed value - bound is under best: the first maximum is the exhaustive search's,
+    to the last bit.  slack = 128 N eps_mach upper, N the sum of S's dimensions, covers each ceiling against itself, so
+    the lesser: the SVD of S (off by p(N) eps_mach ||S|| <= p(N) eps_mach upper, for p(N) up to 60 N as in
+    ``scan_threshold``), the weighting's rounding (2 N), and the ceiling's own.  The first's is the SVD of T (60 N), two
+    norms and four flops (6 N).  The split's is the SVD of T - r s^T (60 N), forming it (entry (i, j) off by eps_mach
+    (|r_i s_j| + |T_ij - r_i s_j|): eps_mach upper in Frobenius norm, sqrt(N) times that in trace norm), two norms (N)
+    and four flops.
     """
     alphas = sorted(check_weights(alpha_grid))
     betas = sorted(check_weights(beta_grid))
@@ -286,24 +284,18 @@ def optimize_params(
     bounds = criteria._bound(dec.dims, (row_w, col_w), m_col, normalization == "rescaled")
     rows, cols = np.sqrt(m_col) * row_w, np.sqrt(m_col) * col_w  # on the faces (m, 1, beta), (m, alpha, 1)
     _, ceiling, rank_two = _upper_bound(dec, rows, cols)
-    # equal scaled pairs give equal tensors: one complex key per cell, -0.0 (other bits than 0.0) keyed as -1
-    scaled = np.empty((*bounds.shape, 2))
-    scaled[..., 0], scaled[..., 1] = rows, cols
-    keys = np.where(np.signbit(scaled), -1.0, scaled).view(complex).ravel()
-    values = np.full(keys.shape, -np.inf)  # each cell's trace norm once its pair is judged
+    rows, cols = (np.broadcast_to(face, bounds.shape).reshape(-1, 1) for face in (rows, cols))  # one row per cell
+    values = np.full(bounds.size, -np.inf)  # each cell's trace norm once it is judged
 
     def judge(cells: np.ndarray) -> np.ndarray:
-        """value - bound of every cell, once the distinct pairs of ``cells`` are judged, in key order, too."""
-        _, first, inverse = np.unique(keys[cells], return_index=True, return_inverse=True)
-        pairs, judged = scaled.reshape(-1, 2)[cells[first]], np.empty(len(first))
-        for batch in criteria._batches(len(pairs), dec.tensor.size):
-            stack = np.broadcast_to(dec.tensor, (len(pairs[batch]), *dec.tensor.shape))
-            judged[batch] = trace_norm(bloch.weighted(stack, (pairs[batch, :1], pairs[batch, 1:])))
-        values[cells] = judged[inverse]
+        """value - bound of every cell, once ``cells`` are judged, in stacks within criteria._STACK_ELEMS."""
+        for part in (cells[batch] for batch in criteria._batches(len(cells), dec.tensor.size)):
+            stack = np.broadcast_to(dec.tensor, (len(part), *dec.tensor.shape))
+            values[part] = trace_norm(bloch.weighted(stack, (rows[part], cols[part])))
         return values.reshape(bounds.shape) - bounds
 
     gaps = (rank_two - bounds).ravel()
-    best = judge(np.flatnonzero(keys == keys[gaps == gaps.max()].min())).max()
+    best = judge(np.flatnonzero(gaps == gaps.max())).max()
     flat = int(np.argmax(judge(np.flatnonzero((ceiling - bounds >= best).ravel() & (values == -np.inf)))))
     i, a, b = np.unravel_index(flat, bounds.shape)
     return OptimizeResult(alphas[a], betas[b], ms[i], float(values[flat]), float(bounds[i, a, b]), normalization)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class BlochVector:
     normalization: str
     coeffs: np.ndarray  # length dim^2 - 1
 
-    @property
+    @cached_property
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
@@ -112,18 +112,18 @@ class BlochDecomposition:
     vector r, the rest of row 0 the second party's s, and the remaining
     block the correlation matrix T, whose row index runs over the first
     party's (l, m) pairs and column index over the second party's (k, n).
-    ``r``, ``s`` and ``t`` are views of ``tensor``.
+    ``r``, ``s`` and ``t`` are views of ``tensor``; ``r`` and ``s`` are built once, on first access.
     """
 
     dims: tuple[int, int]
     normalization: str
     tensor: np.ndarray
 
-    @property
+    @cached_property
     def r(self) -> BlochVector:
         return BlochVector(self.dims[0], self.normalization, self.tensor[1:, 0])
 
-    @property
+    @cached_property
     def s(self) -> BlochVector:
         return BlochVector(self.dims[1], self.normalization, self.tensor[0, 1:])
 

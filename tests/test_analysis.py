@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -542,9 +543,9 @@ def record_pairs(monkeypatch) -> list:
     return stacks
 
 
-def judged_once(stacks) -> bool:
-    """No scaled pair is judged twice: not in two stacks, not twice in one."""
-    return len({pair for stack in stacks for pair in stack}) == sum(map(len, stacks))
+def judged_cells(stacks) -> list:
+    """The scaled pairs of every judged cell, sorted: a pair appears once per judgement."""
+    return sorted(pair for stack in stacks for pair in stack)
 
 
 def record_trace_norms(monkeypatch) -> list:
@@ -559,48 +560,48 @@ def record_trace_norms(monkeypatch) -> list:
     return shapes
 
 
-def pair_keyed_pairs(rho, alphas, betas, m_range, normalization) -> set:
-    """The scaled pairs, by repr, that a search keyed by pair judges: np.unique over every cell's key, each pair's
-    least bound over its cells, the first pick by rank_two - least bound, then every pair with ceiling - least bound
-    >= best, the largest value - bound among the first pick's cells."""
+def grid_pairs(alphas, betas, m_range) -> Counter:
+    """The scaled pairs (beta', alpha'), by repr, of the grid's cells, each counted once per cell."""
+    return Counter(
+        (repr(math.sqrt(float(m)) * b), repr(math.sqrt(float(m)) * a)) for m in m_range for a in alphas for b in betas
+    )
+
+
+def cell_rule_pairs(rho, alphas, betas, m_range, normalization) -> list:
+    """The scaled pairs, by repr and sorted, of the cells that a search by cell judges, each cell once: every cell
+    tied at the top of rank_two - bound, then every other cell with ceiling - bound >= best, the largest value - bound
+    among the first."""
     dec = bloch.decompose_bipartite(rho, normalization)
     cells = [(m, a, b) for m in sorted(m_range) for a in sorted(alphas) for b in sorted(betas)]
-    scaled = np.array([(math.sqrt(float(m)) * b, math.sqrt(float(m)) * a) for m, a, b in cells])
+    rows, cols = np.array([(math.sqrt(float(m)) * b, math.sqrt(float(m)) * a) for m, a, b in cells]).T
     bounds = np.array([criteria.theorem2_bound(rho.dims, (b, a), m, normalization) for m, a, b in cells])
-    keys = np.where(np.signbit(scaled), -1.0, scaled).view(complex).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    low = np.full(len(first), np.inf)
-    np.minimum.at(low, inverse, bounds)
-    rows, cols = scaled[first].T
     _, ceiling, rank_two = analysis._upper_bound(dec, rows, cols)
-    pick = np.argmax(rank_two - low)
-    best = (trace_norm(WEIGHTED(dec.tensor, (rows[pick], cols[pick]))) - bounds[inverse == pick]).max()
-    judged = ceiling - low >= best
-    judged[pick] = True
-    return {(repr(float(b)), repr(float(a))) for b, a in scaled[first][judged]}
+    first = rank_two - bounds == (rank_two - bounds).max()
+    values = np.array([trace_norm(WEIGHTED(dec.tensor, pair)) for pair in zip(rows[first], cols[first])])
+    judged = first | (ceiling - bounds >= (values - bounds[first]).max())
+    return sorted((repr(float(b)), repr(float(a))) for b, a in zip(rows[judged], cols[judged]))
 
 
-class TestDistinctPairs:
-    """optimize_params judges each distinct scaled pair (sqrt(m) beta, sqrt(m) alpha) at most once, and only the
-    pairs its upper bound cannot rule out."""
+class TestJudgedCells:
+    """optimize_params judges each cell at most once, and only the cells its upper bound cannot rule out."""
 
     @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
     @pytest.mark.parametrize("rho,alphas,betas", list(optimize_cases()))
-    def test_no_pair_is_judged_twice(self, monkeypatch, rho, alphas, betas, normalization):
+    def test_no_cell_is_judged_twice(self, monkeypatch, rho, alphas, betas, normalization):
+        # no pair is judged more often than the grid has cells of it
         for m_range in M_RANGES:
             stacks = record_pairs(monkeypatch)
             optimize_params(rho, alphas, betas, m_range, normalization)
-            assert stacks and judged_once(stacks)
+            assert stacks and not Counter(judged_cells(stacks)) - grid_pairs(alphas, betas, m_range)
 
     @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
     @pytest.mark.parametrize("rho,alphas,betas", list(optimize_cases()))
-    def test_judged_pairs_follow_the_pair_keyed_rule(self, monkeypatch, rho, alphas, betas, normalization):
-        # on the Bell state (a, b) and (b, a) tie exactly, so the first pick rests on the order of the keys
+    def test_judged_cells_follow_the_cell_rule(self, monkeypatch, rho, alphas, betas, normalization):
         for m_range in M_RANGES:
-            expected = pair_keyed_pairs(rho, alphas, betas, m_range, normalization)
+            expected = cell_rule_pairs(rho, alphas, betas, m_range, normalization)
             stacks = record_pairs(monkeypatch)
             optimize_params(rho, alphas, betas, m_range, normalization)
-            assert {pair for stack in stacks for pair in stack} == expected
+            assert stacks and judged_cells(stacks) == expected
 
     @pytest.mark.parametrize("rho,alphas,betas", list(optimize_cases()))
     def test_one_stacked_svd_for_both_ceilings(self, monkeypatch, rho, alphas, betas):
@@ -610,27 +611,26 @@ class TestDistinctPairs:
             optimize_params(rho, alphas, betas, m_range)
             assert shapes[0] == (2, d1 * d1 - 1, d2 * d2 - 1) and len(shapes) == 1 + len(stacks)
 
-    # the default 16x16 grids have 1279 and 766 distinct pairs, each of which the exhaustive search judged; with m in
-    # 1,2,4,8,16,32 nothing stays open after the first pair, so the second judge takes no SVD
-    @pytest.mark.parametrize("m_range,pairs,svd_calls", [("1,2,4,8,16,32", 1, 2), ("1,2,3", 5, 3)])
-    def test_default_grids_judge_few_pairs(self, tmp_path, capsys, monkeypatch, m_range, pairs, svd_calls):
+    # the exhaustive search judged each of the default 16x16 grids' 1536 and 768 cells; with m in 1,2,4,8,16,32
+    # nothing stays open after the first cell, so the second judge takes no SVD
+    @pytest.mark.parametrize("m_range,cells,svd_calls", [("1,2,4,8,16,32", 1, 2), ("1,2,3", 5, 3)])
+    def test_default_grids_judge_few_cells(self, tmp_path, capsys, monkeypatch, m_range, cells, svd_calls):
         stacks, shapes = record_pairs(monkeypatch), record_trace_norms(monkeypatch)
         path = tmp_path / "state.json"
         path.write_text(json.dumps(cli.state_to_json(FAMILY.state(0.25))))
         assert cli.run(["optimize", "--state", str(path), "--m-range", m_range]) == 0
-        assert judged_once(stacks) and sum(map(len, stacks)) == pairs and len(shapes) == svd_calls
+        assert len(judged_cells(stacks)) == cells and len(shapes) == svd_calls
         assert json.loads(capsys.readouterr().out)["m"] in (1, 2, 3, 4, 8, 16, 32)
 
     def test_signed_zeros_are_judged_apart(self, monkeypatch):
-        # on a Bell state (x, 0.0) and (x, -0.0) tie, so the first maximum, alphas[0], needs both judged: the first
-        # stack holds one pair and the bound leaves the other open, so each signed zero takes a stack of its own;
-        # with m = 16 as well, the bound rules m = 16's pairs out
+        # on a Bell state (x, 0.0) and (x, -0.0) tie, so the first maximum, alphas[0], needs both judged; with
+        # m = 16 as well, the bound rules m = 16's cells out
         for alphas in ([-0.0, 0.0], [0.0, -0.0]):
-            for m_range, count in (([1], 2), ([1, 16], 2)):
+            for m_range in ([1], [1, 16]):
                 stacks = record_pairs(monkeypatch)
                 res = optimize_params(ghz(2), alphas, [0.5], m_range)
-                assert judged_once(stacks) and len(stacks) == count
-                assert sorted(pair for stack in stacks for pair in stack) == [("0.5", "-0.0"), ("0.5", "0.0")]
+                assert judged_cells(stacks) == cell_rule_pairs(ghz(2), alphas, [0.5], m_range, "standard")
+                assert judged_cells(stacks) == [("0.5", "-0.0"), ("0.5", "0.0")]
                 assert repr(res.alpha) == repr(alphas[0])
                 assert bitwise(res) == bitwise(reference_optimize(ghz(2), alphas, [0.5], m_range))
 
@@ -692,12 +692,12 @@ class TestBoundedSearch:
 
     @settings(max_examples=60, deadline=None)
     @given(bounded_search_cases())
-    def test_judged_pairs_follow_the_pair_keyed_rule(self, case):
-        expected = pair_keyed_pairs(*case)
+    def test_judged_cells_follow_the_cell_rule(self, case):
+        expected = cell_rule_pairs(*case)
         with pytest.MonkeyPatch.context() as monkeypatch:
             stacks = record_pairs(monkeypatch)
             optimize_params(*case)
-        assert {pair for stack in stacks for pair in stack} == expected
+        assert judged_cells(stacks) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(bounded_search_cases())

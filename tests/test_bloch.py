@@ -130,6 +130,14 @@ class TestDecomposeBipartite:
         with pytest.raises(ValidationError):
             decompose_bipartite(random_density(4, 0))
 
+    @pytest.mark.parametrize("normalization", ["standard", "rescaled"])
+    def test_local_vectors_are_built_once(self, normalization):
+        dec = decompose_bipartite(as_bipartite(random_density(12, 3), (3, 4)), normalization)
+        assert dec.r is dec.r and dec.s is dec.s
+        for vector in (dec.r, dec.s):
+            assert vector.norm == np.linalg.norm(vector.coeffs)
+            assert isinstance(vector.norm, float) and vector.norm is vector.norm
+
 
 class TestReconstruct:
     def test_zero_coefficients_give_maximally_mixed(self):

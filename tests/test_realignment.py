@@ -11,6 +11,10 @@ times a unitary, and weighting the identity slot changes c_k I along
 vec(I)/sqrt(d_k) alone.  The realignment (CCNR) criterion is s = c = 1 and
 de Vicente's correlation criterion (``vb``) is s = 0, rescaled.  The oracle
 uses reshapes, partial traces and a complex SVD, never ``hw_basis`` or ``bloch``.
+
+The enhanced realignment criterion (ERC; Zhang, Zhang, Zhang & Guo, PRA 77, 060301(R) (2008)) bounds every
+two-party row from above: each S row's value - bound, over prod_k c_k, is at most ERC's gap (README, "Basis
+conventions, and one known discrepancy").
 """
 
 import math
@@ -19,8 +23,8 @@ import numpy as np
 import pytest
 
 from hwsep import DensityMatrix, check_theorem2, make_check, optimize_params
-from hwsep.criteria import all_bipartitions
-from hwsep.states import random_density
+from hwsep.criteria import _EPS_MACH, all_bipartitions
+from hwsep.states import random_density, random_pure, random_separable
 
 RTOL = 1e-12
 
@@ -96,3 +100,51 @@ def test_best_cell_of_the_grid_search(normalization):
         best = optimize_params(rho, grid, grid, [1, 2, 3], normalization)
         oracle = realigned(rho, (best.beta, best.alpha), best.m, normalization, (1,))
         np.testing.assert_allclose((best.value, best.bound), oracle, rtol=RTOL, atol=0)
+
+
+def erc_gap(rho):
+    """sqrt(d1 d2) (||R(rho - rho_A x rho_B)||_tr - sqrt((1 - Tr rho_A^2)(1 - Tr rho_B^2))), from partial traces."""
+    d1, d2 = rho.dims
+    t = rho.matrix.reshape(d1, d2, d1, d2)  # axes i_1, i_2, j_1, j_2
+    rho_a, rho_b = np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2)
+    moved = (t - np.einsum("ac,bd->abcd", rho_a, rho_b)).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+    mixedness = math.prod(1 - np.vdot(marginal, marginal).real for marginal in (rho_a, rho_b))  # 1 - Tr rho_k^2
+    return math.sqrt(d1 * d2) * (np.linalg.svd(moved, compute_uv=False).sum() - math.sqrt(max(0.0, mixedness)))
+
+
+def envelope_states():
+    """Seeded 2x2 to 4x4 states: full rank, separable (pure products among them) and pure plus white noise."""
+    for dims in TWO_PARTY_DIMS:
+        size = math.prod(dims)
+        for seed in range(4):
+            rng = np.random.default_rng(100 * size + seed)
+            yield random_state(dims, seed)
+            yield random_separable(dims, int(rng.integers(1, 4)), seed)[1]
+            p = rng.uniform()
+            yield DensityMatrix(p * random_pure(size, seed).matrix + (1 - p) * np.eye(size) / size, dims)
+
+
+# the S rows that take weights and m, with what else each is given
+WEIGHTED_ROWS = (("hw", {"normalization": "standard"}), ("hw", {"normalization": "rescaled"}), ("isc", {}))
+
+
+def envelope_rows(rng):
+    """(criterion, parameters): hw in both normalizations, isc, vb and lb, at weights log-uniform in e^+-5 and m from
+    1 to 8."""
+    for _ in range(6):
+        for criterion, given in WEIGHTED_ROWS:
+            alpha, beta = np.exp(rng.uniform(-5, 5, 2))
+            yield criterion, dict(given, alpha=alpha, beta=beta, m=int(rng.integers(1, 9)))
+    yield "vb", {}
+    yield "lb", {}
+
+
+def test_erc_bounds_every_s_row():
+    rng = np.random.default_rng(15)
+    for rho in envelope_states():
+        gap, (d1, d2) = erc_gap(rho), rho.dims
+        for criterion, params in envelope_rows(rng):
+            verdict = make_check(criterion, **params)(rho)
+            scale = 1.0 if verdict.params["normalization"] == "standard" else math.sqrt(d1 * d2) / 2  # prod_k c_k
+            slack = 64 * (d1 * d1 + d2 * d2) * _EPS_MACH * max(1.0, verdict.bound / scale)
+            assert (verdict.value - verdict.bound) / scale <= gap + slack, (criterion, params, rho.dims)
