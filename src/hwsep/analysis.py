@@ -21,8 +21,8 @@ changes unless a point lies within rounding of the margin.
 ``optimize_params`` searches its (m, alpha, beta) grid the same way: the
 state is decomposed once, and a closed-form upper bound on each cell's trace
 norm, from one stacked SVD of T and T - r s^T, leaves open the cells that can
-still hold the first maximum; only those are judged, each once, in stacks of
-at most criteria._STACK_ELEMS.
+still hold the first maximum; only those are judged, each once, by the ``hw``
+row's judge against one bound per cell, in stacks within criteria._STACK_ELEMS.
 """
 
 from __future__ import annotations
@@ -231,11 +231,10 @@ def _upper_bound(dec: bloch.BlochDecomposition, rows: np.ndarray, cols: np.ndarr
     """(upper, upper + slack, rank_two) on the broadcast of rows = beta' and cols = alpha': ``optimize_params``'
     ceilings on the weighted tensor's trace norm, with ||T||_tr and ||T - r s^T||_tr from one stacked SVD."""
     r, s = dec.r, dec.s
-    r_norm, s_norm = r.norm, s.norm
     t_norm, split_norm = trace_norm(np.array([dec.t, dec.t - np.outer(r.coeffs, s.coeffs)]))
     with np.errstate(over="ignore"):  # a bound past float range only leaves its cell open
-        rank_two = np.hypot(rows * cols, rows * s_norm + cols * r_norm) + t_norm
-        upper = np.minimum(rank_two, np.hypot(rows, r_norm) * np.hypot(cols, s_norm) + split_norm)
+        rank_two = np.hypot(rows * cols, rows * s.norm + cols * r.norm) + t_norm
+        upper = np.minimum(rank_two, np.hypot(rows, r.norm) * np.hypot(cols, s.norm) + split_norm)
         return upper, upper + 128 * sum(dec.tensor.shape) * criteria._EPS_MACH * upper, rank_two
 
 
@@ -252,7 +251,7 @@ def optimize_params(
     the grids are sorted ascending and the first maximum over the cells in C
     order (m, alpha, beta) is kept.  The grid values are read as weights
     before anything is built.  A judged cell's tensor S, weighted by (beta', alpha') = sqrt(m) (beta, alpha), is
-    bit-identical to its ``hw`` image; each is judged once, in stacks within criteria._STACK_ELEMS.
+    bit-identical to its ``hw`` image; the ``hw`` row judges each once, with its bound, in criteria._STACK_ELEMS stacks.
 
     upper is the lesser of two ceilings on ||S||_tr.  S = X + (0 (+) T): X holds S's row 0, (beta' alpha', beta' s) (Tr
     rho = 1), and the rest of its column 0, alpha' r; X has rank 2, so ||S||_tr <= rank_two = hypot(beta' alpha', beta'
@@ -279,6 +278,7 @@ def optimize_params(
         raise ValidationError("optimize_params requires nonempty grids")
     require_parties(rho, 2, "optimize_params")
     dec = bloch.decompose_bipartite(rho, normalization)
+    check = make_check("hw", alpha=0.0, beta=0.0, m=0, normalization=normalization)  # judge reads no weights or m
     # the cells (m, alpha, beta) on one broadcast: their bounds, which refuse weights that overflow, and ceilings
     m_col, col_w, row_w = np.array(ms, dtype=float)[:, None, None], np.array(alphas)[:, None], np.array(betas)
     bounds = criteria._bound(dec.dims, (row_w, col_w), m_col, normalization == "rescaled")
@@ -288,10 +288,10 @@ def optimize_params(
     values = np.full(bounds.size, -np.inf)  # each cell's trace norm once it is judged
 
     def judge(cells: np.ndarray) -> np.ndarray:
-        """value - bound of every cell, once ``cells`` are judged, in stacks within criteria._STACK_ELEMS."""
+        """value - bound of every cell, once the hw row judges ``cells``, in stacks within criteria._STACK_ELEMS."""
         for part in (cells[batch] for batch in criteria._batches(len(cells), dec.tensor.size)):
             stack = np.broadcast_to(dec.tensor, (len(part), *dec.tensor.shape))
-            values[part] = trace_norm(bloch.weighted(stack, (rows[part], cols[part])))
+            values[part] = check.judge(bloch.weighted(stack, (rows[part], cols[part])), bounds.flat[part]).values[:, 0]
         return values.reshape(bounds.shape) - bounds
 
     gaps = (rank_two - bounds).ravel()

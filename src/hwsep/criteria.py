@@ -34,19 +34,20 @@ bound.  ``TensorCheck.linear`` scales a copy's identity slots that way and
 returns it with the bound's one core, ``_bound``, on its parsed weights and m.
 
 Every criterion is a row of ``REGISTRY``; ``make_check`` binds a name and
-parameters into its row's Check, reading each parameter with its one
-parser from ``errors`` (partitions against the number of weights, when
-the row binds).  A Check maps a state to an image that is linear in rho
-(``linear``) and decides a stack of images in one batch (``judge``) under
-the margin rule below; a single verdict judges a stack of one.  Every
-trace-norm row is one ``TensorCheck``: the weighted tensor of a state with
-one party per weight, judged per bipartition, each matricized tall (its
-larger side, A or its complement, on the rows, as ``trace_norm`` takes any
-matrix), by one stacked SVD per tall shape within ``_STACK_ELEMS``.  The rows
-differ only in data (which parameters become the weights, which
-bipartitions are judged, which keys a verdict reports).  A state with
-another party count, or a subject that is not a ``DensityMatrix``, is
-refused by ``linalg.require_parties``.
+parameters into its row's Check, reading each parameter with its one parser
+from ``errors`` (partitions against the number of weights, when the row
+binds).  A Check maps a state to an image that is linear in rho (``linear``)
+and decides a stack of images, each with its bound, in one batch (``judge``)
+under the margin rule below; a single verdict judges a stack of one.  Every
+trace-norm row is one ``TensorCheck``: the weighted tensor of a state with one
+party per weight, judged per bipartition, each matricized tall (its larger
+side, A or its complement, on the rows, as ``trace_norm`` takes any matrix),
+by one stacked SVD per tall shape within ``_STACK_ELEMS``;
+``analysis.optimize_params`` judges its cells by the ``hw`` row too.  The rows
+differ only in data (which parameters become the weights, which bipartitions
+are judged, which keys a verdict reports).  A state with another party count,
+or a subject that is not a ``DensityMatrix``, is refused by
+``linalg.require_parties``.
 The S rows are two-party ``thm2`` rows with weights (beta, alpha) and
 the one bipartition:
 
@@ -121,59 +122,58 @@ def _violates(value, bound, n, maximum=max):
 
 @dataclass(slots=True)
 class Judgement:
-    """Trace norms (or ppt values) of a stack of images against their bound.
+    """Trace norms (or ppt values) of a stack of images against their bounds, one per image.
 
-    Row i of ``values`` belongs to image i of the stack and column j to the
-    matricization ``columns[j]`` (a bipartition, or None for ppt), whose two
-    dimensions sum to ``sizes[j]`` (1 for ppt).  An image's verdict is that
-    of its worst column, the first largest value - bound.
+    Row i of ``values`` belongs to image i of the stack, with bound ``bounds[i]``, and column j to the
+    matricization ``columns[j]`` (a bipartition, or None for ppt), whose two dimensions sum to ``sizes[j]`` (1 for
+    ppt).  An image's verdict is that of its worst column, the first largest value - bound.
     """
 
     check: Check
     values: np.ndarray
-    bound: float
+    bounds: np.ndarray
     sizes: tuple[int, ...]
     columns: tuple = (None,)
 
     def _worst(self, i=slice(None)):
         """The worst column of image ``i``, or of every image as an array."""
-        return (self.values[i] - self.bound).argmax(axis=-1)
+        return (self.values[i] - self.bounds[i, None]).argmax(axis=-1)
 
     @property
     def entangled(self) -> np.ndarray:
         """The verdict rule on each image's worst column, as a boolean array."""
         worst = self._worst()
         values = self.values[np.arange(len(worst)), worst]
-        return _violates(values, self.bound, np.asarray(self.sizes)[worst], np.maximum)
+        return _violates(values, self.bounds, np.asarray(self.sizes)[worst], np.maximum)
 
-    def _column_verdict(self, value: float, j: int) -> CriterionVerdict:
-        """The verdict on ``value`` in column j, with the margin for its matrix."""
-        check, bound = self.check, float(self.bound)
+    def _column_verdict(self, i: int, j: int) -> CriterionVerdict:
+        """The verdict of image i in column j, with the margin for its matrix."""
+        value, bound = float(self.values[i, j]), float(self.bounds[i])
         flag = ENTANGLED if _violates(value, bound, self.sizes[j]) else INCONCLUSIVE
-        return CriterionVerdict(check.row.name, float(value), bound, flag, check.params(self.columns[j]))
+        return CriterionVerdict(self.check.row.name, value, bound, flag, self.check.params(self.columns[j]))
 
     def verdicts(self, i: int) -> list[CriterionVerdict]:
         """One verdict per column for image ``i``."""
-        return [self._column_verdict(value, j) for j, value in enumerate(self.values[i].tolist())]
+        return [self._column_verdict(i, j) for j in range(len(self.columns))]
 
     def verdict(self, i: int) -> CriterionVerdict:
         """The verdict of image ``i``'s worst column (a one-column judgement has no other to look for)."""
-        j = int(self._worst(i)) if len(self.columns) > 1 else 0
-        return self._column_verdict(self.values[i, j], j)
+        return self._column_verdict(i, int(self._worst(i)) if len(self.columns) > 1 else 0)
 
 
 @dataclass(slots=True)
 class Check:
     """A criterion's row with its parameters bound, as a linear image of the state and a judge.
 
-    ``reported`` maps the row's reported keys, in order, to their bound
-    values ("partition" to None).  ``linear(rho)`` validates rho and returns
-    its image, linear in rho, with the separable bound; ``judge(images,
-    bound)`` decides a stack of images (axis 0) in one batch, as a
-    Judgement; ``params(column)`` is what a verdict on one of its columns
-    reports.  ``bind`` makes a Check from a row and its parsed parameters.
-    A judge's values must be convex in the image (a trace norm, or -lambda_min):
-    scans decide points between judged ones from that (``analysis.scan_threshold``).
+    ``reported`` maps the row's reported keys, in order, to their bound values
+    ("partition" to None).  ``linear(rho)`` validates rho and returns its image,
+    linear in rho, with the separable bound; ``judge(images, bounds)`` decides a
+    stack of images (axis 0) in one batch, against one bound per image (a float:
+    every image's), as a Judgement; ``params(column)`` is what a verdict on one of
+    its columns reports.  ``bind`` makes a Check from a row and its parsed
+    parameters.  A judge's values must be convex in the image (a trace norm, or
+    -lambda_min): scans decide points between judged ones from that
+    (``analysis.scan_threshold``).
     """
 
     row: Criterion
@@ -238,7 +238,7 @@ class TensorCheck(Check):
         root = math.sqrt(self.m)
         return bloch.weighted(tensor, [root * w for w in self.weights]), float(bound)
 
-    def judge(self, images: np.ndarray, bound: float) -> Judgement:
+    def judge(self, images: np.ndarray, bounds: float | np.ndarray) -> Judgement:
         columns, stacks, sizes = _plan(images.shape[1:], self.partitions, _STACK_ELEMS)
         values = np.empty((len(images), len(columns)))
         for js, orders, shape in stacks:
@@ -251,7 +251,7 @@ class TensorCheck(Check):
                 for slot, order in zip(stack, orders):
                     slot.reshape(part.transpose(order).shape)[...] = part.transpose(order)
                 values[batch, js] = trace_norm(stack.swapaxes(0, 1))
-        return Judgement(self, values, bound, sizes, columns)
+        return Judgement(self, values, np.full(len(images), bounds, float), sizes, columns)
 
 
 @dataclass(slots=True)
@@ -262,8 +262,8 @@ class PPTCheck(Check):
         require_parties(rho, 2, self.row)
         return partial_transpose(rho, self.reported["subsystem"]), 0.0
 
-    def judge(self, images: np.ndarray, bound: float) -> Judgement:
-        return Judgement(self, -eig_hermitian(images)[:, :1], bound, (1,))
+    def judge(self, images: np.ndarray, bounds: float | np.ndarray) -> Judgement:
+        return Judgement(self, -eig_hermitian(images)[:, :1], np.full(len(images), bounds, float), (1,))
 
 
 def _batches(count: int, size: int, elems: int | None = None) -> list[slice]:

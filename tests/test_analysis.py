@@ -549,7 +549,7 @@ def judged_cells(stacks) -> list:
 
 
 def record_trace_norms(monkeypatch) -> list:
-    """The shape of each array that analysis passes to trace_norm."""
+    """The shape of each array passed to trace_norm by analysis (the ceilings' SVD) and by criteria (the judge)."""
     shapes = []
 
     def record(matrix):
@@ -557,6 +557,7 @@ def record_trace_norms(monkeypatch) -> list:
         return trace_norm(matrix)
 
     monkeypatch.setattr(analysis, "trace_norm", record)
+    monkeypatch.setattr(criteria, "trace_norm", record)
     return shapes
 
 

@@ -748,6 +748,32 @@ class TestStackedJudgement:
             assert math.prod(shape) <= criteria._STACK_ELEMS if len(shape) == 4 else shape[0] == len(images)
             assert shape[-2] >= shape[-1]  # tall
 
+    @pytest.mark.parametrize(
+        "criterion,params,dims",
+        [
+            ("hw", dict(alpha=0.5, beta=0.4, m=1), (2, 4)),
+            ("hw", dict(alpha=1.2, beta=0.3, m=3, normalization="rescaled"), (3, 3)),
+            ("thm2", dict(alphas=(1.0, 0.5, 0.8, 1.2, 0.3), m=2), (2,) * 5),  # stacks of 5 and 10 columns
+            ("ppt", {}, (2, 4)),
+        ],
+    )
+    def test_one_bound_per_image(self, criterion, params, dims):
+        # each image's bound sits just above or just below its worst value, alternately, so that one image passes
+        # its bound and the next does not; each image judged alone at its own bound gives the same bits
+        states = [as_dm(random_density(math.prod(dims), seed).matrix, dims) for seed in range(5)]
+        check = make_check(criterion, **params)
+        images = np.stack([check.linear(rho)[0] for rho in states])
+        worst = check.judge(images, 0.0).values.max(axis=1)
+        bounds = worst + np.where(np.arange(len(states)) % 2, -0.05, 0.05) * np.maximum(1.0, np.abs(worst))
+        judged = check.judge(images, bounds)
+        alone = [check.judge(images[i : i + 1], bound) for i, bound in enumerate(bounds.tolist())]
+        assert judged.entangled.tolist() == [a.entangled[0] for a in alone] == [False, True] * 2 + [False]
+        for i, single in enumerate(alone):
+            assert judged.values[i].tobytes() == single.values[0].tobytes()
+            assert repr(judged.verdicts(i)) == repr(single.verdicts(0))
+            assert repr(judged.verdict(i)) == repr(single.verdict(0))
+            assert judged.verdict(i).bound == bounds[i]
+
     def test_a_bipartition_and_its_complement_give_the_same_bits(self):
         parts = all_bipartitions(5)
         complements = [tuple(k for k in range(1, 6) if k not in part) for part in parts]

@@ -148,3 +148,50 @@ def test_erc_bounds_every_s_row():
             scale = 1.0 if verdict.params["normalization"] == "standard" else math.sqrt(d1 * d2) / 2  # prod_k c_k
             slack = 64 * (d1 * d1 + d2 * d2) * _EPS_MACH * max(1.0, verdict.bound / scale)
             assert (verdict.value - verdict.bound) / scale <= gap + slack, (criterion, params, rho.dims)
+
+
+def marginal_data(rho):
+    """(||r||^2, ||s||^2, A, B, ||T - r s^T||_op) in the standard normalization, from partial traces: d_k Tr rho_k^2 =
+    1 + ||r_k||^2, and the operator norm is sqrt(d1 d2) times that of R(rho - rho_A x rho_B)."""
+    d1, d2 = rho.dims
+    t = rho.matrix.reshape(d1, d2, d1, d2)
+    rho_a, rho_b = np.trace(t, axis1=1, axis2=3), np.trace(t, axis1=0, axis2=2)
+    r2, s2 = (d * np.vdot(marginal, marginal).real - 1 for d, marginal in zip((d1, d2), (rho_a, rho_b)))
+    moved = (t - np.einsum("ac,bd->abcd", rho_a, rho_b)).transpose(0, 2, 1, 3).reshape(d1 * d1, d2 * d2)
+    return r2, s2, d1 - 1 - r2, d2 - 1 - s2, math.sqrt(d1 * d2) * np.linalg.svd(moved, compute_uv=False)[0]
+
+
+def test_hw_approaches_erc_from_below_at_the_ratio():
+    """hw at (alpha', beta') = t (u, v), m = 1, u v = 1 and v/u = sqrt(A/B) has 0 <= erc's gap - hw's gap <= R(t).
+
+    Write S = a b^T + (0 (+) M) with a = (beta', r), b = (alpha', s) and M = T - r s^T, and let X = ||a||^2, Y =
+    ||b||^2, p = ||r|| / ||a|| and q = ||s|| / ||b||.  The lower end is ``test_erc_bounds_every_s_row``'s.  For the
+    upper end, let W be the partial isometry of M's SVD, a_hat and b_hat the unit vectors along a and b, P and Q the
+    projectors off them, and K = a_hat b_hat^T + P W Q.  The two terms map orthogonal subspaces onto orthogonal ones,
+    so ||K||_op <= 1 and ||S||_tr >= <K, S> = ||a|| ||b|| + ||M||_tr - e.  e sums four terms, each at most ||M||_op
+    times: <a_hat, M b_hat> (p q), <W, a_hat a_hat^T M> (p^2), <W, M b_hat b_hat^T> (q^2) and <W, a_hat a_hat^T M
+    b_hat b_hat^T> (p^2 q^2); so e <= ||M||_op (p + q)^2.  The bound is sqrt((X + A)(Y + B)) = sqrt(XY) + sqrt(AB) +
+    c, with the Cauchy-Schwarz deficit c = (sqrt(XB) - sqrt(AY))^2 / (bound + sqrt(XY) + sqrt(AB)), at most (XB -
+    AY)^2 / ((sqrt(XB) + sqrt(AY))^2 2 sqrt(XY)); at the ratio t^2 v^2 B = t^2 u^2 A, so XB - AY = ||r||^2 B - A
+    ||s||^2.  Hence erc's gap - hw's gap = ||M||_tr - sqrt(AB) - (||S||_tr - bound) <= R(t) = ||M||_op (p + q)^2 + c.
+    R(t) is O(1/t^2), as ERC's large-t expansion has it: p <= ||r|| / (t v), q <= ||s|| / (t u), and c is O(1/t^4).
+    Each distance, and its fall from one t to the next, allows the rounding slack of ``test_erc_bounds_every_s_row``;
+    the seeded states have mixed marginals, A, B > 0.
+    """
+    states = [random_state(dims, seed) for dims in TWO_PARTY_DIMS for seed in range(2)]
+    states.append(DensityMatrix(0.7 * random_pure(8, 3).matrix + 0.3 * np.eye(8) / 8, (2, 4)))
+    for rho in states:
+        gap, (d1, d2) = erc_gap(rho), rho.dims
+        r2, s2, mixed_a, mixed_b, m_op = marginal_data(rho)
+        u, v = (mixed_b / mixed_a) ** 0.25, (mixed_a / mixed_b) ** 0.25
+        distances = [math.inf]
+        for t in (10.0, 100.0, 1000.0):
+            verdict = make_check("hw", alpha=t * u, beta=t * v, m=1)(rho)
+            x, y = (t * v) ** 2 + r2, (t * u) ** 2 + s2
+            root_b, root_a = math.sqrt(x * mixed_b), math.sqrt(mixed_a * y)
+            c = (r2 * mixed_b - mixed_a * s2) ** 2 / ((root_b + root_a) ** 2 * 2 * math.sqrt(x * y))
+            remainder = m_op * (math.sqrt(r2 / x) + math.sqrt(s2 / y)) ** 2 + c
+            slack = 64 * (d1 * d1 + d2 * d2) * _EPS_MACH * max(1.0, verdict.bound)
+            distance = gap - (verdict.value - verdict.bound)
+            assert -slack <= distance <= min(remainder, distances[-1]) + slack, (rho.dims, t, distances, remainder)
+            distances.append(distance)
