@@ -96,7 +96,7 @@ class TestScanThreshold:
         for family in ("x", FAMILY.state(0.5), None):  # a state is not a family
             with pytest.raises(ValidationError, match="family must be a StateFamily"):
                 scan_threshold(family, HW_CHECK)
-        for tol in (1e-9, np.nan, np.inf, "1e-6", None, True):  # True == 1.0, but a flag is not a tolerance
+        for tol in (1e-9, np.nan, np.inf, "1e-6", None, True, 10**400):  # True == 1.0, but a flag is not a tolerance
             with pytest.raises(ValidationError, match="tol"):
                 scan_threshold(FAMILY, HW_CHECK, tol=tol)
             with pytest.raises(ValidationError, match="tol"):
@@ -496,9 +496,16 @@ def optimize_cases():
     rho = DensityMatrix(random_density(8, 28).matrix, (2, 4))
     yield pytest.param(rho, [-0.0, 0.5, 0.0, 0.5, -0.0], [0.0, -0.0, 1.0, 0.0], id="signed-zeros")  # with repeats
     yield pytest.param(ghz(2), [0.0, -0.0], [-0.0, 0.0], id="signed-zeros-only")
+    # the default 16x16 grids on the bounded search's exact case (r = s = 0), the paper's state, a pure product, and
+    # two separable states (2x4 and 3x3) where neither ceiling is exact
+    tenths = [v / 10 for v in range(16)]
+    separable = [random_separable(*args)[1] for args in (((2, 4), 1, 1), ((2, 4), 12, 3), ((3, 3), 5, 2))]
+    for name, rho in zip(["bell", "mix", "product", "separable", "qutrits"], [ghz(2), FAMILY.state(0.3), *separable]):
+        yield pytest.param(rho, tenths, tenths, id=f"tenths-{name}")
 
 
-M_RANGES = [(0,), (1, 2, 4, 8, 16, 32), (32, 3, 0, 8, 8, 1), (3, 10**20, 2**64 + 1)]  # the last past int64
+# the CLI's default; the fifth past int64; in the last, m = 1 and 4 share scaled weights: 2 fl(k/10) = fl(2k/10)
+M_RANGES = [(1, 2, 3), (0,), (1, 2, 4, 8, 16, 32), (32, 3, 0, 8, 8, 1), (3, 10**20, 2**64 + 1), (1, 4, 16, 64)]
 
 
 class TestStackedOptimize:
@@ -520,7 +527,8 @@ class TestStackedOptimize:
             assert bitwise(optimize_params(*case)) == bitwise(res)
 
     @pytest.mark.parametrize(
-        "grid", [[math.nan, 1.0], [1.0, math.inf], [-math.inf], [0.5, -0.1], ["0.5"], [0.5, None], 0.5, [0.5, True]]
+        "grid",
+        [[math.nan, 1.0], [1.0, math.inf], [-math.inf], [0.5, -0.1], ["0.5"], [0.5, None], 0.5, [0.5, True], [10**400]],
     )
     def test_grids_are_read_as_weights(self, grid):
         for alphas, betas in ((grid, [0.5]), ([0.5], grid)):
@@ -623,9 +631,11 @@ class TestJudgedCells:
         assert len(judged_cells(stacks)) == cells and len(shapes) == svd_calls
         assert json.loads(capsys.readouterr().out)["m"] in (1, 2, 3, 4, 8, 16, 32)
 
-    def test_signed_zeros_are_judged_apart(self, monkeypatch):
+    def test_signed_zeros_are_judged_apart(self, tmp_path, capsys, monkeypatch):
         # on a Bell state (x, 0.0) and (x, -0.0) tie, so the first maximum, alphas[0], needs both judged; with
         # m = 16 as well, the bound rules m = 16's cells out
+        path = tmp_path / "bell.json"
+        path.write_text(json.dumps(cli.state_to_json(ghz(2))))
         for alphas in ([-0.0, 0.0], [0.0, -0.0]):
             for m_range in ([1], [1, 16]):
                 stacks = record_pairs(monkeypatch)
@@ -634,6 +644,9 @@ class TestJudgedCells:
                 assert judged_cells(stacks) == [("0.5", "-0.0"), ("0.5", "0.0")]
                 assert repr(res.alpha) == repr(alphas[0])
                 assert bitwise(res) == bitwise(reference_optimize(ghz(2), alphas, [0.5], m_range))
+                argv = ["optimize", "--state", str(path), f"--alpha-grid={alphas[0]},{alphas[1]}", "--beta-grid=0.5"]
+                assert cli.run([*argv, "--m-range", ",".join(map(str, m_range))]) == 0  # alphas[0], with its sign
+                assert repr(json.loads(capsys.readouterr().out)["alpha"]) == repr(alphas[0])
 
 
 def isotropic(d, p):
@@ -903,6 +916,7 @@ def test_make_check_names_missing_or_unknown_parameters(criterion, params, named
         ("thm2", dict(alphas=(1, True), m=1), None),
         ("thm2", dict(alphas=(1, 1), m=1, partitions=[[True]]), None),
         ("ppt", dict(subsystem=True), None),
+        ("hw", dict(alpha=10**400, beta=0.4, m=1), None),  # an int past float range
     ],
 )
 def test_make_check_parses_every_parameter_when_it_binds(criterion, params, reported):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hwsep import ValidationError, basis, check_ppt, check_theorem1, cli, decompose_bipartite, make_check
+from hwsep import optimize_params
 from hwsep.cli import build_parser, matrix_to_pairs, parse_state_json, run, state_to_json
 from hwsep.criteria import REGISTRY
 from hwsep.states import (
@@ -20,7 +21,7 @@ from hwsep.states import (
     xi_state,
 )
 
-from reference_data import PRINTED_D3
+from reference_data import PRINTED_D3, THRESHOLD_HW, THRESHOLD_ISC, THRESHOLD_LB, THRESHOLD_VB
 
 BOUND_PAST = "the separable bound is past float range"
 M_PAST = "1" + "0" * 400  # a whole-number m that no float holds
@@ -88,11 +89,15 @@ class TestStateTables:
         assert set(cli._FAMILIES) <= set(cli._STATES)
 
     @pytest.mark.parametrize("name", list(NAMED_STATES))
-    def test_every_state_is_the_library_state(self, capsys, name):
+    def test_every_state_is_the_library_state(self, tmp_path, capsys, name):
         flags, made = NAMED_STATES[name]
         code, out, err = outcome(capsys, ["state", "--name", name, *flags])
         assert (code, err) == (0, "")
         assert out == json.dumps(state_to_json(made()), indent=2) + "\n"
+        if len(made().dims) == 2:  # its file is read back, and ppt judges it
+            path = tmp_path / "named.json"
+            path.write_text(out)
+            assert run_json(capsys, ["check", "--state", str(path), "--criterion", "ppt"])["criterion"] == "ppt"
 
     @pytest.mark.parametrize(
         "argv, missing",
@@ -156,6 +161,9 @@ def test_tensor_check_ghz(tmp_path, capsys):
         ["tensor-check", "--state", path, "--alphas", "1,1,1", "--m", "1", "--partition", "1,3"],
     )
     assert len(single) == 1 and single[0]["params"]["partition"] == [1, 3]
+    path = write_state(tmp_path, ghz(5), "ghz5.json")  # all 15 bipartitions, judged in stacks of two tall shapes
+    doc = run_json(capsys, ["tensor-check", "--state", path, "--alphas", "1,1,1,1,1", "--m", "1"])
+    assert [v["verdict"] for v in doc] == ["ENTANGLED"] * 15
 
 
 def test_scan_subcommand(capsys):
@@ -177,6 +185,19 @@ def test_optimize_subcommand(tmp_path, capsys):
         ["optimize", "--state", path, "--alpha-grid", "0,0.5", "--beta-grid", "0,0.5", "--m-range", "1"],
     )
     assert doc["violation"] >= 2.0 - 1e-9
+    # on the default grids, on the states of test_analysis' tenths cases, the best cell is the library's, and hwsep
+    # check at it judges the same value and bound
+    separable = [random_separable(*args)[1] for args in (((2, 4), 1, 1), ((2, 4), 12, 3), ((3, 3), 5, 2))]
+    runs = [("1,2,3", []), ("1,2,4,8,16,32", []), ("1,4,16,64", []), ("1,2,4,8,16,32", ["--rescaled"])]
+    for rho in [ghz(2), horodecki_mix_family(0.9).state(0.3), *separable]:
+        path = write_state(tmp_path, rho)
+        for m_range, rescaled in runs:
+            doc = run_json(capsys, ["optimize", "--state", path, "--m-range", m_range, *rescaled])
+            ms, normalization = [int(m) for m in m_range.split(",")], "rescaled" if rescaled else "standard"
+            assert doc == optimize_params(rho, TENTHS, TENTHS, ms, normalization).to_dict()
+            cell = ["--alpha", repr(doc["alpha"]), "--beta", repr(doc["beta"]), "--m", str(doc["m"]), *rescaled]
+            check = run_json(capsys, ["check", "--state", path, "--criterion", "hw", *cell])
+            assert [check["value"], check["bound"]] == pytest.approx([doc["value"], doc["bound"]], abs=1e-12)
 
 
 def test_compare_csv(capsys):
@@ -206,6 +227,9 @@ def test_compare_json_rows_are_the_csv_rows(tmp_path, capsys, kind):
     table = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert doc["subject"] == described
     assert [row["criterion"] for row in doc["rows"]] == ["hw", "isc", "vb", "lb"]
+    if kind == "family":  # the thresholds the tests pin, within test_known_thresholds' 5e-6
+        pins = [THRESHOLD_HW, THRESHOLD_ISC, THRESHOLD_VB, THRESHOLD_LB]
+        assert [row["threshold"] for row in doc["rows"]] == pytest.approx(pins, abs=5e-6)
     rows = [{**row["params"], **row} for row in doc["rows"]]
     assert len(table) == len(rows)
     for row, line in zip(rows, table):
@@ -336,6 +360,14 @@ class TestExitCodes:
             path.write_bytes(content)
             assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3
             assert "state file is not valid JSON" in capsys.readouterr().err
+        # JSON that is not a state: an array (a TypeError), and an object without "dims" or "matrix" (a KeyError)
+        for content in (b"[]", b'{"matrix": []}', b'{"dims": [2]}'):
+            path.write_bytes(content)
+            assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3
+            assert capsys.readouterr().err.startswith("validation error: malformed state file: ")
+        # a path that does not exist
+        assert run(["check", "--state", str(tmp_path / "missing.json"), "--criterion", "ppt"]) == 3
+        assert capsys.readouterr().err.startswith("validation error: cannot read state file: ")
 
     def test_validation_error_unphysical_state(self, tmp_path, capsys):
         doc = {"dims": [2], "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
@@ -453,6 +485,7 @@ class TestExitCodes:
             ([[0.5, [0, 0]], [[0, 0], [0.5, 0]]], "each matrix entry must be an [re, im] pair"),
             ([[[True, False], [0, 0]], [[0, 0], [0, 0]]], "must be a finite real number, got True"),
             ([[[0.5, 0], [0, 0]], [[0, 0], [0.5, "0"]]], "must be a finite real number, got '0'"),
+            ([[[10**400, 0], [0, 0]], [[0, 0], [0, 0]]], "must be a finite real number, got 1000"),  # 401 digits
         ],
     )
     def test_validation_error_malformed_matrix(self, tmp_path, capsys, matrix, message):

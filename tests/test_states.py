@@ -45,7 +45,7 @@ class TestHorodecki:
             with pytest.raises(ValidationError, match=r"b must lie in \(0, 1\)"):
                 horodecki_2x4(b)
 
-    @pytest.mark.parametrize("b", ["0.5", None, True, math.nan, math.inf, 0.5j])
+    @pytest.mark.parametrize("b", ["0.5", None, True, math.nan, math.inf, 0.5j, pytest.param(10**400, id="10**400")])
     def test_b_is_a_finite_real_number(self, b):
         for make in (horodecki_2x4, horodecki_mix_family):
             with pytest.raises(ValidationError, match="b must be a finite real number"):
@@ -144,7 +144,8 @@ class TestAffineFamily:
         with pytest.raises(ValidationError):
             horodecki_mix_family(0.9).state(1.5)
 
-    @pytest.mark.parametrize("x", ["0.3", None, True, np.bool_(False), math.nan])  # True == 1, but not a weight
+    # True == 1, but not a weight
+    @pytest.mark.parametrize("x", ["0.3", None, True, np.bool_(False), math.nan, pytest.param(10**400, id="10**400")])
     def test_mixing_weight_is_a_finite_real_number(self, x):
         fam = horodecki_mix_family(0.9)
         for call in (fam.state, lambda x: mix(x, *fam.endpoints)):
