@@ -12,6 +12,7 @@ gives its states, one per point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,7 +36,7 @@ class SeparableEnsemble:
     factors: tuple[tuple[np.ndarray, ...], ...]
 
     def assemble(self) -> DensityMatrix:
-        total = int(np.prod(self.dims))
+        total = math.prod(self.dims)
         rho = np.zeros((total, total), dtype=complex)
         for p, vecs in zip(self.weights, self.factors):
             psi = vecs[0]

@@ -446,7 +446,9 @@ class TestExitCodes:
         assert run(["tensor-check", "--state", path, "--alphas", "1,1", "--m", "1", "--partition", "3"]) == 3
         assert "party indices must lie in 1..2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dims", ["24", [2.0, 4.0], [2, "4"], [True, 4], {"a": 2}])
+    # the last dims are whole numbers whose int64 product wraps to 8, the matrix's size: each command once ended in
+    # a reshape ValueError (exit 1)
+    @pytest.mark.parametrize("dims", ["24", [2.0, 4.0], [2, "4"], [True, 4], {"a": 2}, [8, 2305843009213693953]])
     def test_validation_error_dims_not_a_list_of_integers(self, tmp_path, capsys, dims):
         doc = state_to_json(horodecki_2x4(0.9))
         doc["dims"] = dims
@@ -454,7 +456,17 @@ class TestExitCodes:
             parse_state_json(doc)
         path = tmp_path / "dims.json"
         path.write_text(json.dumps(doc))
-        assert run(["check", "--state", str(path), "--criterion", "ppt"]) == 3
+        wrapped = dims == [8, 2305843009213693953]
+        commands = [
+            ["check", "--criterion", "ppt"],
+            ["decompose"],
+            ["optimize"],
+            ["tensor-check", "--alphas", "1,1", "--m", "1"],
+        ]
+        for argv in commands if wrapped else commands[:1]:
+            assert run([*argv, "--state", str(path)]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and ("dims (8, 2305843009213693953) imply dimension" in err or not wrapped)
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -504,6 +516,10 @@ class TestExitCodes:
         assert run(["check", "--state", path, "--criterion", "hw", "--alpha", "1", "--beta", "1", "--m", "1"]) == 4
         out, err = capsys.readouterr()
         assert out == "" and "numerical failure: singular value computation failed" in err
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)  # state validation, before any command's work
+        assert run(["check", "--state", path, "--criterion", "ppt"]) == 4
+        out, err = capsys.readouterr()
+        assert out == "" and "numerical failure: eigendecomposition failed" in err
 
 
 # each flag of each command: (option, dest, metavar, default, required, choices); what --help shows of it

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,18 @@ class TestDensityMatrixValidation:
             DensityMatrix(np.eye(2) / 2, 2)
         with pytest.raises(ValidationError, match="dims must name at least one subsystem"):
             DensityMatrix(np.eye(1), ())  # a state of no parties
+        for matrix, dims in (([[1.0]], (7, 7905747460161236407)), (np.eye(8) / 8, (8, 2305843009213693953))):
+            with pytest.raises(ValidationError, match="imply dimension"):  # their int64 products wrap to 1 and 8
+                DensityMatrix(matrix, dims)
+
+    @pytest.mark.parametrize("matrix", [[["0.5", "0"], ["0", "0.5"]], [[True, False], [False, False]]])
+    def test_rejects_text_and_bool_entries(self, matrix):
+        with pytest.raises(ValidationError, match="density matrix entries must be numbers"):
+            DensityMatrix(matrix, (2,))
+
+    def test_object_entries_convert(self):  # only bool and text arrays are refused; objects convert one by one
+        half = Fraction(1, 2)
+        assert DensityMatrix(np.array([[half, 0], [0, half]], dtype=object), (2,)).purity() == 0.5
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError, match="density matrix must be square"):
