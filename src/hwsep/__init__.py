@@ -11,7 +11,6 @@ from .analysis import (
 from .bloch import (
     BlochDecomposition,
     BlochVector,
-    build_W,
     decompose_bipartite,
     decompose_single,
     purity_from_bloch,
@@ -27,7 +26,7 @@ from .criteria import (
     theorem2_bound,
 )
 from .errors import NumericalError, ValidationError
-from .hw_basis import HWObservableBasis, basis, displacement, observable, verify_orthogonality
+from .hw_basis import basis, displacement, observable, verify_orthogonality
 from .linalg import (
     DensityMatrix,
     eig_hermitian,
@@ -57,7 +56,6 @@ __all__ = [
     "ComparisonReport",
     "CriterionVerdict",
     "DensityMatrix",
-    "HWObservableBasis",
     "NumericalError",
     "OptimizeResult",
     "SeparableEnsemble",
@@ -65,7 +63,6 @@ __all__ = [
     "ThresholdResult",
     "ValidationError",
     "basis",
-    "build_W",
     "check_ppt",
     "check_theorem1",
     "check_theorem2",

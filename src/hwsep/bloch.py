@@ -20,10 +20,11 @@ a bipartite state's d1^2 x d2^2 tensor holds the local vectors r (column
 0), s (row 0) and the correlation matrix T.  ``weighted`` scales the
 identity slot of each axis by a weight: two parties with weights (beta,
 alpha) give the paper's S matrix, N parties with alpha_k give its
-coefficient tensor W, which ``build_W`` returns as a plain array.  The paper
-stacks m identity slots per axis; they are copies of one another, so its
-matricizations have the same trace norms as those of the one-slot tensor
-with weights sqrt(m) alpha_k, which is what ``criteria`` builds.
+coefficient tensor W.  The paper stacks m identity slots per axis; they are
+copies of one another, so its matricizations have the same trace norms as
+those of the one-slot tensor with weights sqrt(m) alpha_k, which is what
+``criteria`` builds: ``make_check("thm2", alphas=..., m=1).linear(rho)``
+returns W with its separable bound, and an S row's ``linear`` returns S.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import hw_basis
-from .errors import ValidationError, check_choice, check_weights
+from .errors import ValidationError, check_choice
 from .linalg import DensityMatrix, require_parties
 
 
@@ -166,13 +167,3 @@ def reconstruct_bipartite(dec: BlochDecomposition) -> DensityMatrix:
     rho4 = (_slots(d1) @ coeffs @ _slots(d2).T).reshape(d1, d1, d2, d2).transpose(1, 3, 0, 2)
     return DensityMatrix(rho4.reshape(d1 * d2, d1 * d2) / (d1 * d2), (d1, d2))
 
-
-def build_W(rho: DensityMatrix, alphas, normalization: str = "standard") -> np.ndarray:
-    """Coefficient tensor of an N-party state with the identity slot of axis k weighted by alphas[k].
-
-    Entry (a_1, ..., a_N) is Tr(rho O_{a_1} x ... x O_{a_N}), times alphas[k]
-    for each axis k whose slot a_k is the identity (see the module docstring).
-    """
-    weights = check_weights(alphas)
-    require_parties(rho, len(weights), "build_W")
-    return weighted(_coefficients(rho, normalization), weights)

@@ -134,14 +134,15 @@ def _emit(doc) -> None:
 
 
 def cmd_basis(args, parser) -> int:
-    b = hw_basis.basis(args.dim, args.normalization, args.convention)
+    elements = hw_basis.basis(args.dim, args.normalization, args.convention)
     _emit(
         {
-            "dim": b.dim,
-            "normalization": b.normalization,
-            "convention": b.convention,
+            "dim": args.dim,
+            "normalization": args.normalization,
+            "convention": args.convention,
             "elements": [
-                {"l": l, "m": m, "matrix": matrix_to_pairs(q)} for (l, m), q in zip(b.labels, b.elements)
+                {"l": l, "m": m, "matrix": matrix_to_pairs(q)}
+                for (l, m), q in zip(hw_basis.basis_labels(args.dim), elements)
             ],
         }
     )

@@ -34,7 +34,6 @@ bases are usually written).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -101,38 +100,12 @@ def _basis_array(d: int, normalization: str, convention: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class HWObservableBasis:
-    """The d^2 - 1 ordered observables Q(l, m), (l, m) != (0, 0)."""
-
-    dim: int
-    normalization: str
-    convention: str
-    elements: np.ndarray  # shape (d^2 - 1, d, d), read-only
-    labels: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.elements[i]
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-def basis(d: int, normalization: str = "standard", convention: str = "symmetric") -> HWObservableBasis:
-    """Full observable basis for dimension ``d`` in the canonical ordering."""
+def basis(d: int, normalization: str = "standard", convention: str = "symmetric") -> np.ndarray:
+    """The observables Q(l, m), (l, m) != (0, 0): a read-only (d^2 - 1, d, d) array, rows in ``basis_labels(d)`` order."""
     d, _, _ = _check_indices(d, 0, 0)
     check_choice(normalization, NORMALIZATIONS, "normalization")
     check_choice(convention, CONVENTIONS, "convention")
-    return HWObservableBasis(
-        dim=d,
-        normalization=normalization,
-        convention=convention,
-        elements=_basis_array(d, normalization, convention),
-        labels=basis_labels(d),
-    )
+    return _basis_array(d, normalization, convention)
 
 
 def verify_orthogonality(d: int, normalization: str = "standard", convention: str = "symmetric") -> float:
@@ -142,6 +115,6 @@ def verify_orthogonality(d: int, normalization: str = "standard", convention: st
     2 * identity for the rescaled one.
     """
     b = basis(d, normalization, convention)
-    gram = np.einsum("aij,bji->ab", b.elements, b.elements).real
-    target = (b.dim if normalization == "standard" else 2.0) * np.eye(len(b))
+    gram = np.einsum("aij,bji->ab", b, b).real
+    target = (b.shape[-1] if normalization == "standard" else 2.0) * np.eye(len(b))
     return float(np.abs(gram - target).max())

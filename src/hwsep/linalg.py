@@ -12,6 +12,7 @@ the one check that a subject is a state; ``require_parties`` adds its parties.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,13 @@ class DensityMatrix:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        if (raw := np.asarray(self.matrix)).dtype.kind in "bUS":  # a bool or text is not a number; objects convert
+        raw = self.matrix
+        if not isinstance(raw, np.ndarray) or raw.dtype == object:  # entry by entry: NumPy reads True among numbers as 1
+            raw = np.asarray(raw, dtype=object)
+            for x in raw.flat:
+                if isinstance(x, (bool, np.bool_)) or not isinstance(x, numbers.Number):
+                    raise ValidationError(f"density matrix entries must be numbers, not {type(x).__name__}")
+        if raw.dtype.kind in "bUS":  # a bool or text array; a numeric array takes no pass over its entries
             raise ValidationError(f"density matrix entries must be numbers, not {raw.dtype}")
         mat = np.array(raw, dtype=complex)
         dims = check_dims(self.dims, 1)

@@ -12,7 +12,7 @@ from hwsep import basis
 
 def reference_slots(d, weight, m, normalization):
     """The paper's per-party operator list: m copies of weight*I, then the basis."""
-    ops = list(basis(d).elements)
+    ops = list(basis(d))
     if normalization == "rescaled":
         ops = [np.sqrt(d / 2) * q for q in ops]  # rescaled-basis expansion coefficients
     return [weight * np.eye(d)] * m + ops

@@ -35,7 +35,7 @@ from hwsep import (
     verify_orthogonality,
 )
 from hwsep.cli import parse_state_json, state_to_json
-from hwsep.hw_basis import basis
+from hwsep.hw_basis import basis, basis_labels
 from hwsep.states import ghz, horodecki_2x4, horodecki_mix_family, product, random_density, random_pure, random_separable
 
 from reference_data import PRINTED_D3, THRESHOLD_HW
@@ -54,7 +54,7 @@ def test_01_basis_fidelity():
     t0 = time.perf_counter()
     generated = basis(3, convention="plain")
     worst = max(
-        float(np.abs(q - PRINTED_D3[label]).max()) for label, q in zip(generated.labels, generated.elements)
+        float(np.abs(q - PRINTED_D3[label]).max()) for label, q in zip(basis_labels(3), generated)
     )
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0

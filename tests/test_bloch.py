@@ -5,9 +5,9 @@ from hwsep import (
     DensityMatrix,
     ValidationError,
     basis,
-    build_W,
     decompose_bipartite,
     decompose_single,
+    make_check,
     matricize,
     partial_trace,
     purity_from_bloch,
@@ -63,7 +63,7 @@ class TestDecomposeSingle:
         rho = random_density(3, 99)
         for normalization in ("standard", "rescaled"):
             r = decompose_single(rho, normalization)
-            q = basis(3, normalization).elements
+            q = basis(3, normalization)
             rebuilt = (np.eye(3) + np.einsum("a,aij->ij", r.coeffs, q)) / 3
             np.testing.assert_allclose(rebuilt, rho.matrix, atol=1e-12)
 
@@ -170,12 +170,12 @@ class TestCoefficientTensor:
     def test_matches_s_matrix_bipartite(self):
         rho = as_bipartite(random_density(8, 42), (2, 4))
         alpha, beta = 0.8, 1.1
-        w = build_W(rho, (beta, alpha))
+        w = make_check("hw", alpha=alpha, beta=beta, m=1).linear(rho)[0]
         np.testing.assert_allclose(matricize(w, [1]), reference_s(rho, alpha, beta, 1, "standard"), atol=1e-13)
 
     def test_matches_s_matrix_rescaled_m0(self):
         rho = as_bipartite(random_density(9, 43), (3, 3))
-        w = build_W(rho, (0.0, 0.0), "rescaled")
+        w = make_check("vb").linear(rho)[0]  # rescaled, alpha = beta = m = 0
         expected = reference_s(rho, 0.0, 0.0, 1, "rescaled")
         np.testing.assert_allclose(matricize(w, [1]), expected, atol=1e-13)
         np.testing.assert_array_equal(w[1:, 1:], decompose_bipartite(rho, "rescaled").t)
@@ -185,32 +185,32 @@ class TestCoefficientTensor:
     def test_matches_paper_layout(self, dims, normalization):
         rho = DensityMatrix(random_density(int(np.prod(dims)), len(dims)).matrix, dims)
         alphas = (0.4, 1.1, 0.8, 1.7, 0.6)[: len(dims)]
-        w = build_W(rho, alphas, normalization)
+        w = make_check("thm2", alphas=alphas, m=1, normalization=normalization).linear(rho)[0]
         np.testing.assert_allclose(w, reference_w(rho, alphas, 1, normalization), rtol=0, atol=1e-12)
 
     def test_identity_slot_value(self):
         rho = product([random_density(2, 1), random_density(2, 2), random_density(2, 3)])
         alphas = (0.3, 0.7, 1.5)
-        w = build_W(rho, alphas)
+        w = make_check("thm2", alphas=alphas, m=1).linear(rho)[0]
         assert w[0, 0, 0] == pytest.approx(np.prod(alphas), abs=1e-12)
 
     def test_product_of_maximally_mixed(self):
         rho = maximally_mixed((2, 2, 2))
-        w = build_W(rho, (0.5, 0.5, 0.5))
+        w = make_check("thm2", alphas=(0.5, 0.5, 0.5), m=1).linear(rho)[0]
         expected = np.zeros((4, 4, 4))
         expected[0, 0, 0] = 0.125
         np.testing.assert_allclose(w, expected, atol=1e-14)
 
     def test_ghz_pure_correlations(self):
-        w = build_W(ghz(3), (1.0, 1.0, 1.0))
+        w = make_check("thm2", alphas=(1.0, 1.0, 1.0), m=1).linear(ghz(3))[0]
         # slot 0 is the identity, slot 1 is Q(0,1) = sigma_x, slot 2 is Q(1,0) = sigma_z
         assert w[1, 1, 1] == pytest.approx(1.0, abs=1e-12)
         assert w[2, 2, 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_separable_tensor_matches_direct_trace(self):
         _, rho = random_separable((2, 2, 2), 4, 7)
-        w = build_W(rho, (1.0, 1.0, 1.0))
-        b = basis(2).elements
+        w = make_check("thm2", alphas=(1.0, 1.0, 1.0), m=1).linear(rho)[0]
+        b = basis(2)
         slots = np.concatenate([np.eye(2, dtype=complex)[None], b])
         direct = np.zeros((4, 4, 4))
         for i in range(4):
@@ -223,9 +223,11 @@ class TestCoefficientTensor:
     def test_argument_validation(self):
         rho = maximally_mixed((2, 2))
         with pytest.raises(ValidationError):
-            build_W(rho, (1.0,))  # wrong number of alphas
+            make_check("thm2", alphas=(1.0,), m=1)  # wrong number of alphas
         with pytest.raises(ValidationError):
-            build_W(rho, (1.0, -0.5))  # negative alpha
+            make_check("thm2", alphas=(1.0, 1.0, 1.0), m=1).linear(rho)  # wrong number of alphas for the state
+        with pytest.raises(ValidationError):
+            make_check("thm2", alphas=(1.0, -0.5), m=1)  # negative alpha
         for bad in (np.nan, np.inf, -np.inf, True):
             with pytest.raises(ValidationError, match="weights"):
-                build_W(rho, (1.0, bad))
+                make_check("thm2", alphas=(1.0, bad), m=1)

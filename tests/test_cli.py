@@ -11,6 +11,7 @@ from hwsep import ValidationError, basis, check_ppt, check_theorem1, cli, decomp
 from hwsep import optimize_params
 from hwsep.cli import build_parser, matrix_to_pairs, parse_state_json, run, state_to_json
 from hwsep.criteria import REGISTRY
+from hwsep.hw_basis import basis_labels
 from hwsep.states import (
     ghz,
     horodecki_2x4,
@@ -44,7 +45,7 @@ def test_basis_dump_matches_library(capsys):
     doc = run_json(capsys, ["basis", "--dim", "3"])
     assert doc["dim"] == 3 and len(doc["elements"]) == 8
     lib = basis(3)
-    for entry, (label, q) in zip(doc["elements"], zip(lib.labels, lib.elements)):
+    for entry, (label, q) in zip(doc["elements"], zip(basis_labels(3), lib)):
         assert (entry["l"], entry["m"]) == label
         got = np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])
         np.testing.assert_allclose(got, q, atol=1e-15)

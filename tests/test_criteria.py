@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hwsep import (
     DensityMatrix,
     ValidationError,
-    build_W,
     check_ppt,
     check_theorem1,
     check_theorem2,
@@ -45,7 +44,7 @@ class TestBuildS:
     """The S matrix is the two-party coefficient tensor with weights (beta, alpha)."""
 
     def test_trivial_block_structure(self):
-        s = build_W(as_dm(np.eye(4) / 4, (2, 2)), (1.0, 1.0))
+        s = make_check("hw", alpha=1.0, beta=1.0, m=1).linear(as_dm(np.eye(4) / 4, (2, 2)))[0]
         assert s.shape == (4, 4)
         assert s[0, 0] == 1.0
         assert np.abs(s).sum() == 1.0
@@ -54,7 +53,7 @@ class TestBuildS:
     def test_m_zero_degenerates_to_t(self):
         rho = horodecki_2x4(0.5)
         dec = decompose_bipartite(rho)
-        s = build_W(rho, (0.0, 0.0))
+        s = make_check("hw", alpha=0.0, beta=0.0, m=0).linear(rho)[0]
         np.testing.assert_array_equal(s[1:, 1:], dec.t)
         assert not s[0].any() and not s[:, 0].any()
         v = check_theorem1(rho, 0.3, 0.7, 0)
@@ -63,7 +62,7 @@ class TestBuildS:
     def test_blocks(self):
         rho = as_dm(random_density(8, 0).matrix, (2, 4))
         dec = decompose_bipartite(rho)
-        s = build_W(rho, (1.2, 0.4))
+        s = make_check("hw", alpha=0.4, beta=1.2, m=1).linear(rho)[0]
         assert s.shape == (4, 16)
         assert s[0, 0] == pytest.approx(0.4 * 1.2)
         np.testing.assert_allclose(s[1:, 0], 0.4 * dec.r.coeffs)
@@ -73,14 +72,14 @@ class TestBuildS:
 
     def test_pure_product_is_rank_one(self):
         rho = product([random_pure(2, 5), random_pure(4, 6)])
-        s = build_W(rho, (1.4, 0.9))
+        s = make_check("hw", alpha=0.9, beta=1.4, m=1).linear(rho)[0]
         singular = np.linalg.svd(s, compute_uv=False)
         assert singular[1] <= 1e-9
 
     def test_rejects_negative_weights(self):
         rho = horodecki_2x4(0.5)
         with pytest.raises(ValidationError):
-            build_W(rho, (1.0, -0.1))
+            make_check("thm2", alphas=(1.0, -0.1), m=1)
         with pytest.raises(ValidationError):
             check_theorem1(rho, 1.0, 1.0, -1)
         with pytest.raises(ValidationError):
@@ -90,9 +89,9 @@ class TestBuildS:
     def test_rejects_non_finite_weights(self, bad):
         rho = horodecki_2x4(0.5)
         with pytest.raises(ValidationError):
-            build_W(rho, (1.0, bad))
+            make_check("thm2", alphas=(1.0, bad), m=1)
         with pytest.raises(ValidationError):
-            build_W(rho, (bad, 1.0))
+            make_check("thm2", alphas=(bad, 1.0), m=1)
         with pytest.raises(ValidationError):
             check_theorem1(rho, bad, 1.0, 0)
 
@@ -590,7 +589,9 @@ class TestPartyCount:
             (lambda rho: decompose_bipartite(rho), "decompose_bipartite", 2),
             (lambda rho: partial_transpose(rho), "partial_transpose", 2),
             (lambda rho: partial_trace(rho, 1), "partial_trace", 2),
-            (lambda rho: build_W(rho, (1.0, 1.0)), "build_W", 2),
+            pytest.param(
+                lambda rho: make_check("thm2", alphas=(1.0, 1.0), m=1).linear(rho), "criterion thm2", 2, id="thm2.linear"
+            ),
             pytest.param(lambda rho: make_check("vb")(rho), "criterion vb", 2, id="Check"),
             pytest.param(lambda rho: make_check("ppt").linear(rho), "criterion ppt", 2, id="Check.linear"),
             pytest.param(lambda rho: check_theorem1(rho, 0.5, 0.4, 1), "criterion hw", 2, id="check_theorem1"),

@@ -63,7 +63,8 @@ def test_observable_qubit_11():
 
 def test_qubit_basis_is_pauli():
     b = basis(2)
-    assert b.labels == ((0, 1), (1, 0), (1, 1))
+    assert basis_labels(2) == ((0, 1), (1, 0), (1, 1))
+    assert b.shape == (3, 2, 2) and not b.flags.writeable
     np.testing.assert_allclose(b[0], SIGMA_X, atol=1e-15)
     np.testing.assert_allclose(b[1], SIGMA_Z, atol=1e-15)
     np.testing.assert_allclose(b[2], -SIGMA_Y, atol=1e-15)
@@ -85,7 +86,7 @@ def test_orthogonality_rescaled(d):
 
 
 def test_rescaled_gram_is_two_identity():
-    elems = basis(4, "rescaled").elements
+    elems = basis(4, "rescaled")
     gram = np.einsum("aij,bji->ab", elems, elems).real
     np.testing.assert_allclose(gram, 2 * np.eye(15), atol=1e-10)
 
@@ -106,14 +107,14 @@ def test_full_operator_basis_is_independent(d):
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_rescaled_is_scaled_standard(d):
-    std = basis(d).elements
-    resc = basis(d, "rescaled").elements
+    std = basis(d)
+    resc = basis(d, "rescaled")
     np.testing.assert_array_equal(resc, np.sqrt(2 / d) * std)
 
 
 def test_plain_convention_reproduces_printed_qutrit_list():
     b = basis(3, convention="plain")
-    for (l, m), q in zip(b.labels, b.elements):
+    for (l, m), q in zip(basis_labels(3), b):
         np.testing.assert_allclose(q, PRINTED_D3[(l, m)], atol=1e-12)
 
 

@@ -224,14 +224,24 @@ class TestDensityMatrixValidation:
             with pytest.raises(ValidationError, match="imply dimension"):  # their int64 products wrap to 1 and 8
                 DensityMatrix(matrix, dims)
 
-    @pytest.mark.parametrize("matrix", [[["0.5", "0"], ["0", "0.5"]], [[True, False], [False, False]]])
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [["0.5", "0"], ["0", "0.5"]],
+            [[True, False], [False, False]],
+            [[True, 0], [0, 0]],  # NumPy alone reads it as an int array, |0><0|
+            np.array([[True, 0], [0, 0]], dtype=object),
+            [[None, 0], [0, 1]],
+        ],
+    )
     def test_rejects_text_and_bool_entries(self, matrix):
         with pytest.raises(ValidationError, match="density matrix entries must be numbers"):
             DensityMatrix(matrix, (2,))
 
-    def test_object_entries_convert(self):  # only bool and text arrays are refused; objects convert one by one
+    def test_object_entries_convert(self):  # numbers that are not bools convert one by one
         half = Fraction(1, 2)
         assert DensityMatrix(np.array([[half, 0], [0, half]], dtype=object), (2,)).purity() == 0.5
+        assert DensityMatrix([[0.5 + 0j, 0j], [0j, 0.5 + 0j]], (2,)).purity() == 0.5
 
     def test_rejects_non_square(self):
         with pytest.raises(ValidationError, match="density matrix must be square"):
