@@ -50,7 +50,10 @@ class DensityMatrix:
                     raise ValidationError(f"density matrix entries must be numbers, not {type(x).__name__}")
         if raw.dtype.kind in "bUS":  # a bool or text array; a numeric array takes no pass over its entries
             raise ValidationError(f"density matrix entries must be numbers, not {raw.dtype}")
-        mat = np.array(raw, dtype=complex)
+        try:
+            mat = np.array(raw, dtype=complex)
+        except OverflowError:  # an int past float range
+            raise ValidationError("density matrix contains non-finite entries") from None
         dims = check_dims(self.dims, 1)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {mat.shape}")

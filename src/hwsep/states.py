@@ -2,7 +2,9 @@
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64) seeded per call,
 so every constructor is a pure function of its arguments: a fixed seed gives
-bit-identical output across runs.
+bit-identical output across runs.  ``random_separable`` normalizes one (k, d_p)
+array per party at once, summing norms as ``np.linalg.norm`` does, and adds its
+terms in order in stacks within ``criteria._STACK_ELEMS``: a per-term loop's bits.
 
 A ``StateFamily`` is either affine, given by two endpoint states that are
 validated once (``horodecki_mix_family`` is one), or generator-only.  Scans
@@ -18,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import criteria
 from .errors import ValidationError, check_collection, check_dims, check_real, check_whole
 from .linalg import DensityMatrix, require_state
 
@@ -36,13 +39,21 @@ class SeparableEnsemble:
     factors: tuple[tuple[np.ndarray, ...], ...]
 
     def assemble(self) -> DensityMatrix:
-        total = math.prod(self.dims)
+        """sum_i p_i |psi_i><psi_i| from one (k, d_p) array per party, in stacks within criteria._STACK_ELEMS whose
+        row 0 is the running sum: the terms are added in order, so the bits are those of a per-term loop."""
+        parties = [np.array(vecs) for vecs in zip(*self.factors)]
+        weights, total = np.asarray(self.weights), math.prod(self.dims)
         rho = np.zeros((total, total), dtype=complex)
-        for p, vecs in zip(self.weights, self.factors):
-            psi = vecs[0]
-            for v in vecs[1:]:
-                psi = (psi[:, None] * v).ravel()  # the Kronecker product of two vectors
-            rho += p * (psi[:, None] * psi.conj())
+        for batch in criteria._batches(len(weights), total * total):
+            psi = parties[0][batch]
+            for v in parties[1:]:
+                psi = (psi[:, :, None] * v[batch, None, :]).reshape(len(psi), -1)  # the Kronecker products
+            stack = np.empty((1 + len(psi), total, total), dtype=complex)
+            stack[0] = rho
+            np.multiply(psi[:, :, None], psi.conj()[:, None, :], out=stack[1:])
+            np.multiply(weights[batch, None, None], stack[1:], out=stack[1:])
+            rho = np.add.reduce(stack)
+            del stack  # freed before the next is made: one stack at a time
         return DensityMatrix(rho, self.dims)
 
 
@@ -161,19 +172,19 @@ def product(factors) -> DensityMatrix:
 
 
 def _unit_vectors(draws: np.ndarray, dims) -> tuple[np.ndarray, ...]:
-    """One unit vector per party from a row of normal draws: d real parts, then d imaginary parts, per party."""
-    vecs, start = [], 0
+    """One (k, d) array of unit rows per party from k rows of normal draws: d real parts, then d imaginary parts."""
+    parties, start = [], 0
     for d in dims:
-        v = draws[start : start + d] + 1j * draws[start + d : start + 2 * d]
-        vecs.append(v / np.linalg.norm(v))
+        v = draws[:, start : start + d] + 1j * draws[:, start + d : start + 2 * d]
+        parties.append(v / np.sqrt(v.real[:, None] @ v.real[..., None] + v.imag[:, None] @ v.imag[..., None])[:, 0])
         start += 2 * d
-    return tuple(vecs)
+    return tuple(parties)
 
 
 def random_pure(d: int, seed) -> DensityMatrix:
     """Haar-random pure state as a density matrix."""
     d = check_whole(d, 2, "dimension")
-    (v,) = _unit_vectors(np.random.default_rng(check_whole(seed, 0, "seed")).standard_normal(2 * d), (d,))
+    ((v,),) = _unit_vectors(np.random.default_rng(check_whole(seed, 0, "seed")).standard_normal((1, 2 * d)), (d,))
     return DensityMatrix(np.outer(v, v.conj()), (d,))
 
 
@@ -190,7 +201,8 @@ def random_separable(dims, k_terms: int, seed) -> tuple[SeparableEnsemble, Densi
     """Random separable state as k_terms product pure states.
 
     Weights are Dirichlet(1, ..., 1) distributed, realized as normalized
-    exponential draws.
+    exponential draws.  ``factors`` holds row views of one (k_terms, d_p)
+    array per party, and ``SeparableEnsemble.assemble`` builds the state.
     """
     dims = check_dims(dims, 2)
     k_terms = check_whole(k_terms, 1, "k_terms")
@@ -200,6 +212,6 @@ def random_separable(dims, k_terms: int, seed) -> tuple[SeparableEnsemble, Densi
     weights = rng.exponential(size=k_terms)
     weights /= weights.sum()
     # every vector's draws in one call, in the order of one call per real or imaginary part
-    factors = tuple(_unit_vectors(row, dims) for row in rng.standard_normal((k_terms, 2 * sum(dims))))
-    ensemble = SeparableEnsemble(dims=dims, weights=weights, factors=factors)
+    parties = _unit_vectors(rng.standard_normal((k_terms, 2 * sum(dims))), dims)
+    ensemble = SeparableEnsemble(dims=dims, weights=weights, factors=tuple(zip(*parties)))
     return ensemble, ensemble.assemble()

@@ -253,6 +253,15 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValidationError):
             DensityMatrix(m, (2,))
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[10**400, 0], [0, 0]], np.array([[10**400, 0], [0, 0]], dtype=object)],
+        ids=["list", "object-array"],
+    )
+    def test_rejects_an_int_past_float_range(self, matrix):  # NumPy's conversion raises OverflowError
+        with pytest.raises(ValidationError, match="density matrix contains non-finite entries"):
+            DensityMatrix(matrix, (2,))
+
     def test_matrix_is_read_only(self):
         rho = DensityMatrix(np.eye(2) / 2, (2,))
         with pytest.raises(ValueError):

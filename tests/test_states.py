@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hwsep import DensityMatrix, ValidationError, eig_hermitian, partial_trace, partial_transpose
+from hwsep import DensityMatrix, ValidationError, criteria, eig_hermitian, partial_trace, partial_transpose
 from hwsep.states import (
     StateFamily,
     ghz,
@@ -16,6 +17,32 @@ from hwsep.states import (
     random_separable,
     xi_state,
 )
+
+
+def _same_bits(a, b):
+    """Equal dtype, shape and bytes: sign bits of zeros included."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _per_vector(dims, k_terms, seed):
+    """random_separable's draws, one call per real or imaginary part, and a per-term Kronecker-product loop."""
+    rng = np.random.default_rng(seed)
+    weights = rng.exponential(size=k_terms)
+    weights /= weights.sum()
+    factors = []
+    for _ in range(k_terms):
+        term = []
+        for d in dims:
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            term.append(v / np.linalg.norm(v))
+        factors.append(term)
+    rho = np.zeros((math.prod(dims),) * 2, dtype=complex)
+    for p, vecs in zip(weights, factors):
+        psi = vecs[0]
+        for v in vecs[1:]:
+            psi = np.kron(psi, v)
+        rho += p * np.outer(psi, psi.conj())
+    return weights, factors, rho
 
 
 class TestHorodecki:
@@ -200,6 +227,7 @@ class TestRandomStates:
         assert len(ens.factors) == 10
         assert all(len(term) == 2 for term in ens.factors)
         np.testing.assert_allclose(ens.assemble().matrix, rho.matrix, atol=1e-14)
+        assert _same_bits(ens.assemble().matrix, rho.matrix)
         # separable implies PPT
         assert eig_hermitian(partial_transpose(rho, 2))[0] >= -1e-10
 
@@ -207,37 +235,45 @@ class TestRandomStates:
         _, rho = random_separable((2, 2, 2), 5, 4)
         assert rho.dims == (2, 2, 2)
 
-    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2), (2, 4), (3, 5), (4, 4), (2, 3, 2), (2,) * 5])
     def test_separable_is_bit_identical_to_per_vector_draws(self, dims):
-        def per_vector(dims, k_terms, seed):
-            """One draw per real or imaginary part and a Kronecker-product loop."""
-            rng = np.random.default_rng(seed)
-            weights = rng.exponential(size=k_terms)
-            weights /= weights.sum()
-            factors = []
-            for _ in range(k_terms):
-                term = []
-                for d in dims:
-                    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-                    term.append(v / np.linalg.norm(v))
-                factors.append(term)
-            rho = np.zeros((math.prod(dims),) * 2, dtype=complex)
-            for p, vecs in zip(weights, factors):
-                psi = vecs[0]
-                for v in vecs[1:]:
-                    psi = np.kron(psi, v)
-                rho += p * np.outer(psi, psi.conj())
-            return weights, factors, rho
-
         for seed in range(200):
-            k_terms = 1 + seed % 20
+            k_terms = 1 + seed % 40
             ens, rho = random_separable(dims, k_terms, seed)
-            weights, factors, matrix = per_vector(dims, k_terms, seed)
+            weights, factors, matrix = _per_vector(dims, k_terms, seed)
             assert np.array_equal(ens.weights, weights)
             for term, expected in zip(ens.factors, factors, strict=True):
                 for v, w in zip(term, expected, strict=True):
                     assert v.dtype == w.dtype and np.array_equal(v, w)
             assert np.array_equal(rho.matrix, matrix)
+            assert _same_bits(rho.matrix, matrix) and _same_bits(ens.assemble().matrix, matrix)
+
+    @pytest.mark.parametrize("elems", [1, 193])  # one term per stack; 12 terms of a 2x2 state, one of a 2^5 one
+    def test_separable_bits_do_not_depend_on_the_stack_budget(self, monkeypatch, elems):
+        monkeypatch.setattr(criteria, "_STACK_ELEMS", elems)
+        for dims in [(2, 2), (3, 3), (2, 4), (2, 3, 2), (2,) * 5]:
+            for seed in range(40):
+                ens, rho = random_separable(dims, 1 + seed, seed)
+                matrix = _per_vector(dims, 1 + seed, seed)[2]
+                assert _same_bits(rho.matrix, matrix) and _same_bits(ens.assemble().matrix, matrix)
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_pure_is_bit_identical_to_a_per_vector_norm(self, d):
+        for seed in range(50):
+            draws = np.random.default_rng(seed).standard_normal(2 * d)
+            v = draws[:d] + 1j * draws[d:]
+            v = v / np.linalg.norm(v)
+            assert _same_bits(random_pure(d, seed).matrix, np.outer(v, v.conj()))
+
+    def test_separable_memory_stays_within_the_stack_budget(self):
+        # one stack of all 4000 terms of an 8x8 state would hold 4000 * 64**2 complex numbers, 262 MB
+        tracemalloc.start()
+        try:
+            random_separable((8, 8), 4000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_separable_argument_validation(self):
         with pytest.raises(ValidationError):
